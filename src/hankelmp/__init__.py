@@ -42,6 +42,8 @@ from .hankel import (
     MomentWindow,
     PositiveWindow,
     SymMatrix,
+    WindowAnalysis,
+    analyze,
     classify,
     det_exact,
     det_sequence,
@@ -69,7 +71,6 @@ from .orthopoly import (
     MomentForm,
     moment_inner_product,
     monic_orthogonal_poly,
-    orthogonal_poly,
 )
 from .recovery import (
     AtomValue,

@@ -25,7 +25,8 @@ from .hankel import (
     Invalid,
     MomentWindow,
     PositiveWindow,
-    classify,
+    WindowAnalysis,
+    analyze,
     det_sequence,
 )
 from .identities import (
@@ -180,7 +181,8 @@ def measure_to_doc(mu: DiscreteMeasure) -> dict:
     return {"atoms": atoms, "weights": weights}
 
 
-def classification_to_doc(cls, determinants) -> dict:
+def classification_to_doc(analysis: WindowAnalysis) -> dict:
+    cls = analysis.classification
     doc: dict = {}
     if isinstance(cls, PositiveWindow):
         doc["variant"] = "positive_window"
@@ -193,7 +195,7 @@ def classification_to_doc(cls, determinants) -> dict:
         doc["variant"] = "invalid"
         doc["firstViolation"] = cls.first_violation
         doc["reason"] = cls.reason.value
-    doc["determinants"] = [str(d) for d in determinants]
+    doc["determinants"] = [str(d) for d in analysis.determinants]
     return doc
 
 
@@ -203,7 +205,7 @@ def _emit(doc: dict) -> None:
 
 def _cmd_classify(args) -> int:
     window = _load_sequence(args.file)
-    _emit(classification_to_doc(classify(window), det_sequence(window)))
+    _emit(classification_to_doc(analyze(window)))
     return 0
 
 
@@ -287,7 +289,7 @@ def _cmd_demo(args) -> int:
         "a": str(a),
         "branch": branch,
         "moments": [str(s) for s in window],
-        "classification": classification_to_doc(classify(window), det_sequence(window)),
+        "classification": classification_to_doc(analyze(window)),
         "measure": measure_to_doc(reconstruct(window, digits=args.digits)),
     }
     _emit(doc)

@@ -8,6 +8,7 @@ rational is recovered exactly and its interval collapses to a point.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -16,6 +17,7 @@ from typing import Iterable, Sequence
 from .errors import NotSquareFree, ZeroPolynomial
 
 __all__ = [
+    "MAX_DECIMAL_EXPONENT",
     "Fraction",
     "IsolatingInterval",
     "RationalPoly",
@@ -31,8 +33,27 @@ __all__ = [
 ]
 
 
+# Largest |e| accepted in a decimal literal such as "1e-30": 10**e is built in
+# full, so an unbounded exponent is an unbounded allocation.  The bound matches
+# the default digit limit of Python's int <-> str conversion.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"e[-+]?([0-9_]+)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` (q > 0), an integer, or an exact decimal like ``"1.25"``."""
+    """Parse ``"p/q"`` (q > 0), an integer, or an exact decimal like ``"1.25"``.
+
+    A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in absolute value is
+    rejected with ``ValueError`` before anything is computed.
+    """
+    exponent = _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"decimal exponent of {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in absolute value"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -265,39 +286,46 @@ class IsolatingInterval:
 
 
 def _isolate_segments(
-    p: RationalPoly,
-    variations,
-    a: Fraction,
-    b: Fraction,
-    va: int,
-    vb: int,
-    out: list[tuple[Fraction, Fraction]],
-) -> None:
-    # Invariant: p(a) != 0, p(b) != 0, and va - vb roots lie in (a, b).
-    count = va - vb
-    if count == 0:
-        return
-    if count == 1:
-        out.append((a, b))
-        return
-    mid = (a + b) / 2
-    if p(mid) != 0:
-        vm = variations(mid)
-        _isolate_segments(p, variations, a, mid, va, vm, out)
-        _isolate_segments(p, variations, mid, b, vm, vb, out)
-        return
-    # Exact root at the midpoint: peel it off and recurse on both sides.
-    delta = (b - a) / 4
-    while True:
-        lo, hi = mid - delta, mid + delta
-        if p(lo) != 0 and p(hi) != 0:
-            vlo, vhi = variations(lo), variations(hi)
-            if vlo - vhi == 1:
-                break
-        delta /= 2
-    _isolate_segments(p, variations, a, lo, va, vlo, out)
-    out.append((mid, mid))
-    _isolate_segments(p, variations, hi, b, vhi, vb, out)
+    p: RationalPoly, variations, a: Fraction, b: Fraction, va: int, vb: int
+) -> list[tuple[Fraction, Fraction]]:
+    """Bisect (a, b) into segments holding one root each, in increasing order.
+
+    Each pending segment satisfies p(a) != 0, p(b) != 0 and has va - vb
+    roots in (a, b).  A last-in, first-out worklist visits them in the same
+    left-to-right order as recursive bisection, but close roots need deep
+    bisection, so no call stack grows with the depth.
+    """
+    out: list[tuple[Fraction, Fraction]] = []
+    # Items are pending segments (a, b, va, vb) or an exact root (mid,).
+    work: list[tuple] = [(a, b, va, vb)]
+    while work:
+        item = work.pop()
+        if len(item) == 1:
+            out.append((item[0], item[0]))
+            continue
+        a, b, va, vb = item
+        count = va - vb
+        if count == 0:
+            continue
+        if count == 1:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        if p(mid) != 0:
+            vm = variations(mid)
+            work += [(mid, b, vm, vb), (a, mid, va, vm)]
+            continue
+        # Exact root at the midpoint: peel it off and split both sides.
+        delta = (b - a) / 4
+        while True:
+            lo, hi = mid - delta, mid + delta
+            if p(lo) != 0 and p(hi) != 0:
+                vlo, vhi = variations(lo), variations(hi)
+                if vlo - vhi == 1:
+                    break
+            delta /= 2
+        work += [(hi, b, vhi, vb), (mid,), (a, lo, va, vlo)]
+    return out
 
 
 def _settle_segment(
@@ -369,8 +397,9 @@ def sturm_isolate(p: RationalPoly) -> list[IsolatingInterval]:
         return sign_variations([q(x) for q in chain])
 
     bound = cauchy_root_bound(p)
-    segments: list[tuple[Fraction, Fraction]] = []
-    _isolate_segments(p, variations, -bound, bound, variations(-bound), variations(bound), segments)
+    segments = _isolate_segments(
+        p, variations, -bound, bound, variations(-bound), variations(bound)
+    )
 
     lead_bound = abs(int(_positive_primitive(p).leading))
     settled = [

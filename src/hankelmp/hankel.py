@@ -5,6 +5,15 @@ Hankel determinant sequence D_0..D_N of a finite moment window: all positive,
 a positive prefix followed only by zeros (the degenerate case, carrying a
 finitely supported representing measure), or anything else, which cannot be a
 moment sequence.
+
+``analyze`` reads all of this off one exact O(N^2) pass of the Chebyshev
+algorithm (Gautschi, *Orthogonal Polynomials: Computation and Approximation*,
+2004, Sec. 2.1).  The pass tracks the mixed moments sigma_k(l) = <p_k, x^l> of
+the monic orthogonal polynomials p_k, whose pivots h_k = sigma_k(k) give
+D_k = D_{k-1} * h_k and whose recurrence coefficients build p_{k+1} =
+(x - alpha_k) p_k - beta_k p_{k-1}.  It stops at the first h_k <= 0.  Bareiss
+elimination computes the determinants past that point only for a window
+that is no moment sequence, and only when the verdict or a reader needs them.
 """
 from __future__ import annotations
 
@@ -12,10 +21,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Sequence, Union
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, OutOfWindow
+from .exact import RationalPoly
 
 __all__ = [
     "Classification",
@@ -25,6 +37,8 @@ __all__ = [
     "MomentWindow",
     "PositiveWindow",
     "SymMatrix",
+    "WindowAnalysis",
+    "analyze",
     "classify",
     "det_exact",
     "det_sequence",
@@ -167,10 +181,25 @@ def det_exact(matrix) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], scale)
 
 
-def det_sequence(w) -> list[Fraction]:
-    """The Hankel determinants [D_0, ..., D_N] for N = horizon of the window."""
-    w = _as_window(w)
-    return [det_exact(hankel_matrix(w, n)) for n in range(w.horizon + 1)]
+def _solve_exact(rows, rhs) -> list[Fraction] | None:
+    """Solve rows @ x = rhs exactly by Gaussian elimination; None if singular."""
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(col + 1, n):
+            if aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                for j in range(col, n + 1):
+                    aug[r][j] -= f * aug[col][j]
+    out = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = aug[i][n] - sum((aug[i][j] * out[j] for j in range(i + 1, n)), Fraction(0))
+        out[i] = acc / aug[i][i]
+    return out
 
 
 def _matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -250,45 +279,147 @@ class Invalid:
 Classification = Union[PositiveWindow, Degenerate, Invalid]
 
 
-def _tail_consistent(w: MomentWindow, n0: int) -> bool:
-    # The monic degree-n0 orthogonal polynomial supplies the exact linear
-    # recurrence that any n0-point moment sequence with this prefix obeys.
-    from .orthopoly import monic_orthogonal_poly
+class _Recurrence(NamedTuple):
+    pivots: list[Fraction]  # h_0..h_k, where the pass stopped after h_k
+    alphas: list[Fraction]  # alpha_0..
+    betas: list[Fraction]  # beta_0 = s_0, beta_1..
+    row: list[Fraction]  # sigma_k(l) for l = 0..m-k, i.e. <p_k, x^l>
 
-    coeffs = monic_orthogonal_poly(w, n0).coeffs
-    for k in range(2 * n0, len(w)):
-        predicted = -sum(coeffs[j] * w[k - n0 + j] for j in range(n0))
-        if w[k] != predicted:
-            return False
-    return True
+
+def _chebyshev(s: Sequence[Fraction]) -> _Recurrence:
+    """The Chebyshev algorithm over s_0..s_m, up to the first pivot h_k <= 0.
+
+    Step k reads the pivot h_k = sigma_k(k) = D_k / D_{k-1}; the pass ends
+    there when h_k <= 0 or k = m // 2.  Otherwise it forms alpha_k, beta_k and
+    the next row sigma_{k+1}(l) = sigma_k(l+1) - alpha_k sigma_k(l) -
+    beta_k sigma_{k-1}(l), whose pivot needs s_{2k+2}, in the window since
+    k < m // 2.
+    """
+    m = len(s) - 1
+    pivots: list[Fraction] = []
+    alphas: list[Fraction] = []
+    betas: list[Fraction] = []
+    prev, row = [Fraction(0)] * (m + 1), list(s)
+    k = 0
+    while True:
+        h = row[k]
+        pivots.append(h)
+        if h <= 0 or k == m // 2:
+            break
+        if k == 0:
+            alphas.append(row[1] / h)
+            betas.append(h)
+        else:
+            alphas.append(row[k + 1] / h - prev[k] / pivots[k - 1])
+            betas.append(h / pivots[k - 1])
+        alpha, beta = alphas[k], betas[k]
+        # Entries l <= k of the new row vanish by orthogonality and are never read.
+        prev, row = row, [0] * (k + 1) + [
+            row[l + 1] - alpha * row[l] - beta * prev[l] for l in range(k + 1, m - k)
+        ]
+        k += 1
+    return _Recurrence(pivots, alphas, betas, row)
+
+
+def _monic_from_recurrence(alphas: Sequence[Fraction], betas: Sequence[Fraction]) -> RationalPoly:
+    """p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}."""
+    prev: list[Fraction] = []
+    cur = [Fraction(1)]
+    for alpha, beta in zip(alphas, betas):
+        nxt = [Fraction(0)] + cur
+        for j, c in enumerate(cur):
+            nxt[j] -= alpha * c
+        for j, c in enumerate(prev):
+            nxt[j] -= beta * c
+        prev, cur = cur, nxt
+    return RationalPoly(cur)
+
+
+@dataclass(frozen=True)
+class WindowAnalysis:
+    """The determinants, classification and kernel of a window, from one pass.
+
+    ``determinants`` is D_0..D_N for N = horizon.  ``kernel`` is the monic
+    orthogonal polynomial p_{n0}, whose roots are the n0 atoms, when the
+    window is ``Degenerate`` with a consistent tail, and None otherwise.
+    ``known`` holds the determinants the verdict needed; when it stops short
+    of D_N, which happens after a negative pivot or on an s_0 = 0 window with
+    a nonzero moment, the rest come from Bareiss elimination on first read.
+    """
+
+    window: MomentWindow
+    classification: Classification
+    kernel: RationalPoly | None
+    known: tuple[Fraction, ...]
+
+    @cached_property
+    def determinants(self) -> tuple[Fraction, ...]:
+        w, start = self.window, len(self.known)
+        return self.known + tuple(det_exact(hankel_matrix(w, j)) for j in range(start, w.horizon + 1))
+
+
+def analyze(w) -> WindowAnalysis:
+    """Determinants, classification and kernel of a window in one exact pass.
+
+    The Chebyshev pass gives D_0..D_k up to the first pivot h_k <= 0.  All
+    positive gives ``PositiveWindow``; h_k < 0 gives ``Invalid`` with a
+    negative determinant at k.  At h_k = 0 the window is degenerate at n0 = k
+    when its tail obeys the recurrence of p_{n0}, i.e. <p_{n0}, x^l> = 0 for
+    every l up to m - n0, which the pass has just computed.  A window with
+    s_0 = 0 is the zero measure when every moment is zero and ``Invalid``
+    otherwise, with ``first_violation`` pointing at the first nonzero moment.
+    """
+    w = _as_window(w)
+    horizon = w.horizon
+    rec = _chebyshev(w.moments)
+    dets = list(accumulate(rec.pivots, mul))
+    k = len(dets) - 1
+    consistent = rec.pivots[k] == 0 and all(v == 0 for v in rec.row[k:])
+    if consistent:
+        # Every later D_j is 0 with no elimination: for n0 <= j <= horizon
+        # and t <= j - n0 the coefficient vector c of x^t p_{n0} is nonzero
+        # (p_{n0} is monic), and (H_j c)_i = <x^i, x^t p_{n0}> =
+        # <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.
+        dets += [Fraction(0)] * (horizon - k)
+    if w[0] == 0:
+        first_nonzero = next((j for j, s in enumerate(w) if s != 0), None)
+        cls: Classification = (
+            Degenerate(0, True)
+            if first_nonzero is None
+            else Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL)
+        )
+    elif rec.pivots[k] > 0:
+        cls = PositiveWindow(horizon)
+    elif rec.pivots[k] < 0:
+        cls = Invalid(k, InvalidReason.NEGATIVE_DETERMINANT)
+    elif consistent:
+        cls = Degenerate(k, True)
+    else:
+        # Past a zero pivot with an inconsistent tail the recurrence breaks
+        # down, and only Bareiss elimination tells the later D_j apart.
+        dets += [det_exact(hankel_matrix(w, j)) for j in range(k + 1, horizon + 1)]
+        later = next((j for j in range(k + 1, horizon + 1) if dets[j] != 0), None)
+        if later is None:
+            cls = Degenerate(k, False)
+        elif dets[later] < 0:
+            cls = Invalid(later, InvalidReason.NEGATIVE_DETERMINANT)
+        else:
+            cls = Invalid(later, InvalidReason.ZERO_THEN_POSITIVE)
+    kernel = _monic_from_recurrence(rec.alphas, rec.betas) if consistent else None
+    return WindowAnalysis(w, cls, kernel, tuple(dets))
+
+
+def det_sequence(w) -> list[Fraction]:
+    """The Hankel determinants [D_0, ..., D_N] for N = horizon of the window."""
+    return list(analyze(w).determinants)
 
 
 def classify(w) -> Classification:
     """Classify a window by the sign pattern of its Hankel determinants.
 
-    Scans D_0..D_N left to right: all positive gives ``PositiveWindow``; a
-    positive prefix followed only by zeros gives ``Degenerate`` (with the
-    tail-consistency bit computed from the unique extension); a negative
-    determinant or a zero followed by a positive one gives ``Invalid``.  A
-    window with s_0 = 0 is the zero measure when every moment is zero and
-    ``Invalid`` otherwise, with ``first_violation`` pointing at the first
-    nonzero moment.
+    A positive prefix D_0..D_{n0-1} followed only by zeros gives
+    ``Degenerate`` (with the tail-consistency bit), all positive gives
+    ``PositiveWindow``, and a negative determinant or a zero followed by a
+    positive one gives ``Invalid``; see ``analyze``.
     """
-    w = _as_window(w)
-    if w[0] == 0:
-        first_nonzero = next((k for k, s in enumerate(w) if s != 0), None)
-        if first_nonzero is None:
-            return Degenerate(0, True)
-        return Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL)
-    n0 = None
-    for k, d in enumerate(det_sequence(w)):
-        if d < 0:
-            return Invalid(k, InvalidReason.NEGATIVE_DETERMINANT)
-        if n0 is None:
-            if d == 0:
-                n0 = k
-        elif d > 0:
-            return Invalid(k, InvalidReason.ZERO_THEN_POSITIVE)
-    if n0 is None:
-        return PositiveWindow(w.horizon)
-    return Degenerate(n0, _tail_consistent(w, n0))
+    return analyze(w).classification

@@ -1,10 +1,10 @@
-"""Orthogonal polynomials of a moment window, built determinantally.
+"""Orthogonal polynomials of a moment window and the moment inner product.
 
-p_0 = 1 and, for n >= 1, p_n is the determinant whose top rows are the moment
-rows (s_i, ..., s_{i+n}) for i < n and whose bottom row is (1, x, ..., x^n).
-Expanding along the bottom row makes each coefficient a single exact numeric
-minor, so no symbolic determinant machinery is needed.  The leading
-coefficient of p_n is the Hankel determinant D_{n-1}.
+The monic orthogonal polynomials p_0 = 1, p_1, ... of a window satisfy
+<p_n, x^k> = 0 for k < n under <x^j, x^k> = s_{j+k}.  p_n exists exactly when
+the Hankel determinant D_{n-1} is nonzero, and its low coefficients c then
+solve H_{n-1} c = -(s_n..s_{2n-1}).  The kernel p_{n0} of a degenerate window
+also comes out of the recurrence pass of ``hankel.analyze``.
 """
 from __future__ import annotations
 
@@ -13,13 +13,12 @@ from fractions import Fraction
 
 from .errors import DegenerateNormalization, OutOfWindow
 from .exact import RationalPoly
-from .hankel import MomentWindow, _as_window, det_exact, hankel_matrix
+from .hankel import MomentWindow, _as_window, _solve_exact
 
 __all__ = [
     "MomentForm",
     "moment_inner_product",
     "monic_orthogonal_poly",
-    "orthogonal_poly",
 ]
 
 
@@ -52,8 +51,12 @@ def moment_inner_product(p: RationalPoly, q: RationalPoly, form) -> Fraction:
     return sum((c * w[t] for t, c in enumerate(product.coeffs)), Fraction(0))
 
 
-def orthogonal_poly(w, n: int) -> RationalPoly:
-    """The determinantal orthogonal polynomial p_n; needs s_0..s_{2n-1}."""
+def monic_orthogonal_poly(w, n: int) -> RationalPoly:
+    """The monic p_n orthogonal to 1, x, ..., x^{n-1}; needs s_0..s_{2n-1}.
+
+    Raises ``DegenerateNormalization`` when D_{n-1} = 0, which happens exactly
+    when n exceeds the degenerate index of the window.
+    """
     if n < 0:
         raise ValueError("polynomial index must be nonnegative")
     w = _as_window(w)
@@ -61,25 +64,9 @@ def orthogonal_poly(w, n: int) -> RationalPoly:
         return RationalPoly([1])
     if 2 * n - 1 > w.m:
         raise OutOfWindow(f"p_{n} needs s_0..s_{2*n - 1} but the window ends at s_{w.m}")
-    top = [[w[i + t] for t in range(n + 1)] for i in range(n)]
-    coeffs = []
-    for j in range(n + 1):
-        minor = det_exact([row[:j] + row[j + 1 :] for row in top])
-        coeffs.append(minor if (n + j) % 2 == 0 else -minor)
-    return RationalPoly(coeffs)
-
-
-def monic_orthogonal_poly(w, n: int) -> RationalPoly:
-    """p_n divided by D_{n-1} (with D_{-1} = 1), so the leading coefficient is 1.
-
-    Raises ``DegenerateNormalization`` when D_{n-1} = 0, which happens exactly
-    when n exceeds the degenerate index of the window.
-    """
-    w = _as_window(w)
-    p = orthogonal_poly(w, n)
-    if n == 0:
-        return p
-    d = det_exact(hankel_matrix(w, n - 1))
-    if d == 0:
+    coeffs = _solve_exact(
+        [[w[i + j] for j in range(n)] for i in range(n)], [-w[i + n] for i in range(n)]
+    )
+    if coeffs is None:
         raise DegenerateNormalization(f"cannot normalize p_{n}: D_{n - 1} = 0")
-    return RationalPoly([c / d for c in p.coeffs])
+    return RationalPoly(coeffs + [Fraction(1)])

@@ -19,8 +19,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .exact import IsolatingInterval, refine_root, sturm_isolate
-from .hankel import Degenerate, MomentWindow, _as_window, classify
-from .orthopoly import monic_orthogonal_poly
+from .hankel import _solve_exact, analyze
 
 __all__ = [
     "AtomValue",
@@ -201,25 +200,6 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     )
 
 
-def _solve_vandermonde(atoms: Sequence[Fraction], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve sum_j m_j * x_j^k = rhs_k (k = 0..n-1) exactly by elimination."""
-    n = len(atoms)
-    aug = [[atoms[j] ** k for j in range(n)] + [rhs[k]] for k in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, n):
-            if aug[r][col] != 0:
-                f = aug[r][col] / aug[col][col]
-                for j in range(col, n + 1):
-                    aug[r][j] -= f * aug[col][j]
-    out = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n] - sum((aug[i][j] * out[j] for j in range(i + 1, n)), Fraction(0))
-        out[i] = acc / aug[i][i]
-    return out
-
-
 def _interval_weights(
     atom_ivs: Sequence[RationalInterval], moments: Sequence[Fraction]
 ) -> list[RationalInterval]:
@@ -273,23 +253,24 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     Raises ``PreconditionViolated`` unless the window classifies as
     ``Degenerate`` with a consistent tail.
     """
-    w = _as_window(w)
-    cls = classify(w)
-    if not isinstance(cls, Degenerate) or not cls.window_consistent:
-        raise PreconditionViolated(f"reconstruct needs a consistent degenerate window, got {cls}")
-    n0 = cls.n0
+    analysis = analyze(w)
+    kernel = analysis.kernel
+    if kernel is None:
+        raise PreconditionViolated(
+            f"reconstruct needs a consistent degenerate window, got {analysis.classification}"
+        )
+    n0 = kernel.degree
     if n0 == 0:
         return DiscreteMeasure((), ())
-    kernel = monic_orthogonal_poly(w, n0)
     roots = sturm_isolate(kernel)
     if len(roots) != n0:
         raise InconsistentWindow(
             f"kernel polynomial has {len(roots)} real roots, expected {n0}"
         )
-    moments = list(w[: 2 * n0])
+    moments = list(analysis.window[: 2 * n0])
     if all(r.is_exact for r in roots):
         atoms = [r.lo for r in roots]
-        weights = _solve_vandermonde(atoms, moments[:n0])
+        weights = _solve_exact([[a**k for a in atoms] for k in range(n0)], moments[:n0])
         if any(weight <= 0 for weight in weights):
             raise InconsistentWindow("recovered a non-positive weight")
         for k in range(n0, 2 * n0):
@@ -319,16 +300,15 @@ def extend(w, count: int) -> list[Fraction]:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    w = _as_window(w)
-    cls = classify(w)
-    if not isinstance(cls, Degenerate) or not cls.window_consistent:
-        raise PreconditionViolated(f"extend needs a consistent degenerate window, got {cls}")
-    n0 = cls.n0
-    if n0 == 0:
-        return [Fraction(0)] * count
-    coeffs = monic_orthogonal_poly(w, n0).coeffs
-    values = list(w)
+    analysis = analyze(w)
+    if analysis.kernel is None:
+        raise PreconditionViolated(
+            f"extend needs a consistent degenerate window, got {analysis.classification}"
+        )
+    coeffs = analysis.kernel.coeffs
+    n0 = len(coeffs) - 1
+    values = list(analysis.window)
     for _ in range(count):
-        nxt = -sum(coeffs[j] * values[len(values) - n0 + j] for j in range(n0))
+        nxt = -sum((coeffs[j] * values[len(values) - n0 + j] for j in range(n0)), Fraction(0))
         values.append(nxt)
-    return values[len(w) :]
+    return values[len(analysis.window) :]

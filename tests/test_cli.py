@@ -73,6 +73,12 @@ class TestSequenceInput:
         code, out, err = invoke(capsys, ["classify", "/nonexistent/nope.json"])
         assert code == 2 and out == "" and err != ""
 
+    def test_huge_exponent_rejected_before_evaluation(self, tmp_path, capsys):
+        # 10**100000000 would take seconds and tens of megabytes to build.
+        path = write_json(tmp_path, "huge.json", ["1", "1e100000000", "1"])
+        code, out, err = invoke(capsys, ["classify", path])
+        assert code == 2 and out == "" and "exponent" in err
+
     def test_positive_window_report(self, tmp_path, capsys):
         path = write_json(tmp_path, "pos.json", ["2", "0", "1", "0", "1"])
         code, out, _ = invoke(capsys, ["classify", path])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hankelmp.errors import NotSquareFree, ZeroPolynomial
 from hankelmp.exact import (
+    MAX_DECIMAL_EXPONENT,
     IsolatingInterval,
     RationalPoly,
     cauchy_root_bound,
@@ -49,6 +50,16 @@ class TestRationalStrings:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("text", ["1e4301", "1E-4301", "2.5e+100000000", "1e" + "9" * 5000])
+    def test_parse_rejects_huge_exponents(self, text):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+
+    def test_parse_accepts_exponents_up_to_the_bound(self):
+        assert parse_rational(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"3e-{MAX_DECIMAL_EXPONENT}") == F(3, 10**MAX_DECIMAL_EXPONENT)
+        assert parse_rational("1.5e1_0") == 15 * 10**9
 
     @given(rationals)
     @settings(derandomize=True)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankelmp.errors import NotSymmetric, OutOfWindow
 from hankelmp.hankel import (
@@ -14,6 +16,7 @@ from hankelmp.hankel import (
     MomentWindow,
     PositiveWindow,
     SymMatrix,
+    analyze,
     classify,
     det_exact,
     det_sequence,
@@ -21,7 +24,7 @@ from hankelmp.hankel import (
     is_psd,
     principal_minor_sums,
 )
-from oracles import det_cofactor, psd_all_principal_minors
+from oracles import classify_brute, det_cofactor, orthogonal_poly, psd_all_principal_minors
 
 REMARK = [1, 1, 1, 1, 0, 0, 0]
 EXAMPLE_A4 = [1, 1, 4, 4, 16]
@@ -216,3 +219,174 @@ class TestClassify:
             assert cls == Degenerate(count, True)
             for k in range(window.horizon + 1):
                 assert is_psd(hankel_matrix(window, k))
+
+
+# --- Hypothesis properties of the recurrence pass -----------------------------
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# Windows of length <= 12, so horizons N <= 5.
+raw_windows = st.lists(small_rationals, min_size=1, max_size=12)
+
+
+@st.composite
+def measures(draw, max_atoms=5):
+    count = draw(st.integers(1, max_atoms))
+    atoms = draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=count, max_size=count, unique=True,
+        )
+    )
+    weights = draw(
+        st.lists(
+            st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4),
+            min_size=count, max_size=count,
+        )
+    )
+    return sorted(atoms), weights
+
+
+def moments_of(measure, count):
+    atoms, weights = measure
+    return [sum(w * a**k for a, w in zip(atoms, weights)) for k in range(count)]
+
+
+nudges = st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8)
+
+VERDICTS = ("positive", "consistent", "inconsistent", "negative", "zero_then_positive", "zero_s0")
+
+
+@st.composite
+def verdict_windows(draw, verdict):
+    """A window of length <= 12 built to get ``verdict``; returns (window, expected)."""
+    if verdict == "positive":
+        atoms, weights = draw(measures())
+        n = len(atoms)
+        window = moments_of((atoms, weights), draw(st.integers(1, 2 * n)))
+        return window, ("positive", (len(window) - 1) // 2)
+    if verdict == "zero_s0":
+        window = draw(raw_windows)
+        zeros = draw(st.integers(1, len(window)))
+        window = [F(0)] * zeros + window[zeros:]
+        first = next((k for k, v in enumerate(window) if v != 0), None)
+        return window, ("degenerate", 0, True) if first is None else ("invalid", first, "ZeroS0NonzeroTail")
+    # The remaining windows perturb an n-atom moment window past s_{2n-1}.
+    # In the basis p_0, .., p_n, x p_n, x^2 p_n of the monic orthogonal
+    # polynomials, H_{n+1} and H_{n+2} end in the blocks [[0, e1], [e1, *]]
+    # and [[0, e1, e2], [e1, e2, *], [e2, *, *]] with e_j = <p_n, x^(n+j)>.
+    max_atoms = {"consistent": 5, "inconsistent": 4, "negative": 4, "zero_then_positive": 3}[verdict]
+    atoms, weights = draw(measures(max_atoms))
+    n = len(atoms)
+    if verdict == "consistent":
+        window = moments_of((atoms, weights), draw(st.integers(2 * n + 1, 12)))
+        return window, ("degenerate", n, True)
+    if verdict == "inconsistent":
+        # A bump of the last moment past s_{2n+1} changes no determinant:
+        # at an even index 2N > 2n it adds bump * D_{N-1} = 0 to D_N.
+        window = moments_of((atoms, weights), draw(st.integers(2 * n + 2, 12)))
+        window[-1] += draw(nudges) * draw(st.sampled_from([-1, 1]))
+        return window, ("degenerate", n, False)
+    if verdict == "negative":
+        # e1 != 0 makes D_{n+1} a negative multiple of e1^2.
+        window = moments_of((atoms, weights), draw(st.integers(2 * n + 3, 12)))
+        window[2 * n + 1] += draw(nudges) * draw(st.sampled_from([-1, 1]))
+        return window, ("invalid", n + 1, "NegativeDeterminant")
+    # e1 = 0 and e2 < 0: D_{n+1} = 0 and D_{n+2} is a positive multiple of -e2^3.
+    window = moments_of((atoms, weights), 2 * n + 5)
+    window[2 * n + 2] -= draw(nudges)
+    return window, ("invalid", n + 2, "ZeroThenPositive")
+
+
+def as_tuple(cls) -> tuple:
+    if isinstance(cls, PositiveWindow):
+        return ("positive", cls.horizon)
+    if isinstance(cls, Degenerate):
+        return ("degenerate", cls.n0, cls.window_consistent)
+    return ("invalid", cls.first_violation, cls.reason.value)
+
+
+def cofactor_determinants(window):
+    return [
+        det_cofactor([[window[i + j] for j in range(n + 1)] for i in range(n + 1)])
+        for n in range((len(window) - 1) // 2 + 1)
+    ]
+
+
+class TestRecurrencePass:
+    @given(raw_windows)
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @example([1, 1, 1, 1, 0, 0, 0])
+    @example([1, 1, 1, 1, 0])
+    @example([0, 0, 1, 0, 0])
+    def test_determinants_and_verdict_match_cofactor_oracle(self, window):
+        analysis = analyze(window)
+        assert list(analysis.determinants) == cofactor_determinants(window)
+        assert as_tuple(analysis.classification) == classify_brute(window)
+
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_every_verdict_matches_oracles(self, verdict, data):
+        window, expected = data.draw(verdict_windows(verdict))
+        analysis = analyze(window)
+        assert as_tuple(analysis.classification) == expected == classify_brute(window)
+        assert list(analysis.determinants) == cofactor_determinants(window)
+        if expected[0] == "degenerate" and expected[2]:
+            n0 = expected[1]
+            p = orthogonal_poly(window, n0)
+            assert analysis.kernel.coeffs == tuple(c / p[-1] for c in p)
+        else:
+            assert analysis.kernel is None
+
+    @given(
+        raw_windows,
+        st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5),
+        st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5),
+    )
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @example([1, 1, 4, 4, 16], F(3), F(1, 2))
+    @example([1, 1, 1, 1, 0, 0, 0], F(2), F(3))
+    def test_scale_covariance(self, window, c, a):
+        base = analyze(window)
+        scaled = analyze([c * s for s in window])
+        dilated = analyze([a**k * s for k, s in enumerate(window)])
+        for k, d in enumerate(base.determinants):
+            assert scaled.determinants[k] == c ** (k + 1) * d
+            assert dilated.determinants[k] == a ** (k * (k + 1)) * d
+        assert scaled.classification == base.classification
+        assert dilated.classification == base.classification
+        if base.kernel is not None:
+            n0 = base.kernel.degree
+            assert scaled.kernel == base.kernel
+            # The dilated measure has atoms a * x_j, so its kernel is a^n0 p(x / a).
+            assert dilated.kernel.coeffs == tuple(
+                coef * a ** (n0 - j) for j, coef in enumerate(base.kernel.coeffs)
+            )
+
+    def test_consistent_tail_needs_no_elimination(self, monkeypatch):
+        import hankelmp.hankel as hankel
+
+        def refuse(matrix):
+            raise AssertionError("det_exact called on a consistent window")
+
+        monkeypatch.setattr(hankel, "det_exact", refuse)
+        # Two atoms, horizon 5: D_2..D_5 are zero by the kernel argument alone.
+        analysis = analyze([2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2])
+        assert analysis.classification == Degenerate(2, True)
+        assert analysis.determinants == (2, 4, 0, 0, 0, 0)
+        assert analysis.kernel.coeffs == (-1, 0, 1)
+
+    def test_verdict_reads_no_later_determinants(self, monkeypatch):
+        import hankelmp.hankel as hankel
+
+        calls = []
+        real = hankel.det_exact
+        monkeypatch.setattr(hankel, "det_exact", lambda matrix: calls.append(matrix) or real(matrix))
+        zero_s0 = [0, 0, 1, 0, 0]
+        # After s_0 = 0 or a negative pivot the verdict is known without
+        # D_{k+1..N}; they are eliminated only when read.
+        assert classify(zero_s0) == Invalid(2, InvalidReason.ZERO_S0_NONZERO_TAIL)
+        assert classify([1, 0, -1, 0, 1]) == Invalid(1, InvalidReason.NEGATIVE_DETERMINANT)
+        assert calls == []
+        assert list(analyze(zero_s0).determinants) == cofactor_determinants(zero_s0)
+        assert len(calls) == 2

@@ -1,10 +1,12 @@
-"""Tests for the determinantal orthogonal polynomials and the moment form."""
+"""Tests for the recurrence orthogonal polynomials and the moment form."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankelmp.errors import DegenerateNormalization, OutOfWindow
 from hankelmp.exact import RationalPoly, poly_gcd, sturm_isolate
@@ -13,13 +15,18 @@ from hankelmp.orthopoly import (
     MomentForm,
     moment_inner_product,
     monic_orthogonal_poly,
-    orthogonal_poly,
 )
+import oracles
 
 A4 = MomentWindow([1, 1, 4, 4, 16])
 
 ONE = RationalPoly([1])
 X = RationalPoly([0, 1])
+
+
+def orthogonal_poly(w, n):
+    """The brute-force determinantal p_n of the oracle module."""
+    return RationalPoly(oracles.orthogonal_poly(list(w), n))
 
 
 def monomial(k):
@@ -79,9 +86,9 @@ class TestOrthogonalPoly:
 
     def test_out_of_window(self):
         with pytest.raises(OutOfWindow):
-            orthogonal_poly([1, 1, 4], 2)
+            monic_orthogonal_poly([1, 1, 4], 2)
         with pytest.raises(ValueError):
-            orthogonal_poly(A4, -1)
+            monic_orthogonal_poly(A4, -1)
 
     def test_degenerate_normalization(self):
         with pytest.raises(DegenerateNormalization):
@@ -144,3 +151,35 @@ class TestOrthogonalPoly:
             kernel = monic_orthogonal_poly(seq, cls.n0)
             assert poly_gcd(kernel, kernel.derivative()).degree == 0
             assert len(sturm_isolate(kernel)) == cls.n0
+
+
+class TestRecurrenceAgainstOracle:
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=1, max_size=10))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @example([0, 1, 0, 0])
+    @example([1, 1, 1, 1, 0, 0, 0, 1])
+    @example([1, 1, 1, 1, 0])
+    def test_monic_matches_determinantal_oracle(self, window):
+        # Zero pivots before D_{n-1} (as in [0, 1, 0, 0]) break the
+        # recurrence; p_n must still come out whenever D_{n-1} != 0.
+        for n in range((len(window) + 1) // 2 + 1):
+            if 2 * n - 1 >= len(window):
+                with pytest.raises(OutOfWindow):
+                    monic_orthogonal_poly(window, n)
+                continue
+            p = orthogonal_poly(window, n)
+            if p.degree < n:
+                with pytest.raises(DegenerateNormalization):
+                    monic_orthogonal_poly(window, n)
+            else:
+                assert monic_orthogonal_poly(window, n) == p * (1 / p.leading)
+
+    def test_recurrence_breakdown_examples(self):
+        # D_0 = 0 but D_1 = -1, so p_2 exists although p_1 does not.
+        assert monic_orthogonal_poly([0, 1, 0, 0], 2) == monomial(2)
+        with pytest.raises(DegenerateNormalization):
+            monic_orthogonal_poly([0, 1, 0, 0], 1)
+        # D = 1, 0, 0, 1: p_4 exists past the zero block, and its
+        # determinantal form is already monic since D_3 = 1.
+        window = [1, 1, 1, 1, 0, 0, 0, 1]
+        assert monic_orthogonal_poly(window, 4) == orthogonal_poly(window, 4)

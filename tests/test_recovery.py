@@ -162,6 +162,15 @@ class TestReconstruct:
             assert isinstance(weight, RationalInterval)
             assert weight.contains(target)
 
+    def test_atoms_closer_than_the_recursion_limit(self):
+        # Isolating these atoms takes about 1100 bisections of one segment.
+        near = F(1, 3)
+        far = near + F(1, 2**1100)
+        mu = DiscreteMeasure((near, far), (F(1), F(1)))
+        rec = reconstruct(measure_moments(mu, 7))
+        assert rec.atoms == (near, far)
+        assert rec.weights == (F(1), F(1))
+
     def test_round_trip_exact_measures(self):
         rng = random.Random(60)
         for _ in range(80):
