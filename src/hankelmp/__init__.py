@@ -49,7 +49,7 @@ from .hankel import (
     det_sequence,
     hankel_matrix,
     is_psd,
-    principal_minor_sums,
+    psd_witness,
 )
 from .identities import (
     CampaignReport,

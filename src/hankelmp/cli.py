@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import MomentProblemError
-from .exact import IsolatingInterval, RationalPoly, parse_rational
+from .exact import IsolatingInterval, RationalPoly, format_rational, parse_rational
 from .hankel import (
     Degenerate,
     Invalid,
@@ -157,7 +157,11 @@ def _load_measure(path: str) -> DiscreteMeasure:
 
 
 def _enclosure_doc(lo: Fraction, hi: Fraction) -> dict:
-    return {"lo": str(lo), "hi": str(hi), "decimal": _decimal_str((lo + hi) / 2)}
+    return {
+        "lo": format_rational(lo),
+        "hi": format_rational(hi),
+        "decimal": _decimal_str((lo + hi) / 2),
+    }
 
 
 def measure_to_doc(mu: DiscreteMeasure) -> dict:
@@ -165,17 +169,17 @@ def measure_to_doc(mu: DiscreteMeasure) -> dict:
     atoms = []
     for atom in mu.atoms:
         if isinstance(atom, Fraction):
-            atoms.append({"exact": str(atom)})
+            atoms.append({"exact": format_rational(atom)})
         else:
             atoms.append(
                 {
-                    "interval": [str(atom.lo), str(atom.hi)],
-                    "poly": [str(c) for c in atom.poly.coeffs],
+                    "interval": [format_rational(atom.lo), format_rational(atom.hi)],
+                    "poly": [format_rational(c) for c in atom.poly.coeffs],
                     "decimal": _decimal_str(atom.midpoint()),
                 }
             )
     weights = [
-        str(w) if isinstance(w, Fraction) else _enclosure_doc(w.lo, w.hi)
+        format_rational(w) if isinstance(w, Fraction) else _enclosure_doc(w.lo, w.hi)
         for w in mu.weights
     ]
     return {"atoms": atoms, "weights": weights}
@@ -195,7 +199,7 @@ def classification_to_doc(analysis: WindowAnalysis) -> dict:
         doc["variant"] = "invalid"
         doc["firstViolation"] = cls.first_violation
         doc["reason"] = cls.reason.value
-    doc["determinants"] = [str(d) for d in analysis.determinants]
+    doc["determinants"] = [format_rational(d) for d in analysis.determinants]
     return doc
 
 
@@ -211,7 +215,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_determinants(args) -> int:
     window = _load_sequence(args.file)
-    _emit({"determinants": [str(d) for d in det_sequence(window)]})
+    _emit({"determinants": [format_rational(d) for d in det_sequence(window)]})
     return 0
 
 
@@ -223,7 +227,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_extend(args) -> int:
     window = _load_sequence(args.file)
-    _emit({"extension": [str(s) for s in extend(window, args.count)]})
+    _emit({"extension": [format_rational(s) for s in extend(window, args.count)]})
     return 0
 
 
@@ -233,7 +237,7 @@ def _cmd_moments(args) -> int:
     _emit(
         {
             "moments": [
-                str(v) if isinstance(v, Fraction) else _enclosure_doc(v.lo, v.hi)
+                format_rational(v) if isinstance(v, Fraction) else _enclosure_doc(v.lo, v.hi)
                 for v in values
             ]
         }
@@ -286,14 +290,25 @@ def _cmd_demo(args) -> int:
         raise _InputError("demo needs a >= 0; the example sequences require it")
     branch, window = _demo_window(a)
     doc = {
-        "a": str(a),
+        "a": format_rational(a),
         "branch": branch,
-        "moments": [str(s) for s in window],
+        "moments": [format_rational(s) for s in window],
         "classification": classification_to_doc(analyze(window)),
         "measure": measure_to_doc(reconstruct(window, digits=args.digits)),
     }
     _emit(doc)
     return 0
+
+
+def _at_least_one(text: str) -> int:
+    """An integer flag value of at least 1; argparse names the flag on error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,10 +348,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded verification campaign")
     p.add_argument("campaign", choices=sorted(_CAMPAIGNS))
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least_one, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-p", type=int, default=3)
+    p.add_argument("--max-n", type=_at_least_one, default=None)
+    p.add_argument("--max-p", type=_at_least_one, default=3)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("demo", help="the worked two-branch example for a given a")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
@@ -61,8 +62,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: reduced ``p/q``, or a bare integer when q = 1."""
-    return str(value)
+    """Canonical string form: reduced ``p/q``, or a bare integer when q = 1.
+
+    Integers past the interpreter's int-to-string digit limit (4300 digits by
+    default) are written through ``decimal``, which has no such limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        num, den = (format(Decimal(part), "f") for part in value.as_integer_ratio())
+        return num if den == "1" else f"{num}/{den}"
 
 
 def _sign(x: Fraction) -> int:

@@ -14,6 +14,12 @@ D_k = D_{k-1} * h_k and whose recurrence coefficients build p_{k+1} =
 (x - alpha_k) p_k - beta_k p_{k-1}.  It stops at the first h_k <= 0.  Bareiss
 elimination computes the determinants past that point only for a window
 that is no moment sequence, and only when the verdict or a reader needs them.
+
+``is_psd`` decides positive semi-definiteness by exact symmetric (LDL^T)
+elimination without pivoting, O(n^3) per matrix: a negative pivot, or a zero
+pivot whose row is not zero, means not PSD, and ``psd_witness`` then returns a
+rational vector v with v^T A v < 0.  Nonnegative determinants alone do not
+imply PSD, so the test does not read them.
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ __all__ = [
     "det_sequence",
     "hankel_matrix",
     "is_psd",
-    "principal_minor_sums",
+    "psd_witness",
 ]
 
 
@@ -202,44 +208,62 @@ def _solve_exact(rows, rhs) -> list[Fraction] | None:
     return out
 
 
-def _matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
+def psd_witness(matrix) -> tuple[Fraction, ...] | None:
+    """None for a positive semi-definite matrix, else a rational v with v^T A v < 0.
 
-
-def principal_minor_sums(matrix) -> list[Fraction]:
-    """[e_1, ..., e_n] where e_k is the sum of all k x k principal minors.
-
-    Computed exactly by the Faddeev-LeVerrier trace recursion, so the cost is
-    polynomial in the order; det(xI - M) = x^n - e_1 x^(n-1) + e_2 x^(n-2) - ...
+    Runs exact symmetric elimination without pivoting; see ``is_psd`` for the
+    rule.  At a negative pivot d_k of the Schur complement S, v = L^-T e_k gives
+    v^T A v = d_k.  At a zero pivot with b = S[k][j] != 0 and c = S[j][j],
+    v = L^-T (t e_k + e_j) with t = -(c + 1) / (2b) gives v^T A v =
+    2tb + c = -1.  Here A = L (D + S) L^T with L unit lower triangular.
+    Raises ``NotSymmetric`` for a non-symmetric argument.
     """
-    a = _as_rows(matrix)
+    if not isinstance(matrix, SymMatrix):
+        matrix = SymMatrix(matrix)
+    # Only the upper triangle is updated and read.  Row i is final once step i
+    # has run, so row i of ``a`` then holds pivot d_i and the multipliers
+    # L[m][i] = a[i][m] / d_i that the witness needs.
+    a = [list(row) for row in matrix.rows]
     n = len(a)
-    b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    sums: list[Fraction] = []
-    for k in range(1, n + 1):
-        ab = _matmul(a, b)
-        d = -sum((ab[i][i] for i in range(n)), Fraction(0)) / k
-        sums.append(d if k % 2 == 0 else -d)
-        for i in range(n):
-            ab[i][i] += d
-        b = ab
-    return sums
+    for k in range(n):
+        row = a[k]
+        d = row[k]
+        if d > 0:
+            for i in range(k + 1, n):
+                if row[i]:
+                    f = row[i] / d
+                    a[i][i:] = [x - f * y for x, y in zip(a[i][i:], row[i:])]
+            continue
+        if d < 0:
+            return _back_substitute(a, {k: Fraction(1)})
+        j = next((j for j in range(k + 1, n) if row[j]), None)
+        if j is not None:
+            # A PSD matrix with a zero diagonal entry has a zero row there.
+            return _back_substitute(a, {k: -(a[j][j] + 1) / (2 * row[j]), j: Fraction(1)})
+    return None
+
+
+def _back_substitute(a: list[list[Fraction]], u: dict[int, Fraction]) -> tuple[Fraction, ...]:
+    """v = L^-T u for u supported past every finished step, L read off ``a``."""
+    n = len(a)
+    v = [u.get(i, Fraction(0)) for i in range(n)]
+    for i in range(min(u) - 1, -1, -1):
+        if a[i][i]:
+            v[i] = -sum((a[i][m] * v[m] for m in range(i + 1, n)), Fraction(0)) / a[i][i]
+    return tuple(v)
 
 
 def is_psd(matrix) -> bool:
     """Exact positive semi-definiteness test for a symmetric matrix.
 
-    With det(xI - M) = x^n - c_1 x^(n-1) + c_2 x^(n-2) - ..., the matrix is PSD
-    iff every c_k >= 0 (the eigenvalues are real by symmetry).  Raises
-    ``NotSymmetric`` for a non-symmetric argument.
+    Symmetric elimination without pivoting reads the pivot d = a[k][k] of the
+    current Schur complement at each step k: d < 0 means not PSD; d = 0 means
+    not PSD when some a[k][j], j > k, is nonzero, and skips the step when that
+    row is zero; d > 0 eliminates row and column k.  A matrix that passes every
+    step is PSD.  ``psd_witness`` returns the vector that proves a "not PSD"
+    answer.  Raises ``NotSymmetric`` for a non-symmetric argument.
     """
-    if not isinstance(matrix, SymMatrix):
-        matrix = SymMatrix(matrix)
-    return all(c >= 0 for c in principal_minor_sums(matrix))
+    return psd_witness(matrix) is None
 
 
 class InvalidReason(Enum):

@@ -17,14 +17,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BadShape, InfeasibleSpec
+from .exact import format_rational
 from .hankel import (
     Degenerate,
     MomentWindow,
+    analyze,
     classify,
     det_exact,
-    det_sequence,
     hankel_matrix,
     is_psd,
+    psd_witness,
 )
 from .recovery import DiscreteMeasure, measure_moments, reconstruct
 
@@ -310,13 +312,13 @@ class CampaignReport:
 
 def _measure_doc(mu: DiscreteMeasure) -> dict:
     return {
-        "atoms": [str(a) for a in mu.atoms],
-        "weights": [str(w) for w in mu.weights],
+        "atoms": [format_rational(a) for a in mu.atoms],
+        "weights": [format_rational(w) for w in mu.weights],
     }
 
 
 def _matrix_doc(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
-    return [[str(c) for c in row] for row in rows]
+    return [[format_rational(c) for c in row] for row in rows]
 
 
 def _campaign_measure(rng: SplitMix64, atom_count: int) -> DiscreteMeasure:
@@ -354,7 +356,7 @@ def verify_det1(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
                     "cs": cs,
                     "filler": _matrix_doc(filler),
                     "matrix": _matrix_doc(det1_matrix(mu, cs, p, filler)),
-                    "determinant": str(value),
+                    "determinant": format_rational(value),
                 }
             )
     return report
@@ -399,10 +401,10 @@ def verify_det2(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
                     "n": n,
                     "p": p,
                     "measure": _measure_doc(mu),
-                    "xs": [str(x) for x in xs],
+                    "xs": [format_rational(x) for x in xs],
                     "matrix": _matrix_doc(det2_matrix(inst)),
-                    "lhs": str(result.lhs),
-                    "rhs": str(result.rhs),
+                    "lhs": format_rational(result.lhs),
+                    "rhs": format_rational(result.rhs),
                     "problems": problems,
                 }
             )
@@ -422,8 +424,8 @@ def verify_roundtrip(trials: int = 200, seed: int = 0, max_n: int = 5) -> Campai
         mu = _campaign_measure(rng, n)
         moments = measure_moments(mu, 2 * n + 5)
         window = MomentWindow(moments)
-        dets = det_sequence(window)
-        cls = classify(window)
+        analysis = analyze(window)
+        dets, cls = analysis.determinants, analysis.classification
         rec = reconstruct(window)
         problems = []
         if not _degenerate_pattern_ok(dets, n):
@@ -438,8 +440,8 @@ def verify_roundtrip(trials: int = 200, seed: int = 0, max_n: int = 5) -> Campai
                     "trial": trial,
                     "n": n,
                     "measure": _measure_doc(mu),
-                    "moments": [str(s) for s in moments],
-                    "determinants": [str(d) for d in dets],
+                    "moments": [format_rational(s) for s in moments],
+                    "determinants": [format_rational(d) for d in dets],
                     "reconstructed": _measure_doc(rec) if rec.is_exact else None,
                     "problems": problems,
                 }
@@ -464,13 +466,15 @@ def verify_psd_theorem(trials: int = 200, seed: int = 0, max_n: int = 5) -> Camp
         if bad:
             problems.append(f"H_k not PSD for k in {bad}")
         if problems:
-            report.failures.append(
-                {
-                    "trial": trial,
-                    "n": n,
-                    "measure": _measure_doc(mu),
-                    "moments": [str(s) for s in moments],
-                    "problems": problems,
-                }
-            )
+            failure = {
+                "trial": trial,
+                "n": n,
+                "measure": _measure_doc(mu),
+                "moments": [format_rational(s) for s in moments],
+                "problems": problems,
+            }
+            if bad:
+                v = psd_witness(hankel_matrix(window, bad[0]))
+                failure["witness"] = {"k": bad[0], "v": [format_rational(c) for c in v]}
+            report.failures.append(failure)
     return report

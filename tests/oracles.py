@@ -39,6 +39,30 @@ def psd_all_principal_minors(rows) -> bool:
     return True
 
 
+def principal_minor_sums(rows) -> list[Fraction]:
+    """[e_1, ..., e_n] where e_k is the sum of all k x k principal minors.
+
+    The characteristic-polynomial route: the Faddeev-LeVerrier trace recursion
+    gives det(xI - M) = x^n - e_1 x^(n-1) + e_2 x^(n-2) - ..., and a symmetric
+    M (real eigenvalues) is PSD iff every e_k >= 0.
+    """
+    a = [[Fraction(c) for c in row] for row in rows]
+    n = len(a)
+    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    sums: list[Fraction] = []
+    for k in range(1, n + 1):
+        ab = [
+            [sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        d = -sum((ab[i][i] for i in range(n)), Fraction(0)) / k
+        sums.append(d if k % 2 == 0 else -d)
+        for i in range(n):
+            ab[i][i] += d
+        b = ab
+    return sums
+
+
 def eval_power_sum(coeffs, x: Fraction) -> Fraction:
     """Polynomial evaluation as an explicit power sum (no Horner)."""
     return sum((Fraction(c) * x**j for j, c in enumerate(coeffs)), Fraction(0))

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
 from hankelmp.cli import measure_to_doc, run
 from hankelmp.recovery import reconstruct
+from oracles import det_cofactor
 
 REMARK = ["1", "1", "1", "1", "0", "0", "0"]
 A4 = ["1", "1", "4", "4", "16"]
@@ -78,6 +80,17 @@ class TestSequenceInput:
         path = write_json(tmp_path, "huge.json", ["1", "1e100000000", "1"])
         code, out, err = invoke(capsys, ["classify", path])
         assert code == 2 and out == "" and "exponent" in err
+
+    def test_rationals_past_4300_digits_print(self, tmp_path, capsys):
+        # D_1 = 1 - 10^4400 has 4401 digits, past the int-to-string limit.
+        window = ["1", "1" + "0" * 2200, "1"]
+        path = write_json(tmp_path, "big.json", window)
+        code, out, err = invoke(capsys, ["classify", path])
+        assert code == 0 and err == ""
+        # Parse back through decimal, which the digit limit does not cover.
+        parsed = [F(Decimal(d)) for d in json.loads(out)["determinants"]]
+        s = [int(Decimal(v)) for v in window]
+        assert parsed == [det_cofactor([[s[0]]]), det_cofactor([[s[0], s[1]], [s[1], s[2]]])]
 
     def test_positive_window_report(self, tmp_path, capsys):
         path = write_json(tmp_path, "pos.json", ["2", "0", "1", "0", "1"])
@@ -208,6 +221,20 @@ class TestVerify:
         code, out, _ = invoke(capsys, ["verify", campaign, "--trials", "5", "--seed", "9"])
         assert code == 0
         assert json.loads(out)["campaign"] == campaign
+
+    @pytest.mark.parametrize(
+        "campaign, flag, value",
+        [
+            ("psd-theorem", "--trials", "-3"),
+            ("roundtrip", "--trials", "0"),
+            ("det1", "--max-n", "0"),
+            ("det2", "--max-p", "0"),
+        ],
+    )
+    def test_campaign_flags_below_one_rejected(self, capsys, campaign, flag, value):
+        code, out, err = invoke(capsys, ["verify", campaign, flag, value])
+        assert code == 2 and out == ""
+        assert f"argument {flag}: must be at least 1" in err
 
     def test_unknown_campaign(self, capsys):
         code, out, err = invoke(capsys, ["verify", "nonsense"])

@@ -61,6 +61,11 @@ class TestRationalStrings:
         assert parse_rational(f"3e-{MAX_DECIMAL_EXPONENT}") == F(3, 10**MAX_DECIMAL_EXPONENT)
         assert parse_rational("1.5e1_0") == 15 * 10**9
 
+    def test_format_past_the_int_to_string_limit(self):
+        x = F(-(10**5000) - 1, 3 * 10**4400)
+        assert format_rational(x) == "-1" + "0" * 4999 + "1/3" + "0" * 4400
+        assert format_rational(F(10**4400)) == "1" + "0" * 4400
+
     @given(rationals)
     @settings(derandomize=True)
     def test_round_trip(self, x):

@@ -22,9 +22,15 @@ from hankelmp.hankel import (
     det_sequence,
     hankel_matrix,
     is_psd,
-    principal_minor_sums,
+    psd_witness,
 )
-from oracles import classify_brute, det_cofactor, orthogonal_poly, psd_all_principal_minors
+from oracles import (
+    classify_brute,
+    det_cofactor,
+    orthogonal_poly,
+    principal_minor_sums,
+    psd_all_principal_minors,
+)
 
 REMARK = [1, 1, 1, 1, 0, 0, 0]
 EXAMPLE_A4 = [1, 1, 4, 4, 16]
@@ -42,6 +48,34 @@ def random_symmetric(rng, order):
     for i in range(order):
         for j in range(i):
             rows[i][j] = rows[j][i]
+    return rows
+
+
+def quadratic_form(rows, v):
+    """v^T A v with plain Fractions."""
+    n = len(rows)
+    return sum((v[i] * F(rows[i][j]) * v[j] for i in range(n) for j in range(n)), F(0))
+
+
+@st.composite
+def gram_matrices(draw, max_order=5):
+    """B^T B of order <= 5 and rank 0..n, plus an optional symmetric perturbation.
+
+    Rank-deficient products make zero pivots with zero rows; a perturbation
+    of an off-diagonal entry next to a zero diagonal makes them with nonzero
+    rows, and one of a diagonal entry can make a pivot negative.
+    """
+    n = draw(st.integers(1, max_order))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    b = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(draw(st.integers(0, n)))]
+    rows = [[sum((r[i] * r[j] for r in b), F(0)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(i, n - 1))
+        delta = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
+        rows[i][j] += delta
+        if i != j:
+            rows[j][i] += delta
     return rows
 
 
@@ -123,6 +157,7 @@ class TestIsPsd:
         assert is_psd([[0, 0], [0, 0]]) is True
 
     def test_principal_minor_sums_against_direct(self):
+        # The characteristic-polynomial oracle, checked against cofactors.
         rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
         e1, e2, e3 = principal_minor_sums(rows)
         assert e1 == 9
@@ -137,6 +172,26 @@ class TestIsPsd:
             order = rng.randint(1, 5)
             rows = random_symmetric(rng, order)
             assert is_psd(rows) == psd_all_principal_minors(rows)
+
+    def test_witness_on_remark_counterexample(self):
+        h = hankel_matrix([1, 1, 1, 1, 0], 2)
+        v = psd_witness(h)
+        assert v is not None
+        assert quadratic_form(h.rows, v) < 0
+
+    @given(gram_matrices())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @example([[1, 1, 1], [1, 1, 1], [1, 1, 0]])
+    @example([[0, 0, 0], [0, 1, 2], [0, 2, 4]])
+    @example([[0, 1], [1, 0]])
+    def test_elimination_matches_oracles_and_witness_holds(self, rows):
+        psd = is_psd(rows)
+        assert psd == psd_all_principal_minors(rows)
+        assert psd == all(e >= 0 for e in principal_minor_sums(rows))
+        v = psd_witness(rows)
+        assert (v is None) == psd
+        if v is not None:
+            assert quadratic_form(rows, v) < 0
 
 
 class TestClassify:

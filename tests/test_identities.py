@@ -183,6 +183,24 @@ class TestCampaigns:
         report = verify_psd_theorem(trials=30, seed=14)
         assert report.passed
 
+    def test_failing_psd_trial_carries_a_witness(self, monkeypatch):
+        import hankelmp.identities as identities
+
+        def corrupted(mu, count):
+            # s_2 < 0 puts a negative diagonal entry into H_1 and every later H_k.
+            moments = measure_moments(mu, count)
+            return moments[:2] + [-moments[2] - 1] + moments[3:]
+
+        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        report = verify_psd_theorem(trials=3, seed=14)
+        assert len(report.failures) == 3
+        for failure in report.failures:
+            witness = failure["witness"]
+            assert witness["k"] == 1
+            s = [F(m) for m in failure["moments"]]
+            v = [F(c) for c in witness["v"]]
+            assert sum(v[i] * s[i + j] * v[j] for i in range(2) for j in range(2)) < 0
+
     def test_reports_are_deterministic(self):
         a = verify_det2(trials=20, seed=77).to_dict()
         b = verify_det2(trials=20, seed=77).to_dict()
