@@ -28,7 +28,6 @@ from .exact import (
     format_rational,
     parse_rational,
     poly_eval,
-    poly_gcd,
     refine_root,
     sign_variations,
     sturm_chain,

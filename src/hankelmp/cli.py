@@ -4,6 +4,8 @@ Subcommands: classify, determinants, reconstruct, extend, moments, verify,
 demo.  Reports are a single JSON object on stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 domain failure (bad classification for the requested
 operation, or a failed verification campaign), 2 usage or parse error.
+``--digits`` takes 1..MAX_DECIMAL_EXPONENT (4300); ``--count`` takes
+0..MAX_COUNT (10000) for extend and 1..MAX_COUNT for moments.
 
 Rationals are serialized as canonical strings ("p/q" or an integer), never as
 JSON numbers; enclosures are {"lo", "hi", "decimal"} objects where the decimal
@@ -19,7 +21,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import MomentProblemError
-from .exact import IsolatingInterval, RationalPoly, format_rational, parse_rational
+from .exact import (
+    MAX_DECIMAL_EXPONENT,
+    IsolatingInterval,
+    RationalPoly,
+    format_rational,
+    parse_rational,
+)
 from .hankel import (
     Degenerate,
     Invalid,
@@ -51,9 +59,17 @@ class _InputError(Exception):
 
 
 def _decimal_str(x: Fraction, digits: int = 15) -> str:
+    """x rounded to ``digits`` significant digits, all of them printed.
+
+    A quotient that is exact in fewer digits, such as 1/2, is padded with
+    trailing zeros ("0.500000000000000"); zero prints as "0".
+    """
     with localcontext() as ctx:
         ctx.prec = digits
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
+        q = Decimal(x.numerator) / Decimal(x.denominator)
+        if not q:
+            return "0"
+        return str(q.quantize(Decimal(1).scaleb(q.adjusted() - digits + 1)))
 
 
 def _rational_from_json(value, where: str) -> Fraction:
@@ -300,15 +316,29 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    """An integer flag value of at least 1; argparse names the flag on error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+# Largest --count accepted by extend and moments: each value is built in full.
+MAX_COUNT = 10_000
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type for an integer flag in [low, high]; argparse names the flag on error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text[:40]!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+
+    return parse
+
+
+_DIGITS = _int_in(1, MAX_DECIMAL_EXPONENT)
+_DIGITS_HELP = f"enclosures are certified to 10^-DIGITS, 1..{MAX_DECIMAL_EXPONENT} (default 50)"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -332,31 +362,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="recover the representing measure")
     p.add_argument("file")
-    p.add_argument("--digits", type=int, default=50)
+    p.add_argument("--digits", type=_DIGITS, default=50, help=_DIGITS_HELP)
     p.set_defaults(handler=_cmd_reconstruct)
 
     p = sub.add_parser("extend", help="print the unique exact continuation")
     p.add_argument("file")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_in(0, MAX_COUNT), required=True,
+                   help=f"number of moments to append, 0..{MAX_COUNT}")
     p.set_defaults(handler=_cmd_extend)
 
     p = sub.add_parser("moments", help="moments of a measure file")
     p.add_argument("file")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--digits", type=int, default=50)
+    p.add_argument("--count", type=_int_in(1, MAX_COUNT), required=True,
+                   help=f"number of moments s_0.. to print, 1..{MAX_COUNT}")
+    p.add_argument("--digits", type=_DIGITS, default=50, help=_DIGITS_HELP)
     p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("verify", help="run a seeded verification campaign")
     p.add_argument("campaign", choices=sorted(_CAMPAIGNS))
-    p.add_argument("--trials", type=_at_least_one, default=200)
+    p.add_argument("--trials", type=_int_in(1), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=_at_least_one, default=None)
-    p.add_argument("--max-p", type=_at_least_one, default=3)
+    p.add_argument("--max-n", type=_int_in(1), default=None)
+    p.add_argument("--max-p", type=_int_in(1), default=3)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("demo", help="the worked two-branch example for a given a")
     p.add_argument("--a", required=True)
-    p.add_argument("--digits", type=int, default=50)
+    p.add_argument("--digits", type=_DIGITS, default=50, help=_DIGITS_HELP)
     p.set_defaults(handler=_cmd_demo)
 
     return parser

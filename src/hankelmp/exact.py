@@ -1,9 +1,15 @@
 """Exact rational scalars, dense polynomials, and Sturm root isolation.
 
-Everything in this module computes over ``fractions.Fraction``; nothing ever
-rounds.  Real roots of a square-free polynomial are isolated into pairwise
-disjoint closed intervals with rational endpoints.  A root that happens to be
-rational is recovered exactly and its interval collapses to a point.
+Nothing in this module rounds.  Polynomials hold ``fractions.Fraction``
+coefficients, but root isolation and refinement run on integers: a
+polynomial is replaced by its primitive integer form, and its sign at
+x = n/d is the sign of sum_j c_j n^j d^(deg-j) (homogeneous Horner).
+Bisection keeps integer numerators over one denominator D * 2**k, so no step
+reduces a fraction, and the endpoints are the same rationals that bisection
+over ``Fraction`` would give.  Real roots of a square-free polynomial are
+isolated into pairwise disjoint closed intervals with rational endpoints.  A
+root that happens to be rational is recovered exactly and its interval
+collapses to a point.
 """
 from __future__ import annotations
 
@@ -26,7 +32,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "poly_eval",
-    "poly_gcd",
     "refine_root",
     "sign_variations",
     "sturm_chain",
@@ -212,21 +217,52 @@ def poly_eval(p: RationalPoly, x: Fraction | int | str) -> Fraction:
     return p(x if isinstance(x, Fraction) else Fraction(x))
 
 
-def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd over the rationals (Euclid); gcd(0, 0) is the zero polynomial."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a * (1 / a.leading)
+def _primitive_ints(p: RationalPoly) -> tuple[int, ...]:
+    """Coprime integer coefficients of a positive rational multiple of ``p``."""
+    den = reduce(math.lcm, (c.denominator for c in p.coeffs), 1)
+    nums = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = reduce(math.gcd, nums, 0)
+    return tuple(n // g for n in nums) if g else ()
 
 
 def _positive_primitive(p: RationalPoly) -> RationalPoly:
     """Rescale by a positive rational so coefficients are coprime integers."""
-    den = reduce(math.lcm, (c.denominator for c in p.coeffs), 1)
-    nums = [int(c * den) for c in p.coeffs]
-    g = reduce(math.gcd, (abs(n) for n in nums), 0)
-    return RationalPoly([Fraction(n // g) for n in nums]) if g else RationalPoly()
+    return RationalPoly(_primitive_ints(p))
+
+
+def _homogeneous_value(cs: Sequence[int], n: int, d: int) -> int:
+    """``sum_j cs[j] * n**j * d**(deg - j)``, which is d**deg * p(n/d).
+
+    For d > 0 it has the sign of p(n/d), and the quotient of two such values
+    of equal degree is the quotient of the polynomials at n/d.
+    """
+    acc, dp = 0, 1
+    for c in reversed(cs):
+        acc = acc * n + c * dp
+        dp *= d
+    return acc
+
+
+def _at_denominator(cs: Sequence[int], den: int) -> tuple[int, ...]:
+    """``cs[j] * den**(deg - j)``, highest degree first, for ``_sign_at``."""
+    out, dp = [], 1
+    for c in reversed(cs):
+        out.append(c * dp)
+        dp *= den
+    return tuple(out)
+
+
+def _sign_at(hs: Sequence[int], n: int, k: int) -> int:
+    """Sign of p(n / (den * 2**k)), with ``hs = _at_denominator(cs, den)``.
+
+    Homogeneous Horner over integers: ``c_j * den**(deg-j) * 2**(k*(deg-j))``
+    is a shift of the prepared coefficient, so no step reduces a fraction.
+    """
+    acc, shift = 0, 0
+    for c in hs:
+        acc = acc * n + (c << shift)
+        shift += k
+    return (acc > 0) - (acc < 0)
 
 
 def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
@@ -295,94 +331,133 @@ class IsolatingInterval:
 
 
 def _isolate_segments(
-    p: RationalPoly, variations, a: Fraction, b: Fraction, va: int, vb: int
-) -> list[tuple[Fraction, Fraction]]:
+    chain: Sequence[Sequence[int]], a: int, b: int
+) -> list[tuple[int, int, int]]:
     """Bisect (a, b) into segments holding one root each, in increasing order.
 
-    Each pending segment satisfies p(a) != 0, p(b) != 0 and has va - vb
-    roots in (a, b).  A last-in, first-out worklist visits them in the same
-    left-to-right order as recursive bisection, but close roots need deep
-    bisection, so no call stack grows with the depth.
+    ``chain`` is the Sturm chain as ``_at_denominator`` coefficients over one
+    denominator D, and a, b are numerators over D.  A segment (a, b, k) has
+    endpoints a / (D * 2**k) and b / (D * 2**k); a bisection doubles both
+    numerators and takes a + b as the midpoint one level deeper.  Each pending
+    segment satisfies p(a) != 0, p(b) != 0 and has va - vb roots in (a, b).
+    A last-in, first-out worklist visits them in the same left-to-right order
+    as recursive bisection, but close roots need deep bisection, so no call
+    stack grows with the depth.  An exact root m comes out as (m, m, k).
     """
-    out: list[tuple[Fraction, Fraction]] = []
-    # Items are pending segments (a, b, va, vb) or an exact root (mid,).
-    work: list[tuple] = [(a, b, va, vb)]
+
+    def variations(n: int, k: int) -> int:
+        count, last = 0, 0
+        for hs in chain:
+            s = _sign_at(hs, n, k)
+            if s:
+                count += last != 0 and s != last
+                last = s
+        return count
+
+    p = chain[0]
+    out: list[tuple[int, int, int]] = []
+    work = [(a, b, 0, variations(a, 0), variations(b, 0))]
     while work:
-        item = work.pop()
-        if len(item) == 1:
-            out.append((item[0], item[0]))
-            continue
-        a, b, va, vb = item
+        a, b, k, va, vb = work.pop()
         count = va - vb
         if count == 0:
             continue
         if count == 1:
-            out.append((a, b))
+            out.append((a, b, k))
             continue
-        mid = (a + b) / 2
-        if p(mid) != 0:
-            vm = variations(mid)
-            work += [(mid, b, vm, vb), (a, mid, va, vm)]
+        mid, level = a + b, k + 1
+        if _sign_at(p, mid, level):
+            vm = variations(mid, level)
+            work += [(mid, b << 1, level, vm, vb), (a << 1, mid, level, va, vm)]
             continue
-        # Exact root at the midpoint: peel it off and split both sides.
-        delta = (b - a) / 4
+        # Exact root at the midpoint: peel it off with a half-width of
+        # (b - a) / 4, halved until one root lies in [mid - h, mid + h].
+        width, mid, level = b - a, mid << 1, level + 1
         while True:
-            lo, hi = mid - delta, mid + delta
-            if p(lo) != 0 and p(hi) != 0:
-                vlo, vhi = variations(lo), variations(hi)
+            lo, hi = mid - width, mid + width
+            if _sign_at(p, lo, level) and _sign_at(p, hi, level):
+                vlo, vhi = variations(lo, level), variations(hi, level)
                 if vlo - vhi == 1:
                     break
-            delta /= 2
-        work += [(hi, b, vhi, vb), (mid,), (a, lo, va, vlo)]
+            mid, level = mid << 1, level + 1
+        up = level - k
+        work += [
+            (hi, b << up, level, vhi, vb),
+            (mid, mid, level, 1, 0),
+            (a << up, lo, level, va, vlo),
+        ]
     return out
 
 
+def _bisect(
+    hs: Sequence[int], den: int, a: int, b: int, k: int, width: int
+) -> tuple[int, int, int]:
+    """Bisect [a, b] / (den * 2**k) around its root until no wider than 1/width.
+
+    p(a) and p(b) must be nonzero with opposite signs.  Returns (a, b, k) at
+    the final level; a == b when a midpoint is an exact root.
+    """
+    sa = _sign_at(hs, a, k)
+    while (b - a) * width > den << k:
+        mid, k = a + b, k + 1
+        s = _sign_at(hs, mid, k)
+        if s == 0:
+            return mid, mid, k
+        if s == sa:
+            a, b = mid, b << 1
+        else:
+            a, b = a << 1, mid
+    return a, b, k
+
+
 def _settle_segment(
-    p: RationalPoly, a: Fraction, b: Fraction, lead_bound: int
+    cs: Sequence[int], hs: Sequence[int], den: int, a: int, b: int, k: int
 ) -> tuple[Fraction, Fraction]:
     """Shrink a single-root segment; collapse it if the root is rational.
 
-    Any rational root of the primitive integer form of ``p`` has a denominator
-    dividing the leading coefficient L, so once the segment is narrower than
-    1/(2L) it contains at most one candidate r/L, which is tested exactly.
+    ``cs`` is the primitive integer form of p, ``hs`` the same over ``den``,
+    and the segment is [a, b] / (den * 2**k).  Any rational root of ``cs`` has
+    a denominator dividing the leading coefficient L, so once the segment is
+    no wider than min(1/4, 1/(2L)) it contains at most one candidate r/L,
+    which is tested exactly.
     """
-    sa = _sign(p(a))
-    target = min(Fraction(1, 4), Fraction(1, 2 * lead_bound))
-    while b - a > target:
-        mid = (a + b) / 2
-        v = p(mid)
-        if v == 0:
-            return mid, mid
-        if _sign(v) == sa:
-            a = mid
-        else:
-            b = mid
-    lo_i = math.ceil(a * lead_bound)
-    hi_i = math.floor(b * lead_bound)
-    for numerator in range(lo_i, hi_i + 1):
-        x = Fraction(numerator, lead_bound)
-        if a < x < b and p(x) == 0:
-            return x, x
-    return a, b
+    lead = abs(cs[-1])
+    a, b, k = _bisect(hs, den, a, b, k, max(4, 2 * lead))
+    scale = den << k
+    for r in range(-((-a * lead) // scale), (b * lead) // scale + 1):
+        if a * lead < r * scale < b * lead and _homogeneous_value(cs, r, lead) == 0:
+            return Fraction(r, lead), Fraction(r, lead)
+    return Fraction(a, scale), Fraction(b, scale)
+
+
+def _common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """Numerators of a and b over their least common denominator, and it."""
+    den = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
 
 def _separate(
-    p: RationalPoly, segments: list[tuple[Fraction, Fraction]]
+    cs: Sequence[int], segments: list[tuple[Fraction, Fraction]]
 ) -> list[tuple[Fraction, Fraction]]:
     """Shrink left neighbours until no two closed intervals share an endpoint."""
     for i in range(len(segments) - 1):
         a, b = segments[i]
-        shared = segments[i + 1][0]
-        while a != b and b == shared:
-            mid = (a + b) / 2
-            v = p(mid)
-            if v == 0:
+        if a == b or b != segments[i + 1][0]:
+            continue
+        a, b, den = _common(a, b)
+        hs = _at_denominator(cs, den)
+        sa, k = _sign_at(hs, a, 0), 0
+        while True:
+            mid, k = a + b, k + 1
+            s = _sign_at(hs, mid, k)
+            if s == 0:
                 a = b = mid
-            elif _sign(v) == _sign(p(a)):
-                a = mid
-            else:
-                b = mid
-        segments[i] = (a, b)
+                break
+            if s != sa:
+                a, b = a << 1, mid
+                break
+            a, b = mid, b << 1
+        segments[i] = (Fraction(a, den << k), Fraction(b, den << k))
     return segments
 
 
@@ -402,20 +477,19 @@ def sturm_isolate(p: RationalPoly) -> list[IsolatingInterval]:
     if chain[-1].degree > 0:
         raise NotSquareFree(f"{p} has a repeated factor {chain[-1]}")
 
-    def variations(x: Fraction) -> int:
-        return sign_variations([q(x) for q in chain])
-
     bound = cauchy_root_bound(p)
-    segments = _isolate_segments(
-        p, variations, -bound, bound, variations(-bound), variations(bound)
-    )
+    den = bound.denominator
+    cs = _primitive_ints(p)
+    chain_ints = [cs] + [_primitive_ints(q) for q in chain[1:]]
+    hchain = [_at_denominator(q, den) for q in chain_ints]
+    segments = _isolate_segments(hchain, -bound.numerator, bound.numerator)
 
-    lead_bound = abs(int(_positive_primitive(p).leading))
     settled = [
-        (a, b) if a == b else _settle_segment(p, a, b, lead_bound) for a, b in segments
+        (Fraction(a, den << k),) * 2 if a == b else _settle_segment(cs, hchain[0], den, a, b, k)
+        for a, b, k in segments
     ]
     settled.sort(key=lambda s: s[0])
-    settled = _separate(p, settled)
+    settled = _separate(cs, settled)
     return [IsolatingInterval(a, b, p) for a, b in settled]
 
 
@@ -430,20 +504,12 @@ def refine_root(iv: IsolatingInterval, digits: int) -> IsolatingInterval:
     if iv.is_exact:
         return iv
     p = iv.poly
-    a, b = iv.lo, iv.hi
-    if p(a) == 0:
-        return IsolatingInterval(a, a, p)
-    if p(b) == 0:
-        return IsolatingInterval(b, b, p)
-    tol = Fraction(1, 10**digits)
-    sa = _sign(p(a))
-    while b - a > tol:
-        mid = (a + b) / 2
-        v = p(mid)
-        if v == 0:
-            return IsolatingInterval(mid, mid, p)
-        if _sign(v) == sa:
-            a = mid
-        else:
-            b = mid
-    return IsolatingInterval(a, b, p)
+    cs = _primitive_ints(p)
+    a, b, den = _common(iv.lo, iv.hi)
+    hs = _at_denominator(cs, den)
+    if _sign_at(hs, a, 0) == 0:
+        return IsolatingInterval(iv.lo, iv.lo, p)
+    if _sign_at(hs, b, 0) == 0:
+        return IsolatingInterval(iv.hi, iv.hi, p)
+    a, b, k = _bisect(hs, den, a, b, 0, 10**digits)
+    return IsolatingInterval(Fraction(a, den << k), Fraction(b, den << k), p)

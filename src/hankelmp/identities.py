@@ -242,10 +242,9 @@ class Det2Result:
     equal: bool
 
 
-def det2_matrix(inst: Det2Instance) -> list[list[Fraction]]:
-    """Assemble the order n+p+1 matrix of a det2 instance."""
+def _det2_rows(inst: Det2Instance, moments: Sequence[Fraction]) -> list[list[Fraction]]:
+    """The det2 matrix from the base measure's moments s_0..s_{2n+p-1} (or more)."""
     n, p = inst.n, inst.p
-    moments = measure_moments(inst.base_measure, 2 * n + p)
     order = n + p + 1
     anti = 2 * n + p
     rows = []
@@ -262,21 +261,30 @@ def det2_matrix(inst: Det2Instance) -> list[list[Fraction]]:
     return rows
 
 
-def det2_check(inst: Det2Instance) -> Det2Result:
-    """Exact check of the bordered-determinant factorization.
+def det2_matrix(inst: Det2Instance) -> list[list[Fraction]]:
+    """Assemble the order n+p+1 matrix of a det2 instance."""
+    return _det2_rows(inst, measure_moments(inst.base_measure, 2 * inst.n + inst.p))
 
-    lhs is the assembled determinant; rhs is
-    (-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p}).
-    """
+
+def _det2_result(inst: Det2Instance, moments: Sequence[Fraction]) -> Det2Result:
+    """``det2_check`` from the base measure's moments s_0..s_{2n+p}."""
     n, p = inst.n, inst.p
-    lhs = det_exact(det2_matrix(inst))
-    moments = measure_moments(inst.base_measure, 2 * n + p + 1)
+    lhs = det_exact(_det2_rows(inst, moments))
     d_prev = det_exact(hankel_matrix(MomentWindow(moments[: 2 * n - 1]), n - 1))
     s_top = moments[2 * n + p]
     rhs = Fraction((-1) ** (p * (p + 1) // 2)) * d_prev
     for x in inst.xs:
         rhs *= x - s_top
     return Det2Result(lhs, rhs, lhs == rhs)
+
+
+def det2_check(inst: Det2Instance) -> Det2Result:
+    """Exact check of the bordered-determinant factorization.
+
+    lhs is the assembled determinant; rhs is
+    (-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p}).
+    """
+    return _det2_result(inst, measure_moments(inst.base_measure, 2 * inst.n + inst.p + 1))
 
 
 # --- seeded verification campaigns -------------------------------------------
@@ -382,16 +390,18 @@ def verify_det2(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
         mu = _campaign_measure(rng, n)
         xs = tuple(rng.rational(Fraction(-6), Fraction(6), 8) for _ in range(p + 1))
         inst = Det2Instance(n, p, mu, xs, _random_fill(rng, n, p))
-        result = det2_check(inst)
+        # One moment list serves all three instances: they share the measure.
+        moments = measure_moments(mu, 2 * n + p + 1)
+        result = _det2_result(inst, moments)
         problems = []
         if not result.equal:
             problems.append("factorization mismatch")
         resampled = Det2Instance(n, p, mu, xs, _random_fill(rng, n, p))
-        if det2_check(resampled).lhs != result.lhs:
+        if det_exact(_det2_rows(resampled, moments)) != result.lhs:
             problems.append("determinant depends on the free fill entries")
-        s_top = measure_moments(mu, 2 * n + p + 1)[2 * n + p]
+        s_top = moments[2 * n + p]
         collided = Det2Instance(n, p, mu, (s_top,) * (p + 1), _random_fill(rng, n, p))
-        collision = det2_check(collided)
+        collision = _det2_result(collided, moments)
         if collision.lhs != 0 or collision.rhs != 0:
             problems.append("forced collision x_j = s_{2n+p} did not vanish")
         if problems:
@@ -402,7 +412,7 @@ def verify_det2(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
                     "p": p,
                     "measure": _measure_doc(mu),
                     "xs": [format_rational(x) for x in xs],
-                    "matrix": _matrix_doc(det2_matrix(inst)),
+                    "matrix": _matrix_doc(_det2_rows(inst, moments)),
                     "lhs": format_rational(result.lhs),
                     "rhs": format_rational(result.rhs),
                     "problems": problems,

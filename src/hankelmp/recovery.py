@@ -1,16 +1,25 @@
 """Recovery of the finitely supported measure behind a degenerate window.
 
-The atoms are the real roots of the monic degree-n0 orthogonal polynomial and
-the weights solve the Vandermonde moment system.  When every atom is rational
-the whole measure is exact; otherwise atoms are kept as isolating intervals
-and weights become certified rational enclosures.  The unique forward
+The atoms are the real roots of the monic degree-n0 orthogonal polynomial p.
+The weight of atom x_j is w_j = N(x_j) / p'(x_j), where N(x_j) is the moment
+functional applied to the synthetic-division quotient p / (x - x_j); N is one
+fixed polynomial, so all weights cost O(n0**2).  When every atom is rational
+the whole measure is exact.  Otherwise atoms are kept as isolating intervals,
+N / p' is enclosed over each interval by integer interval Horner, and the
+weight enclosures are rounded outward onto a 2**-P grid, P about
+(digits + pad) * log2(10) + 8, so their size does not grow with the
+refinement.  An independent residual check certifies every moment up to
+s_{2*n0 - 1}; its sums, and the inexact moments of ``measure_moments``, are
+accumulated over integers on one common denominator.  The unique forward
 extension of a degenerate window is always computed from the exact rational
 recurrence, never from the recovered (possibly irrational) atoms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence, Union
 
 from .errors import (
@@ -18,8 +27,16 @@ from .errors import (
     PrecisionUnattainable,
     PreconditionViolated,
 )
-from .exact import IsolatingInterval, refine_root, sturm_isolate
-from .hankel import _solve_exact, analyze
+from .exact import (
+    IsolatingInterval,
+    RationalPoly,
+    _common,
+    _homogeneous_value,
+    _primitive_ints,
+    refine_root,
+    sturm_isolate,
+)
+from .hankel import analyze
 
 __all__ = [
     "AtomValue",
@@ -161,15 +178,59 @@ class DiscreteMeasure:
         return len(self.atoms)
 
 
+def _one_denominator(ivs: Sequence[RationalInterval]) -> tuple[list[tuple[int, int]], int]:
+    """Endpoint numerators of every interval over D, the lcm of all their denominators, and D."""
+    den = reduce(math.lcm, (x.denominator for iv in ivs for x in (iv.lo, iv.hi)), 1)
+    return [
+        (iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator))
+        for iv in ivs
+    ], den
+
+
+def _moment_sums(
+    atom_ivs: Sequence[RationalInterval], weight_ivs: Sequence[RationalInterval], count: int
+):
+    """Enclosures of sum_j w_j * x_j**k for k < count, as integers (lo, hi, den).
+
+    lo/den and hi/den bound the sum over x_j in ``atom_ivs[j]`` and w_j in
+    ``weight_ivs[j]``, with the same endpoints as summing ``w * x.power(k)``
+    in ``RationalInterval`` arithmetic.  All atom endpoints are written over
+    one denominator X and all weight endpoints over one W, so every term of
+    moment k shares the denominator W * X**k and nothing is reduced while
+    summing.
+    """
+    atoms, xden = _one_denominator(atom_ivs)
+    weights, wden = _one_denominator(weight_ivs)
+    powers = [(1, 1)] * len(atoms)
+    den = wden
+    for k in range(count):
+        lo_sum = hi_sum = 0
+        for (w_lo, w_hi), (x_lo, x_hi), (p_lo, p_hi) in zip(weights, atoms, powers):
+            if k % 2 == 1 or x_lo >= 0:
+                a, b = p_lo, p_hi
+            elif x_hi <= 0:
+                a, b = p_hi, p_lo
+            else:
+                a, b = 0, max(p_lo, p_hi)
+            products = (w_lo * a, w_lo * b, w_hi * a, w_hi * b)
+            lo_sum += min(products)
+            hi_sum += max(products)
+        yield lo_sum, hi_sum, den
+        powers = [(p_lo * x_lo, p_hi * x_hi) for (p_lo, p_hi), (x_lo, x_hi) in zip(powers, atoms)]
+        den *= xden
+
+
 def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     """Moments s_0..s_{count-1} of the measure.
 
     Exact rationals when the measure is exact; otherwise rational enclosures
     of width at most 10**-digits, obtained by refining the atom intervals as
-    far as needed.
+    far as needed.  Raises ``ValueError`` for count < 1 or digits < 1.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if digits < 1:
+        raise ValueError("digits must be a positive integer")
     if mu.is_exact:
         moments = []
         powers = [Fraction(1)] * len(mu.atoms)
@@ -177,7 +238,8 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
             moments.append(sum((w * p for w, p in zip(mu.weights, powers)), Fraction(0)))
             powers = [p * a for p, a in zip(powers, mu.atoms)]
         return moments
-    tol = Fraction(1, 10**digits)
+    scale = 10**digits
+    weight_ivs = [RationalInterval._coerce(w) for w in mu.weights]
     for pad in (5, 10, 20, 40, 80):
         atom_ivs = []
         for atom in mu.atoms:
@@ -186,43 +248,67 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
                 atom_ivs.append(RationalInterval(refined.lo, refined.hi))
             else:
                 atom_ivs.append(RationalInterval.point(atom))
-        weight_ivs = [RationalInterval._coerce(w) for w in mu.weights]
-        moments = []
-        for k in range(count):
-            acc = RationalInterval.point(0)
-            for w, x in zip(weight_ivs, atom_ivs):
-                acc = acc + w * x.power(k)
-            moments.append(acc)
-        if all(mv.width <= tol for mv in moments):
-            return moments
+        sums = list(_moment_sums(atom_ivs, weight_ivs, count))
+        if all((hi - lo) * scale <= den for lo, hi, den in sums):
+            return [RationalInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in sums]
     raise PrecisionUnattainable(
         f"stored weight enclosures are too wide for 10^-{digits} moments"
     )
 
 
+def _weight_polys(kernel: RationalPoly, moments: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """Integer polynomials N and D of degree n0 - 1 with w_j = N(x_j) / D(x_j).
+
+    For a root x_j of the kernel p, the quotient q_j = p / (x - x_j) vanishes
+    at every other atom, so sum_k [x^k]q_j * s_k = w_j * q_j(x_j) = w_j * p'(x_j).
+    Synthetic division gives [x^k]q_j = sum_{i>k} c_i x_j^(i-k-1), so the
+    numerator is N(x_j) with [x^m]N = sum_k c_{k+m+1} s_k, and D is p'.  Both
+    are scaled by the same positive integer, which leaves N/D unchanged.
+    """
+    cs = _primitive_ints(kernel)
+    n0 = len(cs) - 1
+    scale = reduce(math.lcm, (s.denominator for s in moments[:n0]), 1)
+    s_ints = [s.numerator * (scale // s.denominator) for s in moments[:n0]]
+    numer = [sum(cs[k + m + 1] * s_ints[k] for k in range(n0 - m)) for m in range(n0)]
+    deriv = [j * c * scale for j, c in enumerate(cs)][1:]
+    return numer, deriv
+
+
+def _enclose(cs: Sequence[int], a: int, b: int, den: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= den**deg * f(x) <= hi for every x in [a/den, b/den].
+
+    Interval Horner over integers: the accumulator after t steps is a
+    numerator over den**t, so no step reduces a fraction.
+    """
+    lo = hi = cs[-1]
+    dp = 1
+    for c in reversed(cs[:-1]):
+        dp *= den
+        products = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(products) + c * dp, max(products) + c * dp
+    return lo, hi
+
+
 def _interval_weights(
-    atom_ivs: Sequence[RationalInterval], moments: Sequence[Fraction]
-) -> list[RationalInterval]:
-    # Lagrange form: with N_j(x) = prod_{i != j} (x - x_i) it holds that
-    # m_j = (sum_k [x^k]N_j * s_k) / N_j(x_j), which maps directly onto
-    # interval arithmetic as long as the atom enclosures stay disjoint.
-    n = len(atom_ivs)
+    atom_ivs: Sequence[RationalInterval], numer: Sequence[int], deriv: Sequence[int], bits: int
+) -> list[RationalInterval] | None:
+    """Enclosures of N(x_j) / D(x_j), rounded outward onto the grid 2**-bits.
+
+    Returns None when some enclosure of D(x_j) holds 0, so that no quotient
+    can be bounded at this precision.
+    """
     weights = []
-    for j in range(n):
-        coeffs = [RationalInterval.point(1)]
-        denom = RationalInterval.point(1)
-        for i in range(n):
-            if i == j:
-                continue
-            shifted = [c * (-atom_ivs[i]) for c in coeffs] + [RationalInterval.point(0)]
-            for t in range(1, len(shifted)):
-                shifted[t] = shifted[t] + coeffs[t - 1]
-            coeffs = shifted
-            denom = denom * (atom_ivs[j] - atom_ivs[i])
-        numer = RationalInterval.point(0)
-        for k, c in enumerate(coeffs):
-            numer = numer + c * moments[k]
-        weights.append(numer / denom)
+    for iv in atom_ivs:
+        a, b, den = _common(iv.lo, iv.hi)
+        n_lo, n_hi = _enclose(numer, a, b, den)
+        d_lo, d_hi = _enclose(deriv, a, b, den)
+        if d_lo <= 0 <= d_hi:
+            return None
+        # N and D have one degree, so their den**deg scales cancel.
+        corners = [(n << bits, d) for n in (n_lo, n_hi) for d in (d_lo, d_hi)]
+        lo = min(n // d for n, d in corners)
+        hi = max(-(-n // d) for n, d in corners)
+        weights.append(RationalInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)))
     return weights
 
 
@@ -233,12 +319,12 @@ def _residuals_certified(
     upto: int,
     tol: Fraction,
 ) -> bool:
-    for k in range(upto):
-        acc = RationalInterval.point(0)
-        for w, x in zip(weight_ivs, atom_ivs):
-            acc = acc + w * x.power(k)
-        diff = acc - moments[k]
-        if diff.lo < -tol or diff.hi > tol:
+    """True when sum_j w_j x_j**k is within tol of s_k for every k < upto."""
+    for (lo, hi, den), s in zip(_moment_sums(atom_ivs, weight_ivs, upto), moments[:upto]):
+        floor, ceiling = s - tol, s + tol
+        if lo * floor.denominator < floor.numerator * den:
+            return False
+        if hi * ceiling.denominator > ceiling.numerator * den:
             return False
     return True
 
@@ -246,13 +332,17 @@ def _residuals_certified(
 def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     """Recover the unique n0-point measure of a consistent degenerate window.
 
-    Atoms are the roots of the monic degree-n0 orthogonal polynomial; rational
-    roots stay exact.  With any irrational atom, all weights are returned as
-    enclosures refined until the moment residuals up to s_{2*n0 - 1} are
-    certified within 10**-digits and every weight is certified positive.
-    Raises ``PreconditionViolated`` unless the window classifies as
-    ``Degenerate`` with a consistent tail.
+    Atoms are the roots of the monic degree-n0 orthogonal polynomial p;
+    rational roots stay exact.  Each weight is w_j = N(x_j) / p'(x_j) for the
+    fixed numerator N of ``_weight_polys``, O(n0**2) in all.  With any
+    irrational atom, all weights are returned as enclosures on a dyadic grid,
+    refined until the moment residuals up to s_{2*n0 - 1} are certified
+    within 10**-digits and every weight is certified positive.  Raises
+    ``ValueError`` for digits < 1 and ``PreconditionViolated`` unless the
+    window classifies as ``Degenerate`` with a consistent tail.
     """
+    if digits < 1:
+        raise ValueError("digits must be a positive integer")
     analysis = analyze(w)
     kernel = analysis.kernel
     if kernel is None:
@@ -268,9 +358,14 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
             f"kernel polynomial has {len(roots)} real roots, expected {n0}"
         )
     moments = list(analysis.window[: 2 * n0])
+    numer, deriv = _weight_polys(kernel, moments)
     if all(r.is_exact for r in roots):
         atoms = [r.lo for r in roots]
-        weights = _solve_exact([[a**k for a in atoms] for k in range(n0)], moments[:n0])
+        weights = [
+            Fraction(_homogeneous_value(numer, a.numerator, a.denominator),
+                     _homogeneous_value(deriv, a.numerator, a.denominator))
+            for a in atoms
+        ]
         if any(weight <= 0 for weight in weights):
             raise InconsistentWindow("recovered a non-positive weight")
         for k in range(n0, 2 * n0):
@@ -281,9 +376,13 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     for pad in (10, 20, 40, 80, 160):
         refined = [refine_root(r, digits + pad) for r in roots]
         atom_ivs = [RationalInterval(r.lo, r.hi) for r in refined]
-        weight_ivs = _interval_weights(atom_ivs, moments[:n0])
-        if all(iv.lo > 0 for iv in weight_ivs) and _residuals_certified(
-            atom_ivs, weight_ivs, moments, 2 * n0, tol
+        # Grid step 2**-bits is below 10**-(digits + pad) / 256.
+        bits = (10 ** (digits + pad)).bit_length() + 8
+        weight_ivs = _interval_weights(atom_ivs, numer, deriv, bits)
+        if (
+            weight_ivs is not None
+            and all(iv.lo > 0 for iv in weight_ivs)
+            and _residuals_certified(atom_ivs, weight_ivs, moments, 2 * n0, tol)
         ):
             atoms = tuple(r.lo if r.is_exact else r for r in refined)
             return DiscreteMeasure(atoms, tuple(weight_ivs))

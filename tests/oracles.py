@@ -7,6 +7,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor, gcd
+
+from hankelmp.errors import NotSquareFree, ZeroPolynomial
+from hankelmp.exact import IsolatingInterval, cauchy_root_bound, sign_variations, sturm_chain
 
 
 def det_cofactor(rows) -> Fraction:
@@ -117,3 +121,152 @@ def classify_brute(moments) -> tuple:
         sum(p[j] * s[k - n0 + j] for j in range(n0 + 1)) == 0 for k in range(2 * n0, len(s))
     )
     return ("degenerate", n0, consistent)
+
+
+def poly_gcd(a, b):
+    """Monic gcd over the rationals (Euclid); gcd(0, 0) is the zero polynomial."""
+    while not b.is_zero:
+        a, b = b, a % b
+    if a.is_zero:
+        return a
+    return a * (1 / a.leading)
+
+
+# --- Fraction bisection: the reference for the integer kernels in exact.py ----
+# These keep the Sturm chain and the root bound of the library, and replace
+# only the integer sign evaluation and bisection that ``exact`` now uses.
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _lead_bound(p) -> int:
+    """|leading coefficient| of the primitive integer form of p."""
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    nums = [int(c * den) for c in p.coeffs]
+    g = 0
+    for n in nums:
+        g = gcd(g, n)
+    return abs(nums[-1] // g)
+
+
+def _isolate_segments(p, variations, a, b, va, vb):
+    out = []
+    work = [(a, b, va, vb)]
+    while work:
+        item = work.pop()
+        if len(item) == 1:
+            out.append((item[0], item[0]))
+            continue
+        a, b, va, vb = item
+        count = va - vb
+        if count == 0:
+            continue
+        if count == 1:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        if p(mid) != 0:
+            vm = variations(mid)
+            work += [(mid, b, vm, vb), (a, mid, va, vm)]
+            continue
+        delta = (b - a) / 4
+        while True:
+            lo, hi = mid - delta, mid + delta
+            if p(lo) != 0 and p(hi) != 0:
+                vlo, vhi = variations(lo), variations(hi)
+                if vlo - vhi == 1:
+                    break
+            delta /= 2
+        work += [(hi, b, vhi, vb), (mid,), (a, lo, va, vlo)]
+    return out
+
+
+def _settle_segment(p, a, b, lead_bound):
+    sa = _sign(p(a))
+    target = min(Fraction(1, 4), Fraction(1, 2 * lead_bound))
+    while b - a > target:
+        mid = (a + b) / 2
+        v = p(mid)
+        if v == 0:
+            return mid, mid
+        if _sign(v) == sa:
+            a = mid
+        else:
+            b = mid
+    for numerator in range(ceil(a * lead_bound), floor(b * lead_bound) + 1):
+        x = Fraction(numerator, lead_bound)
+        if a < x < b and p(x) == 0:
+            return x, x
+    return a, b
+
+
+def _separate(p, segments):
+    for i in range(len(segments) - 1):
+        a, b = segments[i]
+        shared = segments[i + 1][0]
+        while a != b and b == shared:
+            mid = (a + b) / 2
+            v = p(mid)
+            if v == 0:
+                a = b = mid
+            elif _sign(v) == _sign(p(a)):
+                a = mid
+            else:
+                b = mid
+        segments[i] = (a, b)
+    return segments
+
+
+def fraction_sturm_isolate(p):
+    """Sturm isolation with every bisection step over ``Fraction``.
+
+    The same midpoint order, rational-root collapse and neighbour separation
+    as ``exact.sturm_isolate``, so both return identical intervals.
+    """
+    if p.is_zero:
+        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    if p.degree == 0:
+        return []
+    chain = sturm_chain(p)
+    if chain[-1].degree > 0:
+        raise NotSquareFree(f"{p} has a repeated factor {chain[-1]}")
+
+    def variations(x):
+        return sign_variations([q(x) for q in chain])
+
+    bound = cauchy_root_bound(p)
+    segments = _isolate_segments(p, variations, -bound, bound, variations(-bound), variations(bound))
+    lead_bound = _lead_bound(p)
+    settled = [(a, b) if a == b else _settle_segment(p, a, b, lead_bound) for a, b in segments]
+    settled.sort(key=lambda s: s[0])
+    return [IsolatingInterval(a, b, p) for a, b in _separate(p, settled)]
+
+
+def fraction_refine_root(iv, digits: int):
+    """``exact.refine_root`` with every bisection step over ``Fraction``."""
+    if digits < 1:
+        raise ValueError("digits must be a positive integer")
+    if iv.is_exact:
+        return iv
+    p = iv.poly
+    a, b = iv.lo, iv.hi
+    if p(a) == 0:
+        return IsolatingInterval(a, a, p)
+    if p(b) == 0:
+        return IsolatingInterval(b, b, p)
+    tol = Fraction(1, 10**digits)
+    sa = _sign(p(a))
+    while b - a > tol:
+        mid = (a + b) / 2
+        v = p(mid)
+        if v == 0:
+            return IsolatingInterval(mid, mid, p)
+        if _sign(v) == sa:
+            a = mid
+        else:
+            b = mid
+    return IsolatingInterval(a, b, p)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hankelmp.cli import measure_to_doc, run
+from hankelmp.cli import _decimal_str, measure_to_doc, run
 from hankelmp.recovery import reconstruct
 from oracles import det_cofactor
 
@@ -281,6 +281,41 @@ class TestDemo:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (["reconstruct", "{a4}", "--digits", "-3"], "--digits", "must be at least 1"),
+            (["reconstruct", "{a4}", "--digits", "0"], "--digits", "must be at least 1"),
+            (["reconstruct", "{a4}", "--digits", "4301"], "--digits", "must be at most 4300"),
+            (["moments", "{a4}", "--count", "3", "--digits", "-3"], "--digits", "must be at least 1"),
+            (["demo", "--a", "2", "--digits", "0"], "--digits", "must be at least 1"),
+            (["moments", "{a4}", "--count", "0"], "--count", "must be at least 1"),
+            (["moments", "{a4}", "--count", "10001"], "--count", "must be at most 10000"),
+            (["extend", "{a4}", "--count", "-1"], "--count", "must be at least 0"),
+            (["extend", "{a4}", "--count", "10001"], "--count", "must be at most 10000"),
+            (["extend", "{a4}", "--count", "many"], "--count", "expected an integer"),
+        ],
+    )
+    def test_out_of_range_flags_rejected(self, tmp_path, capsys, argv, flag, message):
+        path = write_json(tmp_path, "a4.json", A4)
+        code, out, err = invoke(capsys, [path if a == "{a4}" else a for a in argv])
+        assert code == 2 and out == ""
+        assert f"argument {flag}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (F(1, 2), "0.500000000000000"),
+            (F(5), "5.00000000000000"),
+            (F(-2, 3), "-0.666666666666667"),
+            (F(10**20, 3), "3.33333333333333E+19"),
+            (F(1, 10**9), "1.00000000000000E-9"),
+            (F(0), "0"),
+        ],
+    )
+    def test_decimal_rendering_keeps_15_significant_digits(self, value, text):
+        assert _decimal_str(value) == text
+
     def test_unknown_subcommand(self, capsys):
         code, out, err = invoke(capsys, ["frobnicate"])
         assert code == 2 and out == ""

@@ -1,11 +1,12 @@
 """Tests for exact scalars, polynomials, and Sturm root isolation."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelmp.errors import NotSquareFree, ZeroPolynomial
@@ -17,13 +18,13 @@ from hankelmp.exact import (
     format_rational,
     parse_rational,
     poly_eval,
-    poly_gcd,
     refine_root,
     sign_variations,
     sturm_chain,
     sturm_isolate,
 )
-from oracles import eval_power_sum
+import oracles
+from oracles import eval_power_sum, poly_gcd
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -206,6 +207,72 @@ class TestSturmIsolation:
                     [q(b) for q in chain]
                 )
                 assert diff == len(sturm_isolate(poly)) == count
+
+
+def _scaled_to_integers(poly: RationalPoly) -> RationalPoly:
+    den = 1
+    for c in poly.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return poly * den
+
+
+@st.composite
+def square_free_integer_polys(draw):
+    """Products of distinct linear, quadratic and close-pair factors, cleared to integers.
+
+    Close pairs are two rational roots r and r + 2**-e, or the irrational roots
+    r +- 2**-e * sqrt(m) of one quadratic (m <= 7), with e from 203 to 240: both are
+    closer than 2**-200.
+    """
+    factors = []
+    small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    for r in draw(st.lists(small, max_size=3, unique=True)):
+        factors.append(RationalPoly([-r, 1]))
+    if draw(st.booleans()):
+        m = draw(st.integers(-9, 9).filter(lambda v: v != 0))
+        factors.append(RationalPoly([-m, 0, 1]))  # x^2 - m: irrational, rational or no roots
+    if draw(st.booleans()):
+        r, e = draw(small), draw(st.integers(203, 240))
+        if draw(st.booleans()):
+            factors += [RationalPoly([-r, 1]), RationalPoly([-(r + F(1, 2**e)), 1])]
+        else:
+            m = draw(st.sampled_from([2, 3, 5, 7]))
+            factors.append(RationalPoly([r * r - F(m, 4**e), -2 * r, 1]))
+    if draw(st.booleans()):
+        cs = draw(st.lists(st.integers(-12, 12), min_size=2, max_size=4))
+        factors.append(RationalPoly(cs))
+    poly = RationalPoly([1])
+    for f in factors:
+        poly = poly * f
+    assume(poly.degree >= 1 and poly_gcd(poly, poly.derivative()).degree == 0)
+    return _scaled_to_integers(poly)
+
+
+class TestIntegerKernelsAgainstFractionBisection:
+    @given(square_free_integer_polys(), st.integers(1, 60))
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_identical_intervals(self, poly, digits):
+        ivs = sturm_isolate(poly)
+        assert ivs == oracles.fraction_sturm_isolate(poly)
+        for iv in ivs[:2]:
+            assert refine_root(iv, digits) == oracles.fraction_refine_root(iv, digits)
+
+    def test_roots_closer_than_2_to_minus_200(self):
+        r = F(1, 3)
+        for poly in (
+            RationalPoly.from_roots([r, r + F(1, 2**230), F(-5, 7)]),
+            RationalPoly([r * r - F(2, 4**215), -2 * r, 1]) * RationalPoly([-3, 0, 1]),
+        ):
+            ivs = sturm_isolate(poly)
+            assert ivs == oracles.fraction_sturm_isolate(poly)
+            assert any(b.lo - a.hi < F(1, 2**200) for a, b in zip(ivs, ivs[1:]))
+            for iv in ivs:
+                assert refine_root(iv, 80) == oracles.fraction_refine_root(iv, 80)
+
+    def test_refine_from_non_dyadic_endpoints(self):
+        iv = IsolatingInterval(F(4, 3), F(3, 2), RationalPoly([-2, 0, 1]))
+        for digits in (1, 7, 30):
+            assert refine_root(iv, digits) == oracles.fraction_refine_root(iv, digits)
 
 
 class TestRefineRoot:

@@ -201,6 +201,19 @@ class TestCampaigns:
             v = [F(c) for c in witness["v"]]
             assert sum(v[i] * s[i + j] * v[j] for i in range(2) for j in range(2)) < 0
 
+    def test_det2_computes_the_moments_once_per_trial(self, monkeypatch):
+        import hankelmp.identities as identities
+
+        calls = []
+
+        def counted(mu, count):
+            calls.append(count)
+            return measure_moments(mu, count)
+
+        monkeypatch.setattr(identities, "measure_moments", counted)
+        assert verify_det2(trials=8, seed=3).passed
+        assert len(calls) == 8
+
     def test_reports_are_deterministic(self):
         a = verify_det2(trials=20, seed=77).to_dict()
         b = verify_det2(trials=20, seed=77).to_dict()

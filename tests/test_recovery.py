@@ -8,14 +8,16 @@ import pytest
 
 from hankelmp.errors import PreconditionViolated
 from hankelmp.exact import IsolatingInterval, RationalPoly
-from hankelmp.hankel import Degenerate, MomentWindow, classify, det_sequence
+from hankelmp.hankel import Degenerate, MomentWindow, _solve_exact, classify, det_sequence
 from hankelmp.recovery import (
     DiscreteMeasure,
     RationalInterval,
+    _residuals_certified,
     extend,
     measure_moments,
     reconstruct,
 )
+from oracles import orthogonal_poly
 
 
 def random_exact_measure(rng, max_atoms=5):
@@ -181,6 +183,91 @@ class TestReconstruct:
                 rec = reconstruct(window)
                 assert rec.atoms == mu.atoms
                 assert rec.weights == mu.weights
+
+
+def hilbert_window(n0: int) -> list[F]:
+    """Moments 1/(k+1) of Lebesgue measure on [0, 1] for k < 2*n0, then s_{2n0}
+    from the degree-n0 orthogonal polynomial, so the window is the moment
+    sequence of the n0-point Gauss-Legendre rule on [0, 1]."""
+    s = [F(1, k + 1) for k in range(2 * n0)]
+    p = orthogonal_poly(s, n0)
+    return s + [-sum(p[j] * s[n0 + j] for j in range(n0)) / p[n0]]
+
+
+def encloses_root(iv: RationalInterval, a: F, b: F, m: int) -> bool:
+    """Whether iv holds a + b*sqrt(m), tested without square roots."""
+    lo, hi = (iv.lo - a) / b, (iv.hi - a) / b
+    if b < 0:
+        lo, hi = hi, lo
+    return (lo <= 0 or lo * lo <= m) and hi >= 0 and hi * hi >= m
+
+
+class TestWeights:
+    def test_exact_weights_equal_the_vandermonde_solve(self):
+        rng = random.Random(64)
+        for _ in range(60):
+            mu = random_exact_measure(rng, max_atoms=7)
+            n = len(mu)
+            window = measure_moments(mu, 2 * n + 1)
+            rec = reconstruct(window)
+            vandermonde = [[a**k for a in rec.atoms] for k in range(n)]
+            assert list(rec.weights) == _solve_exact(vandermonde, window[:n])
+            assert rec.weights == mu.weights
+
+    def test_interval_weights_enclose_one_half(self):
+        for digits in (1, 5, 50, 200):
+            rec = reconstruct([1, 0, 2, 0, 4], digits=digits)
+            for weight in rec.weights:
+                assert weight.lo > 0 and weight.contains(F(1, 2))
+                assert weight.width <= F(1, 10**digits)
+
+    @pytest.mark.parametrize(
+        "n0, targets",
+        [
+            (2, [F(1, 2), F(1, 2)]),
+            (3, [F(5, 18), F(4, 9), F(5, 18)]),
+            # (18 -+ sqrt(30)) / 72, outer atoms first
+            (4, [(F(1, 4), F(-1, 72)), (F(1, 4), F(1, 72)), (F(1, 4), F(1, 72)), (F(1, 4), F(-1, 72))]),
+        ],
+    )
+    def test_interval_weights_enclose_gauss_legendre(self, n0, targets):
+        rec = reconstruct(hilbert_window(n0), digits=40)
+        assert not rec.is_exact and len(rec) == n0
+        for weight, target in zip(rec.weights, targets):
+            assert weight.lo > 0
+            if isinstance(target, F):
+                assert weight.contains(target)
+            else:
+                assert encloses_root(weight, target[0], target[1], 30)
+
+    def test_nudged_weight_fails_the_residual_certificate(self):
+        digits = 30
+        tol = F(1, 10**digits)
+        for window in ([1, 0, 2, 0, 4], hilbert_window(3), hilbert_window(4)):
+            rec = reconstruct(window, digits=digits)
+            n0 = len(rec)
+            atom_ivs = [
+                RationalInterval.point(a) if isinstance(a, F) else RationalInterval(a.lo, a.hi)
+                for a in rec.atoms
+            ]
+            weights = list(rec.weights)
+            assert _residuals_certified(atom_ivs, weights, window, 2 * n0, tol)
+            shift = F(1, 10 ** (digits - 1))
+            for j in range(n0):
+                for sign in (1, -1):
+                    nudged = list(weights)
+                    nudged[j] = RationalInterval(weights[j].lo + sign * shift, weights[j].hi + sign * shift)
+                    assert not _residuals_certified(atom_ivs, nudged, window, 2 * n0, tol)
+
+    @pytest.mark.parametrize("digits", [0, -3])
+    def test_digits_below_one_rejected(self, digits):
+        with pytest.raises(ValueError, match="digits"):
+            reconstruct([1, 0, 2, 0, 4], digits=digits)
+        with pytest.raises(ValueError, match="digits"):
+            reconstruct([1, 1, 4, 4, 16], digits=digits)
+        mu = DiscreteMeasure((F(-2), F(2)), (F(1, 4), F(3, 4)))
+        with pytest.raises(ValueError, match="digits"):
+            measure_moments(mu, 3, digits=digits)
 
 
 class TestExtend:
