@@ -9,7 +9,6 @@ is exact rational; irrational atoms are certified interval enclosures.
 
 from .errors import (
     BadShape,
-    DegenerateNormalization,
     InconsistentWindow,
     InfeasibleSpec,
     MomentProblemError,
@@ -65,11 +64,6 @@ from .identities import (
     verify_det2,
     verify_psd_theorem,
     verify_roundtrip,
-)
-from .orthopoly import (
-    MomentForm,
-    moment_inner_product,
-    monic_orthogonal_poly,
 )
 from .recovery import (
     AtomValue,

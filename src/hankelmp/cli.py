@@ -14,6 +14,7 @@ field is a human-convenience rendering of the midpoint.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal, localcontext
@@ -27,6 +28,8 @@ from .exact import (
     RationalPoly,
     format_rational,
     parse_rational,
+    sign_variations,
+    sturm_chain,
 )
 from .hankel import (
     Degenerate,
@@ -134,6 +137,12 @@ def _parse_atom(entry, where: str):
                 raise _InputError(f"{where}: point interval is not a root of its poly")
         elif poly(lo) == 0 or poly(hi) == 0 or (poly(lo) > 0) == (poly(hi) > 0):
             raise _InputError(f"{where}: the poly does not change sign over [lo, hi]")
+        else:
+            chain = sturm_chain(poly)
+            roots = sign_variations([q(lo) for q in chain])
+            roots -= sign_variations([q(hi) for q in chain])
+            if roots != 1:
+                raise _InputError(f"{where}: [lo, hi] holds {roots} roots of its poly, not one")
         return IsolatingInterval(lo, hi, poly)
     raise _InputError(f"{where}: atom must be an 'exact' or 'interval' object")
 
@@ -341,6 +350,7 @@ _DIGITS = _int_in(1, MAX_DECIMAL_EXPONENT)
 _DIGITS_HELP = f"enclosures are certified to 10^-DIGITS, 1..{MAX_DECIMAL_EXPONENT} (default 50)"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hankelmp",

@@ -21,10 +21,6 @@ class NotSymmetric(MomentProblemError):
     """The matrix argument must be symmetric."""
 
 
-class DegenerateNormalization(MomentProblemError):
-    """Monic normalization divides by a Hankel determinant that is zero."""
-
-
 class PreconditionViolated(MomentProblemError):
     """The window does not have the classification the operation requires."""
 

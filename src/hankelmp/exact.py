@@ -6,10 +6,12 @@ polynomial is replaced by its primitive integer form, and its sign at
 x = n/d is the sign of sum_j c_j n^j d^(deg-j) (homogeneous Horner).
 Bisection keeps integer numerators over one denominator D * 2**k, so no step
 reduces a fraction, and the endpoints are the same rationals that bisection
-over ``Fraction`` would give.  Real roots of a square-free polynomial are
-isolated into pairwise disjoint closed intervals with rational endpoints.  A
-root that happens to be rational is recovered exactly and its interval
-collapses to a point.
+over ``Fraction`` would give.  ``sturm_isolate`` takes a Sturm sequence for
+a square-free polynomial and isolates its real roots into pairwise disjoint
+closed intervals with rational endpoints; ``sturm_chain`` builds one for any
+polynomial, and a degenerate moment window supplies its own from the
+orthogonal-polynomial recurrence.  A root that happens to be rational is
+recovered exactly and its interval collapses to a point.
 """
 from __future__ import annotations
 
@@ -461,29 +463,33 @@ def _separate(
     return segments
 
 
-def sturm_isolate(p: RationalPoly) -> list[IsolatingInterval]:
-    """Isolate every real root of a square-free polynomial.
+def sturm_isolate(chain: Sequence[RationalPoly]) -> list[IsolatingInterval]:
+    """Isolate every real root of p = chain[0], given a Sturm sequence for p.
 
-    Returns pairwise disjoint closed intervals sorted by lower endpoint, one
-    per distinct real root.  Rational roots are detected exactly and returned
-    as point intervals.  Raises ``ZeroPolynomial`` for the zero polynomial and
-    ``NotSquareFree`` when gcd(p, p') has positive degree.
+    ``chain`` is p = f_0, f_1, ..., f_r whose sign variations V(x) drop by
+    exactly the number of roots of p in (a, b] from x = a to x = b, for p(a)
+    and p(b) nonzero: ``sturm_chain(p)`` for any p, or p_n, ..., p_0 from the
+    recurrence of orthogonal polynomials.  Returns pairwise disjoint closed
+    intervals sorted by lower endpoint, one per distinct real root.  Rational
+    roots are detected exactly and returned as point intervals.  Raises
+    ``ZeroPolynomial`` for p = 0 and ``NotSquareFree`` when the chain ends in
+    a non-constant, which for ``sturm_chain(p)`` is a multiple of gcd(p, p').
     """
+    p = chain[0]
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         return []
-    chain = sturm_chain(p)
     if chain[-1].degree > 0:
         raise NotSquareFree(f"{p} has a repeated factor {chain[-1]}")
 
     bound = cauchy_root_bound(p)
     den = bound.denominator
-    cs = _primitive_ints(p)
-    chain_ints = [cs] + [_primitive_ints(q) for q in chain[1:]]
+    chain_ints = [_primitive_ints(q) for q in chain]
     hchain = [_at_denominator(q, den) for q in chain_ints]
     segments = _isolate_segments(hchain, -bound.numerator, bound.numerator)
 
+    cs = chain_ints[0]
     settled = [
         (Fraction(a, den << k),) * 2 if a == b else _settle_segment(cs, hchain[0], den, a, b, k)
         for a, b, k in segments

@@ -11,9 +11,12 @@ algorithm (Gautschi, *Orthogonal Polynomials: Computation and Approximation*,
 2004, Sec. 2.1).  The pass tracks the mixed moments sigma_k(l) = <p_k, x^l> of
 the monic orthogonal polynomials p_k, whose pivots h_k = sigma_k(k) give
 D_k = D_{k-1} * h_k and whose recurrence coefficients build p_{k+1} =
-(x - alpha_k) p_k - beta_k p_{k-1}.  It stops at the first h_k <= 0.  Bareiss
-elimination computes the determinants past that point only for a window
-that is no moment sequence, and only when the verdict or a reader needs them.
+(x - alpha_k) p_k - beta_k p_{k-1}.  It stops at the first h_k <= 0.  On a
+consistent degenerate window it keeps p_0..p_{n0}: p_{n0} is the kernel whose
+roots are the atoms, and p_{n0}, ..., p_0 is a Sturm sequence for it.
+Bareiss elimination computes the determinants past that point only for a
+window that is no moment sequence, and only when the verdict or a reader
+needs them.
 
 ``is_psd`` decides positive semi-definiteness by exact symmetric (LDL^T)
 elimination without pivoting, O(n^3) per matrix: a negative pivot, or a zero
@@ -187,27 +190,6 @@ def det_exact(matrix) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], scale)
 
 
-def _solve_exact(rows, rhs) -> list[Fraction] | None:
-    """Solve rows @ x = rhs exactly by Gaussian elimination; None if singular."""
-    n = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, n):
-            if aug[r][col] != 0:
-                f = aug[r][col] / aug[col][col]
-                for j in range(col, n + 1):
-                    aug[r][j] -= f * aug[col][j]
-    out = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n] - sum((aug[i][j] * out[j] for j in range(i + 1, n)), Fraction(0))
-        out[i] = acc / aug[i][i]
-    return out
-
-
 def psd_witness(matrix) -> tuple[Fraction, ...] | None:
     """None for a positive semi-definite matrix, else a rational v with v^T A v < 0.
 
@@ -345,10 +327,13 @@ def _chebyshev(s: Sequence[Fraction]) -> _Recurrence:
     return _Recurrence(pivots, alphas, betas, row)
 
 
-def _monic_from_recurrence(alphas: Sequence[Fraction], betas: Sequence[Fraction]) -> RationalPoly:
-    """p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}."""
+def _monic_from_recurrence(
+    alphas: Sequence[Fraction], betas: Sequence[Fraction]
+) -> tuple[RationalPoly, ...]:
+    """p_0..p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}."""
     prev: list[Fraction] = []
     cur = [Fraction(1)]
+    polys = [RationalPoly(cur)]
     for alpha, beta in zip(alphas, betas):
         nxt = [Fraction(0)] + cur
         for j, c in enumerate(cur):
@@ -356,25 +341,32 @@ def _monic_from_recurrence(alphas: Sequence[Fraction], betas: Sequence[Fraction]
         for j, c in enumerate(prev):
             nxt[j] -= beta * c
         prev, cur = cur, nxt
-    return RationalPoly(cur)
+        polys.append(RationalPoly(cur))
+    return tuple(polys)
 
 
 @dataclass(frozen=True)
 class WindowAnalysis:
-    """The determinants, classification and kernel of a window, from one pass.
+    """The determinants, classification and orthogonal polynomials of a window.
 
-    ``determinants`` is D_0..D_N for N = horizon.  ``kernel`` is the monic
-    orthogonal polynomial p_{n0}, whose roots are the n0 atoms, when the
-    window is ``Degenerate`` with a consistent tail, and None otherwise.
-    ``known`` holds the determinants the verdict needed; when it stops short
-    of D_N, which happens after a negative pivot or on an s_0 = 0 window with
-    a nonzero moment, the rest come from Bareiss elimination on first read.
+    ``determinants`` is D_0..D_N for N = horizon.  ``orthogonal_polys`` is
+    p_0..p_{n0}, the monic orthogonal polynomials of the window, when it is
+    ``Degenerate`` with a consistent tail, and None otherwise; its last entry
+    is the ``kernel``, whose roots are the n0 atoms.  ``known`` holds the
+    determinants the verdict needed; when it stops short of D_N, which
+    happens after a negative pivot or on an s_0 = 0 window with a nonzero
+    moment, the rest come from Bareiss elimination on first read.
     """
 
     window: MomentWindow
     classification: Classification
-    kernel: RationalPoly | None
+    orthogonal_polys: tuple[RationalPoly, ...] | None
     known: tuple[Fraction, ...]
+
+    @property
+    def kernel(self) -> RationalPoly | None:
+        """The monic p_{n0} of a consistent degenerate window, else None."""
+        return self.orthogonal_polys[-1] if self.orthogonal_polys else None
 
     @cached_property
     def determinants(self) -> tuple[Fraction, ...]:
@@ -383,7 +375,7 @@ class WindowAnalysis:
 
 
 def analyze(w) -> WindowAnalysis:
-    """Determinants, classification and kernel of a window in one exact pass.
+    """Determinants, classification and orthogonal polynomials in one exact pass.
 
     The Chebyshev pass gives D_0..D_k up to the first pivot h_k <= 0.  All
     positive gives ``PositiveWindow``; h_k < 0 gives ``Invalid`` with a
@@ -392,6 +384,8 @@ def analyze(w) -> WindowAnalysis:
     every l up to m - n0, which the pass has just computed.  A window with
     s_0 = 0 is the zero measure when every moment is zero and ``Invalid``
     otherwise, with ``first_violation`` pointing at the first nonzero moment.
+    Only a consistent degenerate window gets p_0..p_{n0}, built from the
+    recurrence coefficients of the same pass.
     """
     w = _as_window(w)
     horizon = w.horizon
@@ -429,8 +423,8 @@ def analyze(w) -> WindowAnalysis:
             cls = Invalid(later, InvalidReason.NEGATIVE_DETERMINANT)
         else:
             cls = Invalid(later, InvalidReason.ZERO_THEN_POSITIVE)
-    kernel = _monic_from_recurrence(rec.alphas, rec.betas) if consistent else None
-    return WindowAnalysis(w, cls, kernel, tuple(dets))
+    polys = _monic_from_recurrence(rec.alphas, rec.betas) if consistent else None
+    return WindowAnalysis(w, cls, polys, tuple(dets))
 
 
 def det_sequence(w) -> list[Fraction]:

@@ -1,18 +1,20 @@
 """Recovery of the finitely supported measure behind a degenerate window.
 
-The atoms are the real roots of the monic degree-n0 orthogonal polynomial p.
-The weight of atom x_j is w_j = N(x_j) / p'(x_j), where N(x_j) is the moment
-functional applied to the synthetic-division quotient p / (x - x_j); N is one
-fixed polynomial, so all weights cost O(n0**2).  When every atom is rational
-the whole measure is exact.  Otherwise atoms are kept as isolating intervals,
-N / p' is enclosed over each interval by integer interval Horner, and the
-weight enclosures are rounded outward onto a 2**-P grid, P about
-(digits + pad) * log2(10) + 8, so their size does not grow with the
-refinement.  An independent residual check certifies every moment up to
-s_{2*n0 - 1}; its sums, and the inexact moments of ``measure_moments``, are
-accumulated over integers on one common denominator.  The unique forward
-extension of a degenerate window is always computed from the exact rational
-recurrence, never from the recovered (possibly irrational) atoms.
+The atoms are the real roots of the monic degree-n0 orthogonal polynomial p,
+isolated with the Sturm sequence p = p_{n0}, ..., p_0 that the recurrence
+pass of ``hankel.analyze`` already built.  The weight of atom x_j is
+w_j = N(x_j) / p'(x_j), where N(x_j) is the moment functional applied to the
+synthetic-division quotient p / (x - x_j); N is one fixed polynomial, so all
+weights cost O(n0**2).  When every atom is rational the whole measure is
+exact.  Otherwise atoms are kept as isolating intervals, N / p' is enclosed
+over each interval by integer interval Horner, and the weight enclosures are
+rounded outward onto a 2**-P grid, P about (digits + pad) * log2(10) + 8, so
+their size does not grow with the refinement.  An independent residual check
+certifies every moment up to s_{2*n0 - 1}; its sums, and the inexact moments
+of ``measure_moments``, are accumulated over integers on one common
+denominator.  The unique forward extension of a degenerate window is always
+computed from the exact rational recurrence, never from the recovered
+(possibly irrational) atoms.
 """
 from __future__ import annotations
 
@@ -78,53 +80,6 @@ class RationalInterval:
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
-
-    @staticmethod
-    def _coerce(other) -> "RationalInterval":
-        if isinstance(other, RationalInterval):
-            return other
-        return RationalInterval.point(other)
-
-    def __add__(self, other) -> "RationalInterval":
-        o = self._coerce(other)
-        return RationalInterval(self.lo + o.lo, self.hi + o.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "RationalInterval":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalInterval":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "RationalInterval":
-        o = self._coerce(other)
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RationalInterval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalInterval":
-        o = self._coerce(other)
-        if o.lo <= 0 <= o.hi:
-            raise ZeroDivisionError("interval division by an enclosure of zero")
-        quotients = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return RationalInterval(min(quotients), max(quotients))
-
-    def power(self, k: int) -> "RationalInterval":
-        """Tight enclosure of {x**k : x in self} for integer k >= 0."""
-        if k < 0:
-            raise ValueError("negative powers are not needed here")
-        if k == 0:
-            return RationalInterval.point(1)
-        if k % 2 == 1 or self.lo >= 0:
-            return RationalInterval(self.lo**k, self.hi**k)
-        if self.hi <= 0:
-            return RationalInterval(self.hi**k, self.lo**k)
-        return RationalInterval(Fraction(0), max(self.lo**k, self.hi**k))
 
 
 AtomValue = Union[Fraction, IsolatingInterval]
@@ -193,8 +148,9 @@ def _moment_sums(
     """Enclosures of sum_j w_j * x_j**k for k < count, as integers (lo, hi, den).
 
     lo/den and hi/den bound the sum over x_j in ``atom_ivs[j]`` and w_j in
-    ``weight_ivs[j]``, with the same endpoints as summing ``w * x.power(k)``
-    in ``RationalInterval`` arithmetic.  All atom endpoints are written over
+    ``weight_ivs[j]``.  They are the endpoints of plain interval arithmetic:
+    the tight enclosure of x**k over the atom interval (1 for k = 0), times
+    the weight interval, summed over j.  All atom endpoints are written over
     one denominator X and all weight endpoints over one W, so every term of
     moment k shares the denominator W * X**k and nothing is reduced while
     summing.
@@ -206,7 +162,7 @@ def _moment_sums(
     for k in range(count):
         lo_sum = hi_sum = 0
         for (w_lo, w_hi), (x_lo, x_hi), (p_lo, p_hi) in zip(weights, atoms, powers):
-            if k % 2 == 1 or x_lo >= 0:
+            if k == 0 or k % 2 == 1 or x_lo >= 0:
                 a, b = p_lo, p_hi
             elif x_hi <= 0:
                 a, b = p_hi, p_lo
@@ -239,7 +195,9 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
             powers = [p * a for p, a in zip(powers, mu.atoms)]
         return moments
     scale = 10**digits
-    weight_ivs = [RationalInterval._coerce(w) for w in mu.weights]
+    weight_ivs = [
+        w if isinstance(w, RationalInterval) else RationalInterval.point(w) for w in mu.weights
+    ]
     for pad in (5, 10, 20, 40, 80):
         atom_ivs = []
         for atom in mu.atoms:
@@ -352,7 +310,11 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     n0 = kernel.degree
     if n0 == 0:
         return DiscreteMeasure((), ())
-    roots = sturm_isolate(kernel)
+    # p_{n0}, ..., p_0 is a Sturm sequence for the kernel: beta_1..beta_{n0-1}
+    # are positive on this window, so consecutive p_k have interlacing roots
+    # (Szego, Orthogonal Polynomials, Sec. 3.3) and p_{k-1} and p_{k+1} have
+    # opposite signs at each root of p_k.
+    roots = sturm_isolate(analysis.orthogonal_polys[::-1])
     if len(roots) != n0:
         raise InconsistentWindow(
             f"kernel polynomial has {len(roots)} real roots, expected {n0}"

@@ -6,29 +6,41 @@ share no code path with the implementations under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import ceil, floor, gcd
 
 from hankelmp.errors import NotSquareFree, ZeroPolynomial
 from hankelmp.exact import IsolatingInterval, cauchy_root_bound, sign_variations, sturm_chain
+from hankelmp.recovery import RationalInterval
 
 
 def det_cofactor(rows) -> Fraction:
-    """Determinant by cofactor expansion along the first row."""
+    """Determinant by cofactor expansion along the first row.
+
+    After the first r rows are expanded, the minor left depends only on the
+    set of columns they used, so each one is computed once: O(n 2**n)
+    products in place of n!.
+    """
     rows = [[Fraction(c) for c in row] for row in rows]
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+
+    @cache
+    def minor(used: int) -> Fraction:
+        r = used.bit_count()
+        if r == n:
+            return Fraction(1)
+        total, sign = Fraction(0), 1
+        for j in range(n):
+            if used >> j & 1:
+                continue
+            if rows[r][j] != 0:
+                term = rows[r][j] * minor(used | 1 << j)
+                total += term if sign > 0 else -term
+            sign = -sign
+        return total
+
+    return minor(0)
 
 
 def psd_all_principal_minors(rows) -> bool:
@@ -91,6 +103,46 @@ def orthogonal_poly(moments, n: int) -> list[Fraction]:
         minor = det_cofactor([row[:j] + row[j + 1 :] for row in top])
         coeffs.append(minor if (n + j) % 2 == 0 else -minor)
     return coeffs
+
+
+def moment_inner_product(p, q, moments) -> Fraction:
+    """<p, q> = sum over j, k of p_j q_k s_{j+k}, as a double sum."""
+    s = [Fraction(c) for c in moments]
+    total = Fraction(0)
+    for j, a in enumerate(p.coeffs):
+        for k, b in enumerate(q.coeffs):
+            if j + k >= len(s):
+                raise IndexError(f"<p, q> needs s_{j + k} but the window ends at s_{len(s) - 1}")
+            total += a * b * s[j + k]
+    return total
+
+
+def hilbert_window(n0: int) -> list[Fraction]:
+    """Moments 1/(k+1) of Lebesgue measure on [0, 1] for k < 2*n0, then s_{2n0}
+    from the degree-n0 orthogonal polynomial, so the window is the moment
+    sequence of the n0-point Gauss-Legendre rule on [0, 1]."""
+    s = [Fraction(1, k + 1) for k in range(2 * n0)]
+    p = orthogonal_poly(s, n0)
+    return s + [-sum(p[j] * s[n0 + j] for j in range(n0)) / p[n0]]
+
+
+def solve_exact(rows, rhs) -> list[Fraction] | None:
+    """Solve rows @ x = rhs by Gaussian elimination over Fraction; None if singular."""
+    n = len(rows)
+    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(col + 1, n):
+            f = aug[r][col] / aug[col][col]
+            aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    out = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = aug[i][n] - sum((aug[i][j] * out[j] for j in range(i + 1, n)), Fraction(0))
+        out[i] = acc / aug[i][i]
+    return out
 
 
 def classify_brute(moments) -> tuple:
@@ -270,3 +322,32 @@ def fraction_refine_root(iv, digits: int):
         else:
             b = mid
     return IsolatingInterval(a, b, p)
+
+
+# --- Interval power sums: the reference for recovery._moment_sums ------------
+
+
+def interval_mul(a: RationalInterval, b: RationalInterval) -> RationalInterval:
+    """Tight enclosure of {x * y : x in a, y in b}."""
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return RationalInterval(min(products), max(products))
+
+
+def interval_power(iv: RationalInterval, k: int) -> RationalInterval:
+    """Tight enclosure of {x**k : x in iv} for k >= 0."""
+    if k == 0:
+        return RationalInterval.point(1)
+    if k % 2 == 1 or iv.lo >= 0:
+        return RationalInterval(iv.lo**k, iv.hi**k)
+    if iv.hi <= 0:
+        return RationalInterval(iv.hi**k, iv.lo**k)
+    return RationalInterval(Fraction(0), max(iv.lo**k, iv.hi**k))
+
+
+def interval_power_sum(atom_ivs, weight_ivs, k: int) -> RationalInterval:
+    """Enclosure of sum_j w_j * x_j**k, one term at a time over ``Fraction``."""
+    lo = hi = Fraction(0)
+    for x, w in zip(atom_ivs, weight_ivs):
+        term = interval_mul(w, interval_power(x, k))
+        lo, hi = lo + term.lo, hi + term.hi
+    return RationalInterval(lo, hi)

@@ -193,6 +193,41 @@ class TestMoments:
         code, out, err = invoke(capsys, ["moments", path, "--count", "2"])
         assert code == 2 and out == "" and err != ""
 
+    def test_interval_holding_three_roots_rejected(self, tmp_path, capsys):
+        # (x - 1)(x - 2)(x - 3) changes sign over [0, 5] but has three roots there.
+        payload = {
+            "atoms": [{"interval": ["0", "5"], "poly": ["-6", "11", "-6", "1"]}],
+            "weights": ["1"],
+        }
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, err = invoke(capsys, ["moments", path, "--count", "3"])
+        assert code == 2 and out == ""
+        assert "holds 3 roots of its poly, not one" in err
+
+    def test_interval_holding_one_root_accepted(self, tmp_path, capsys):
+        payload = {
+            "atoms": [{"interval": ["5/2", "7/2"], "poly": ["-6", "11", "-6", "1"]}],
+            "weights": ["2"],
+        }
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, _ = invoke(capsys, ["moments", path, "--count", "3", "--digits", "5"])
+        assert code == 0
+        for rendered, expected in zip(json.loads(out)["moments"], [2, 6, 18]):
+            assert F(rendered["lo"]) <= expected <= F(rendered["hi"])
+
+    def test_atom_enclosure_holding_zero_keeps_s0_exact(self, tmp_path, capsys):
+        # The root 10^-400 is never separated from 0 by refinement, but
+        # x^0 = 1 on the whole enclosure, so s_0 is the weight exactly.
+        payload = {
+            "atoms": [{"interval": ["-1/2", "1"], "poly": ["-1e-400", "1"]}],
+            "weights": ["1"],
+        }
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, _ = invoke(capsys, ["moments", path, "--count", "2", "--digits", "10"])
+        assert code == 0
+        s0 = json.loads(out)["moments"][0]
+        assert s0 == {"lo": "1", "hi": "1", "decimal": "1.00000000000000"}
+
     def test_document_round_trip_idempotent(self, tmp_path, capsys):
         for seq in (A4, ["1", "0", "2", "0", "4"]):
             mu = reconstruct([F(s) for s in seq], digits=20)
@@ -323,6 +358,21 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         code, out, err = invoke(capsys, [])
         assert code == 2
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        from hankelmp.cli import _build_parser
+
+        _build_parser.cache_clear()
+        path = write_json(tmp_path, "a4.json", A4)
+        code, out, _ = invoke(capsys, ["classify", path])
+        assert code == 0 and json.loads(out)["n0"] == 2
+        code, out, _ = invoke(capsys, ["extend", path, "--count", "2"])
+        assert code == 0 and json.loads(out) == {"extension": ["16", "64"]}
+        assert invoke(capsys, ["--help"])[0] == 0
+        assert invoke(capsys, ["classify", path, "--bogus"])[0] == 2
+        assert invoke(capsys, [])[0] == 2
+        info = _build_parser.cache_info()
+        assert info.misses == 1 and info.hits == 4
 
     def test_stdout_is_single_json_object(self, tmp_path, capsys):
         path = write_json(tmp_path, "a4.json", A4)

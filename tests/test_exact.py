@@ -128,32 +128,32 @@ class TestPolyBasics:
 
 class TestSturmIsolation:
     def test_rational_roots_collapse(self):
-        ivs = sturm_isolate(RationalPoly([-4, 0, 1]))
+        ivs = sturm_isolate(sturm_chain(RationalPoly([-4, 0, 1])))
         assert [(iv.lo, iv.hi) for iv in ivs] == [(-2, -2), (2, 2)]
 
     def test_irrational_roots_bracketed(self):
-        ivs = sturm_isolate(RationalPoly([-2, 0, 1]))
+        ivs = sturm_isolate(sturm_chain(RationalPoly([-2, 0, 1])))
         assert len(ivs) == 2
         assert -2 < ivs[0].lo < ivs[0].hi < -1
         assert 1 < ivs[1].lo < ivs[1].hi < 2
 
     def test_linear(self):
-        ivs = sturm_isolate(RationalPoly([-1, 1]))
+        ivs = sturm_isolate(sturm_chain(RationalPoly([-1, 1])))
         assert [(iv.lo, iv.hi) for iv in ivs] == [(1, 1)]
 
     def test_no_real_roots(self):
-        assert sturm_isolate(RationalPoly([1, 0, 1])) == []
+        assert sturm_isolate(sturm_chain(RationalPoly([1, 0, 1]))) == []
 
     def test_constant_poly_has_no_roots(self):
-        assert sturm_isolate(RationalPoly([5])) == []
+        assert sturm_isolate(sturm_chain(RationalPoly([5]))) == []
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            sturm_isolate(RationalPoly())
+            sturm_isolate(sturm_chain(RationalPoly()))
 
     def test_square_free_precondition(self):
         with pytest.raises(NotSquareFree):
-            sturm_isolate(RationalPoly.from_roots([1, 1, 2]))
+            sturm_isolate(sturm_chain(RationalPoly.from_roots([1, 1, 2])))
 
     def test_planted_rational_roots(self):
         rng = random.Random(20240809)
@@ -163,13 +163,13 @@ class TestSturmIsolation:
             while len(roots) < count:
                 roots.add(F(rng.randint(-12, 12), rng.randint(1, 9)))
             poly = RationalPoly.from_roots(roots)
-            ivs = sturm_isolate(poly)
+            ivs = sturm_isolate(sturm_chain(poly))
             assert all(iv.is_exact for iv in ivs)
             assert [iv.lo for iv in ivs] == sorted(roots)
 
     def test_mixed_rational_irrational(self):
         poly = RationalPoly([-2, 0, 1]) * RationalPoly([F(-1, 2), 1])
-        ivs = sturm_isolate(poly)
+        ivs = sturm_isolate(sturm_chain(poly))
         assert len(ivs) == 3
         assert ivs[1].is_exact and ivs[1].lo == F(1, 2)
         assert not ivs[0].is_exact and not ivs[2].is_exact
@@ -182,7 +182,7 @@ class TestSturmIsolation:
             while len(roots) < count:
                 roots.add(F(rng.randint(-10, 10), rng.randint(1, 7)))
             poly = RationalPoly.from_roots(roots) * RationalPoly([1, 0, 1])
-            ivs = sturm_isolate(poly)
+            ivs = sturm_isolate(sturm_chain(poly))
             for iv in ivs:
                 lo_val, hi_val = poly(iv.lo), poly(iv.hi)
                 if iv.is_exact:
@@ -206,7 +206,7 @@ class TestSturmIsolation:
                 diff = sign_variations([q(-b) for q in chain]) - sign_variations(
                     [q(b) for q in chain]
                 )
-                assert diff == len(sturm_isolate(poly)) == count
+                assert diff == len(sturm_isolate(sturm_chain(poly))) == count
 
 
 def _scaled_to_integers(poly: RationalPoly) -> RationalPoly:
@@ -252,7 +252,7 @@ class TestIntegerKernelsAgainstFractionBisection:
     @given(square_free_integer_polys(), st.integers(1, 60))
     @settings(derandomize=True, max_examples=50, deadline=None)
     def test_identical_intervals(self, poly, digits):
-        ivs = sturm_isolate(poly)
+        ivs = sturm_isolate(sturm_chain(poly))
         assert ivs == oracles.fraction_sturm_isolate(poly)
         for iv in ivs[:2]:
             assert refine_root(iv, digits) == oracles.fraction_refine_root(iv, digits)
@@ -263,7 +263,7 @@ class TestIntegerKernelsAgainstFractionBisection:
             RationalPoly.from_roots([r, r + F(1, 2**230), F(-5, 7)]),
             RationalPoly([r * r - F(2, 4**215), -2 * r, 1]) * RationalPoly([-3, 0, 1]),
         ):
-            ivs = sturm_isolate(poly)
+            ivs = sturm_isolate(sturm_chain(poly))
             assert ivs == oracles.fraction_sturm_isolate(poly)
             assert any(b.lo - a.hi < F(1, 2**200) for a, b in zip(ivs, ivs[1:]))
             for iv in ivs:
@@ -277,8 +277,7 @@ class TestIntegerKernelsAgainstFractionBisection:
 
 class TestRefineRoot:
     def setup_method(self):
-        self.sqrt2 = [iv for iv in sturm_isolate(RationalPoly([-2, 0, 1])) if iv.lo > 0][0]
-        self.neg_sqrt2 = [iv for iv in sturm_isolate(RationalPoly([-2, 0, 1])) if iv.lo < 0][0]
+        self.neg_sqrt2, self.sqrt2 = sturm_isolate(sturm_chain(RationalPoly([-2, 0, 1])))
 
     def test_width_and_containment(self):
         refined = refine_root(self.sqrt2, 10)

@@ -1,6 +1,7 @@
-"""Tests for the recurrence orthogonal polynomials and the moment form."""
+"""Tests for the orthogonal polynomials that ``analyze`` keeps, and the inner-product oracle."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,15 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankelmp.errors import DegenerateNormalization, OutOfWindow
 from hankelmp.exact import RationalPoly, sturm_isolate
-from hankelmp.hankel import Degenerate, MomentWindow, classify, det_sequence
-from hankelmp.orthopoly import (
-    MomentForm,
-    moment_inner_product,
-    monic_orthogonal_poly,
-)
+from hankelmp.hankel import Degenerate, MomentWindow, analyze, classify, det_sequence
+from hankelmp.recovery import DiscreteMeasure, measure_moments
 import oracles
+from oracles import moment_inner_product
 
 A4 = MomentWindow([1, 1, 4, 4, 16])
 
@@ -33,9 +30,19 @@ def monomial(k):
     return RationalPoly([0] * k + [1])
 
 
+def random_measure_window(rng, max_atoms, extra):
+    count = rng.randint(1, max_atoms)
+    atoms: set[F] = set()
+    while len(atoms) < count:
+        atoms.add(F(rng.randint(-9, 9), rng.randint(1, 5)))
+    weights = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(count)]
+    mu = DiscreteMeasure(tuple(sorted(atoms)), tuple(weights))
+    return measure_moments(mu, 2 * count + 1 + extra)
+
+
 class TestInnerProduct:
     def test_constants(self):
-        assert moment_inner_product(ONE, ONE, MomentForm(A4)) == 1
+        assert moment_inner_product(ONE, ONE, A4) == 1
         assert moment_inner_product(ONE, ONE, [7, 0, 0]) == 7
 
     def test_x_with_x(self):
@@ -49,50 +56,51 @@ class TestInnerProduct:
         assert moment_inner_product(RationalPoly(), X, A4) == 0
 
     def test_out_of_window(self):
-        with pytest.raises(OutOfWindow):
+        with pytest.raises(IndexError):
             moment_inner_product(monomial(2), monomial(1), [1, 1, 4])
 
     def test_max_degree(self):
-        assert MomentForm(A4).max_degree == 2
-        assert MomentForm(MomentWindow([1, 2])).max_degree == 0
+        assert A4.horizon == 2
+        assert MomentWindow([1, 2]).horizon == 0
 
     def test_bilinear(self):
         rng = random.Random(8)
-        form = MomentForm(A4)
         for _ in range(30):
             p = RationalPoly([F(rng.randint(-5, 5)) for _ in range(3)])
             q = RationalPoly([F(rng.randint(-5, 5)) for _ in range(2)])
             r = RationalPoly([F(rng.randint(-5, 5)) for _ in range(2)])
             c = F(rng.randint(-4, 4), rng.randint(1, 3))
-            lhs = moment_inner_product(p, q * c + r, form)
-            rhs = c * moment_inner_product(p, q, form) + moment_inner_product(p, r, form)
+            lhs = moment_inner_product(p, q * c + r, A4)
+            rhs = c * moment_inner_product(p, q, A4) + moment_inner_product(p, r, A4)
             assert lhs == rhs
-            assert moment_inner_product(p, q, form) == moment_inner_product(q, p, form)
+            assert moment_inner_product(p, q, A4) == moment_inner_product(q, p, A4)
 
 
 class TestOrthogonalPoly:
     def test_p0_is_one(self):
         assert orthogonal_poly(A4, 0) == ONE
-        assert monic_orthogonal_poly([5], 0) == ONE
+        # The zero measure is degenerate at n0 = 0, with kernel p_0.
+        assert analyze([0, 0, 0]).orthogonal_polys == (ONE,)
 
     def test_examples(self):
         assert orthogonal_poly(A4, 1) == RationalPoly([-1, 1])
         assert orthogonal_poly(A4, 2) == RationalPoly([-12, 0, 3])
 
     def test_monic_examples(self):
-        assert monic_orthogonal_poly(A4, 2) == RationalPoly([-4, 0, 1])
-        assert monic_orthogonal_poly([1, 0, 0], 1) == X
-        assert monic_orthogonal_poly([1, 3, 9, 27], 1) == RationalPoly([-3, 1])
+        p1, p2 = RationalPoly([-1, 1]), RationalPoly([-4, 0, 1])
+        assert analyze(A4).orthogonal_polys == (ONE, p1, p2)
+        assert analyze([1, 0, 0]).kernel == X
+        assert analyze([1, 3, 9, 27]).kernel == RationalPoly([-3, 1])
 
     def test_out_of_window(self):
-        with pytest.raises(OutOfWindow):
-            monic_orthogonal_poly([1, 1, 4], 2)
+        # p_2 needs s_3, past the end of [1, 1, 4]; a window that is not
+        # consistent degenerate keeps no polynomials at all.
+        with pytest.raises(IndexError):
+            oracles.orthogonal_poly([1, 1, 4], 2)
         with pytest.raises(ValueError):
-            monic_orthogonal_poly(A4, -1)
-
-    def test_degenerate_normalization(self):
-        with pytest.raises(DegenerateNormalization):
-            monic_orthogonal_poly([1, 1, 1, 1, 0], 2)
+            oracles.orthogonal_poly(A4, -1)
+        assert analyze([1, 1, 4]).orthogonal_polys is None
+        assert analyze([1, 1, 1, 1, 0]).orthogonal_polys is None
 
     def test_orthogonality_and_norm_identity(self):
         rng = random.Random(1234)
@@ -102,29 +110,21 @@ class TestOrthogonalPoly:
                 [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(length)]
             )
             dets = det_sequence(window)
-            form = MomentForm(window)
             for n in range(window.horizon + 1):
                 p_n = orthogonal_poly(window, n)
                 for k in range(n):
-                    assert moment_inner_product(p_n, monomial(k), form) == 0
+                    assert moment_inner_product(p_n, monomial(k), window) == 0
                 previous = dets[n - 1] if n >= 1 else F(1)
-                assert moment_inner_product(p_n, p_n, form) == previous * dets[n]
+                assert moment_inner_product(p_n, p_n, window) == previous * dets[n]
                 if n >= 1 and dets[n - 1] != 0:
                     assert p_n.degree == n and p_n.leading == dets[n - 1]
 
     def test_monic_leading_coefficient(self):
         rng = random.Random(55)
         for _ in range(40):
-            length = rng.randint(2, 9)
-            window = MomentWindow(
-                [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(length)]
-            )
-            dets = det_sequence(window)
-            for n in range(window.horizon + 1):
-                if n >= 1 and dets[n - 1] == 0:
-                    continue
-                p_n = monic_orthogonal_poly(window, n)
-                assert p_n.degree == n and p_n.leading == 1
+            polys = analyze(random_measure_window(rng, 5, rng.randint(0, 3))).orthogonal_polys
+            for k, p_k in enumerate(polys):
+                assert p_k.degree == k and p_k.leading == 1
 
     def test_degenerate_kernel_is_square_free_with_n0_roots(self):
         fixtures = [
@@ -135,51 +135,76 @@ class TestOrthogonalPoly:
             [1, 0, 0],
         ]
         rng = random.Random(77)
-        from hankelmp.recovery import DiscreteMeasure, measure_moments
-
-        for _ in range(25):
-            count = rng.randint(1, 5)
-            atoms: set[F] = set()
-            while len(atoms) < count:
-                atoms.add(F(rng.randint(-9, 9), rng.randint(1, 5)))
-            weights = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(count)]
-            mu = DiscreteMeasure(tuple(sorted(atoms)), tuple(weights))
-            fixtures.append(measure_moments(mu, 2 * count + 3))
+        fixtures += [random_measure_window(rng, 5, 2) for _ in range(25)]
         for seq in fixtures:
             cls = classify(seq)
             assert isinstance(cls, Degenerate) and cls.n0 >= 1
-            kernel = monic_orthogonal_poly(seq, cls.n0)
+            analysis = analyze(seq)
+            kernel = analysis.kernel
+            assert kernel.degree == cls.n0
             assert oracles.poly_gcd(kernel, kernel.derivative()).degree == 0
-            assert len(sturm_isolate(kernel)) == cls.n0
+            assert len(sturm_isolate(analysis.orthogonal_polys[::-1])) == cls.n0
+
+
+def _is_rational_square(a: F) -> bool:
+    return all(math.isqrt(v) ** 2 == v for v in (a.numerator, a.denominator))
+
+
+@st.composite
+def consistent_degenerate_windows(draw):
+    """Rational measures with n0 <= 8, Gauss-Legendre windows, and the demo
+    family 1, 1, a, a, ..., a^4 with atoms -sqrt(a), sqrt(a) for a > 1 not a square."""
+    kind = draw(st.sampled_from(["rational", "gauss-legendre", "demo"]))
+    if kind == "rational":
+        atoms = draw(
+            st.lists(st.fractions(-6, 6, max_denominator=6), min_size=1, max_size=8, unique=True)
+        )
+        weights = draw(
+            st.lists(
+                st.fractions(F(1, 6), 6, max_denominator=6),
+                min_size=len(atoms),
+                max_size=len(atoms),
+            )
+        )
+        mu = DiscreteMeasure(tuple(sorted(atoms)), tuple(weights))
+        return measure_moments(mu, 2 * len(atoms) + 1 + draw(st.integers(0, 3)))
+    if kind == "gauss-legendre":
+        return oracles.hilbert_window(draw(st.integers(1, 6)))
+    a = draw(
+        st.fractions(F(1), 50, max_denominator=9).filter(
+            lambda v: v > 1 and not _is_rational_square(v)
+        )
+    )
+    return [1, 1, a, a, a**2, a**2, a**3, a**3, a**4]
 
 
 class TestRecurrenceAgainstOracle:
-    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=1, max_size=10))
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @example([0, 1, 0, 0])
-    @example([1, 1, 1, 1, 0, 0, 0, 1])
-    @example([1, 1, 1, 1, 0])
+    @given(consistent_degenerate_windows())
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @example([0, 0, 0])
+    @example([1, 1, 2, 2, 4, 4, 8, 8, 16])
     def test_monic_matches_determinantal_oracle(self, window):
-        # Zero pivots before D_{n-1} (as in [0, 1, 0, 0]) break the
-        # recurrence; p_n must still come out whenever D_{n-1} != 0.
-        for n in range((len(window) + 1) // 2 + 1):
-            if 2 * n - 1 >= len(window):
-                with pytest.raises(OutOfWindow):
-                    monic_orthogonal_poly(window, n)
-                continue
-            p = orthogonal_poly(window, n)
-            if p.degree < n:
-                with pytest.raises(DegenerateNormalization):
-                    monic_orthogonal_poly(window, n)
-            else:
-                assert monic_orthogonal_poly(window, n) == p * (1 / p.leading)
+        # Every stored p_k is the monic determinantal p_k and is orthogonal
+        # to x^j for j < k, and p_{n0}, ..., p_0 isolates the same intervals
+        # as the remainder Sturm chain of the kernel.
+        analysis = analyze(window)
+        polys = analysis.orthogonal_polys
+        n0 = len(polys) - 1
+        assert analysis.classification == Degenerate(n0, True)
+        for k, p_k in enumerate(polys):
+            determinantal = orthogonal_poly(window, k)
+            assert p_k == determinantal * (1 / determinantal.leading)
+            for j in range(k):
+                assert moment_inner_product(p_k, monomial(j), window) == 0
+        assert sturm_isolate(polys[::-1]) == oracles.fraction_sturm_isolate(analysis.kernel)
 
     def test_recurrence_breakdown_examples(self):
-        # D_0 = 0 but D_1 = -1, so p_2 exists although p_1 does not.
-        assert monic_orthogonal_poly([0, 1, 0, 0], 2) == monomial(2)
-        with pytest.raises(DegenerateNormalization):
-            monic_orthogonal_poly([0, 1, 0, 0], 1)
-        # D = 1, 0, 0, 1: p_4 exists past the zero block, and its
-        # determinantal form is already monic since D_3 = 1.
+        # D_0 = 0 but D_1 = -1, so p_2 exists although p_1 does not; the
+        # window is no moment sequence, and analyze keeps no polynomials.
+        assert orthogonal_poly([0, 1, 0, 0], 2) == -monomial(2)
+        assert analyze([0, 1, 0, 0]).orthogonal_polys is None
+        # D = 1, 0, 0, 1: p_4 exists past the zero block, but the window is
+        # invalid and the recurrence stops at the zero pivot.
         window = [1, 1, 1, 1, 0, 0, 0, 1]
-        assert monic_orthogonal_poly(window, 4) == orthogonal_poly(window, 4)
+        assert orthogonal_poly(window, 4).degree == 4
+        assert analyze(window).orthogonal_polys is None

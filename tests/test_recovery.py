@@ -5,19 +5,28 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelmp.errors import PreconditionViolated
 from hankelmp.exact import IsolatingInterval, RationalPoly
-from hankelmp.hankel import Degenerate, MomentWindow, _solve_exact, classify, det_sequence
+from hankelmp.hankel import Degenerate, MomentWindow, classify, det_sequence
 from hankelmp.recovery import (
     DiscreteMeasure,
     RationalInterval,
+    _moment_sums,
     _residuals_certified,
     extend,
     measure_moments,
     reconstruct,
 )
-from oracles import orthogonal_poly
+from oracles import (
+    hilbert_window,
+    interval_mul,
+    interval_power,
+    interval_power_sum,
+    solve_exact,
+)
 
 
 def random_exact_measure(rng, max_atoms=5):
@@ -31,28 +40,23 @@ def random_exact_measure(rng, max_atoms=5):
 
 class TestRationalInterval:
     def test_arithmetic_encloses(self):
+        # The interval oracles that _moment_sums is checked against.
         rng = random.Random(9)
         for _ in range(200):
             a = F(rng.randint(-8, 8), rng.randint(1, 5))
             b = F(rng.randint(-8, 8), rng.randint(1, 5))
             ia = RationalInterval(a - F(1, rng.randint(2, 9)), a + F(1, rng.randint(2, 9)))
             ib = RationalInterval(b - F(1, rng.randint(2, 9)), b + F(1, rng.randint(2, 9)))
-            assert (ia + ib).contains(a + b)
-            assert (ia - ib).contains(a - b)
-            assert (ia * ib).contains(a * b)
+            assert interval_mul(ia, ib).contains(a * b)
             k = rng.randint(0, 5)
-            assert ia.power(k).contains(a**k)
-            if not ib.contains(F(0)):
-                assert (ia / ib).contains(a / b)
+            assert interval_power(ia, k).contains(a**k)
+            assert interval_power_sum([ia, ib], [ib, ia], k).contains(b * a**k + a * b**k)
 
     def test_power_tightness(self):
         iv = RationalInterval(F(-1), F(2))
-        assert iv.power(2) == RationalInterval(F(0), F(4))
-        assert iv.power(3) == RationalInterval(F(-1), F(8))
-
-    def test_division_by_zero_enclosure(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalInterval(F(1), F(2)) / RationalInterval(F(-1), F(1))
+        assert interval_power(iv, 0) == RationalInterval(F(1), F(1))
+        assert interval_power(iv, 2) == RationalInterval(F(0), F(4))
+        assert interval_power(iv, 3) == RationalInterval(F(-1), F(8))
 
     def test_ordering_validated(self):
         with pytest.raises(ValueError):
@@ -83,7 +87,43 @@ class TestDiscreteMeasure:
         assert mu.is_exact and len(mu) == 0
 
 
+nonneg = st.fractions(min_value=0, max_value=4, max_denominator=7)
+
+
+@st.composite
+def atom_intervals(draw):
+    """Mixed-sign, point, negative and positive atom enclosures."""
+    a, b = sorted(draw(st.tuples(nonneg, nonneg)))
+    kind = draw(st.sampled_from(["mixed", "point", "negative", "positive"]))
+    if kind == "mixed":
+        return RationalInterval(-a, b)
+    if kind == "point":
+        return RationalInterval.point(draw(st.sampled_from([-a, b])))
+    if kind == "negative":
+        return RationalInterval(-b, -a)
+    return RationalInterval(a, b)
+
+
+@st.composite
+def weight_intervals(draw):
+    lo = draw(nonneg)
+    return RationalInterval(lo, lo + draw(nonneg))
+
+
 class TestMeasureMoments:
+    @given(
+        st.lists(st.tuples(atom_intervals(), weight_intervals()), min_size=1, max_size=4),
+        st.integers(1, 8),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_moment_sums_match_the_interval_oracle(self, terms, count):
+        atoms = [atom for atom, _ in terms]
+        weights = [weight for _, weight in terms]
+        sums = list(_moment_sums(atoms, weights, count))
+        assert len(sums) == count
+        for k, (lo, hi, den) in enumerate(sums):
+            assert RationalInterval(F(lo, den), F(hi, den)) == interval_power_sum(atoms, weights, k)
+
     def test_dirac_at_origin(self):
         assert measure_moments(DiscreteMeasure((F(0),), (F(1),)), 4) == [1, 0, 0, 0]
 
@@ -185,15 +225,6 @@ class TestReconstruct:
                 assert rec.weights == mu.weights
 
 
-def hilbert_window(n0: int) -> list[F]:
-    """Moments 1/(k+1) of Lebesgue measure on [0, 1] for k < 2*n0, then s_{2n0}
-    from the degree-n0 orthogonal polynomial, so the window is the moment
-    sequence of the n0-point Gauss-Legendre rule on [0, 1]."""
-    s = [F(1, k + 1) for k in range(2 * n0)]
-    p = orthogonal_poly(s, n0)
-    return s + [-sum(p[j] * s[n0 + j] for j in range(n0)) / p[n0]]
-
-
 def encloses_root(iv: RationalInterval, a: F, b: F, m: int) -> bool:
     """Whether iv holds a + b*sqrt(m), tested without square roots."""
     lo, hi = (iv.lo - a) / b, (iv.hi - a) / b
@@ -211,7 +242,7 @@ class TestWeights:
             window = measure_moments(mu, 2 * n + 1)
             rec = reconstruct(window)
             vandermonde = [[a**k for a in rec.atoms] for k in range(n)]
-            assert list(rec.weights) == _solve_exact(vandermonde, window[:n])
+            assert list(rec.weights) == solve_exact(vandermonde, window[:n])
             assert rec.weights == mu.weights
 
     def test_interval_weights_enclose_one_half(self):
