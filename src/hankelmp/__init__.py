@@ -26,7 +26,6 @@ from .exact import (
     cauchy_root_bound,
     format_rational,
     parse_rational,
-    poly_eval,
     refine_root,
     sign_variations,
     sturm_chain,

@@ -5,7 +5,10 @@ demo.  Reports are a single JSON object on stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 domain failure (bad classification for the requested
 operation, or a failed verification campaign), 2 usage or parse error.
 ``--digits`` takes 1..MAX_DECIMAL_EXPONENT (4300); ``--count`` takes
-0..MAX_COUNT (10000) for extend and 1..MAX_COUNT for moments.
+0..MAX_COUNT (10000) for extend and 1..MAX_COUNT for moments.  ``verify``
+takes ``--trials`` 1..MAX_TRIALS (10000), ``--max-n`` 1..MAX_VERIFY_N (32)
+and ``--max-p`` 1..MAX_VERIFY_P (16).  An input file whose JSON nests deeper
+than the parser's recursion limit is a parse error (exit 2).
 
 Rationals are serialized as canonical strings ("p/q" or an integer), never as
 JSON numbers; enclosures are {"lo", "hi", "decimal"} objects where the decimal
@@ -101,6 +104,8 @@ def _load_sequence(path: str) -> MomentWindow:
             doc = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise _InputError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise _InputError(f"{path}: JSON nested too deeply") from None
         if isinstance(doc, dict):
             doc = doc.get("moments")
         if not isinstance(doc, list):
@@ -171,6 +176,8 @@ def _load_measure(path: str) -> DiscreteMeasure:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise _InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict) or "atoms" not in doc or "weights" not in doc:
         raise _InputError(f"{path}: expected an object with 'atoms' and 'weights'")
     atoms = [_parse_atom(a, path) for a in doc["atoms"]]
@@ -327,6 +334,12 @@ def _cmd_demo(args) -> int:
 
 # Largest --count accepted by extend and moments: each value is built in full.
 MAX_COUNT = 10_000
+# Largest verify --trials, --max-n and --max-p.  A trial builds exact matrices
+# of order up to n + p + 1 in full; one det2 trial at n = 32, p = 16 takes
+# about 16 s on a 2-core VM.
+MAX_TRIALS = 10_000
+MAX_VERIFY_N = 32
+MAX_VERIFY_P = 16
 
 
 def _int_in(low: int, high: int | None = None):
@@ -390,10 +403,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded verification campaign")
     p.add_argument("campaign", choices=sorted(_CAMPAIGNS))
-    p.add_argument("--trials", type=_int_in(1), default=200)
+    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=200,
+                   help=f"number of trials, 1..{MAX_TRIALS} (default 200)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=_int_in(1), default=None)
-    p.add_argument("--max-p", type=_int_in(1), default=3)
+    p.add_argument("--max-n", type=_int_in(1, MAX_VERIFY_N), default=None,
+                   help=f"largest atom count, 1..{MAX_VERIFY_N} (default 4 or 5 by campaign)")
+    p.add_argument("--max-p", type=_int_in(1, MAX_VERIFY_P), default=3,
+                   help=f"largest p of det1 and det2, 1..{MAX_VERIFY_P} (default 3)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("demo", help="the worked two-branch example for a given a")

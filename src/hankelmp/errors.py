@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BadShape",
+    "InconsistentWindow",
+    "InfeasibleSpec",
+    "MomentProblemError",
+    "NotSquareFree",
+    "NotSymmetric",
+    "OutOfWindow",
+    "PrecisionUnattainable",
+    "PreconditionViolated",
+    "ZeroPolynomial",
+]
+
 
 class MomentProblemError(Exception):
     """Base class for every domain error raised by this package."""

@@ -1,17 +1,20 @@
-"""Exact rational scalars, dense polynomials, and Sturm root isolation.
+"""Exact rational scalars, polynomial records, and Sturm root isolation.
 
-Nothing in this module rounds.  Polynomials hold ``fractions.Fraction``
-coefficients, but root isolation and refinement run on integers: a
-polynomial is replaced by its primitive integer form, and its sign at
+Nothing in this module rounds.  ``RationalPoly`` holds ``fractions.Fraction``
+coefficients and only evaluates, differentiates and prints; every kernel
+runs on integers.  ``_common_denominator`` writes rationals as integer
+numerators over their lcm denominator, here and in the rest of the package.
+A polynomial is replaced by its primitive integer form, and its sign at
 x = n/d is the sign of sum_j c_j n^j d^(deg-j) (homogeneous Horner).
 Bisection keeps integer numerators over one denominator D * 2**k, so no step
 reduces a fraction, and the endpoints are the same rationals that bisection
 over ``Fraction`` would give.  ``sturm_isolate`` takes a Sturm sequence for
 a square-free polynomial and isolates its real roots into pairwise disjoint
-closed intervals with rational endpoints; ``sturm_chain`` builds one for any
-polynomial, and a degenerate moment window supplies its own from the
-orthogonal-polynomial recurrence.  A root that happens to be rational is
-recovered exactly and its interval collapses to a point.
+closed intervals with rational endpoints.  ``sturm_chain`` builds one for
+any polynomial as a primitive integer remainder sequence, and a degenerate
+moment window supplies its own from the orthogonal-polynomial recurrence.
+A root that happens to be rational is recovered exactly and its interval
+collapses to a point.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ __all__ = [
     "cauchy_root_bound",
     "format_rational",
     "parse_rational",
-    "poly_eval",
     "refine_root",
     "sign_variations",
     "sturm_chain",
@@ -94,7 +96,8 @@ class RationalPoly:
 
     ``coeffs[j]`` is the coefficient of ``x**j`` and the top coefficient is
     nonzero; the zero polynomial is the empty tuple and reports degree -1.
-    Instances are immutable value objects.
+    Instances are immutable coefficient records that evaluate, differentiate
+    and print; the integer kernels below do all other arithmetic.
     """
 
     __slots__ = ("coeffs",)
@@ -104,14 +107,6 @@ class RationalPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Fraction | int | str]) -> "RationalPoly":
-        """Monic polynomial with the given roots."""
-        poly = cls([1])
-        for r in roots:
-            poly = poly * cls([-Fraction(r), 1])
-        return poly
 
     @property
     def is_zero(self) -> bool:
@@ -135,54 +130,6 @@ class RationalPoly:
 
     def derivative(self) -> "RationalPoly":
         return RationalPoly([j * c for j, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] += c
-        return RationalPoly(out)
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return RationalPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __divmod__(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by the zero polynomial")
-        quo = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d, lead = other.degree, other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quo[shift] = factor
-            for j, c in enumerate(other.coeffs):
-                rem[shift + j] -= factor * c
-        return RationalPoly(quo), RationalPoly(rem)
-
-    def __mod__(self, other: "RationalPoly") -> "RationalPoly":
-        return divmod(self, other)[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
@@ -214,22 +161,18 @@ class RationalPoly:
         return " ".join(terms)
 
 
-def poly_eval(p: RationalPoly, x: Fraction | int | str) -> Fraction:
-    """Evaluate ``p`` at ``x`` exactly (Horner order)."""
-    return p(x if isinstance(x, Fraction) else Fraction(x))
+def _common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over D, the lcm of their denominators, and D."""
+    values = list(values)
+    den = reduce(math.lcm, (v.denominator for v in values), 1)
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _primitive_ints(p: RationalPoly) -> tuple[int, ...]:
     """Coprime integer coefficients of a positive rational multiple of ``p``."""
-    den = reduce(math.lcm, (c.denominator for c in p.coeffs), 1)
-    nums = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    nums, _ = _common_denominator(p.coeffs)
     g = reduce(math.gcd, nums, 0)
     return tuple(n // g for n in nums) if g else ()
-
-
-def _positive_primitive(p: RationalPoly) -> RationalPoly:
-    """Rescale by a positive rational so coefficients are coprime integers."""
-    return RationalPoly(_primitive_ints(p))
 
 
 def _homogeneous_value(cs: Sequence[int], n: int, d: int) -> int:
@@ -267,21 +210,47 @@ def _sign_at(hs: Sequence[int], n: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
-    """Signed remainder chain ``p, p', -rem(...), ...``.
+def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Coprime integers of a positive multiple of -rem(a, b), for deg b >= 1.
 
-    Intermediate polynomials are rescaled by positive rationals, which leaves
-    every sign-variation count unchanged.  For a square-free input the chain
+    Each step of the long division first multiplies the partial remainder by
+    |lc(b)|, so the leading term cancels over the integers and the result is
+    the rational remainder times a positive integer.
+    """
+    lead, d = b[-1], len(b) - 1
+    scale, sign = abs(lead), (lead > 0) - (lead < 0)
+    rem = list(a)
+    while len(rem) > d:
+        shift, c = len(rem) - 1 - d, sign * rem[-1]
+        rem = [scale * x for x in rem]
+        for j, y in enumerate(b):
+            rem[shift + j] -= c * y
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    g = reduce(math.gcd, rem, 0)
+    return tuple(-x // g for x in rem) if g else ()
+
+
+def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
+    """Sturm sequence ``p, p', -rem(p, p'), ...`` as a primitive remainder sequence.
+
+    After p and p', each member is the negated remainder of the two before it
+    over the integers, with its content divided out (Collins' primitive PRS;
+    Basu, Pollack & Roy, *Algorithms in Real Algebraic Geometry*, Ch. 8).  It
+    is a positive multiple of the remainder over the rationals, so every
+    sign-variation count is unchanged.  For a square-free input the chain
     ends in a nonzero constant.
     """
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
     chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        r = -(chain[-2] % chain[-1])
-        if r.is_zero:
+    a, b = _primitive_ints(p), _primitive_ints(chain[1])
+    while len(b) > 1:
+        a, b = b, _negated_remainder(a, b)
+        if not b:
             break
-        chain.append(_positive_primitive(r))
+        chain.append(RationalPoly(b))
     return chain
 
 
@@ -327,9 +296,6 @@ class IsolatingInterval:
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
 
 def _isolate_segments(
@@ -432,12 +398,6 @@ def _settle_segment(
     return Fraction(a, scale), Fraction(b, scale)
 
 
-def _common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """Numerators of a and b over their least common denominator, and it."""
-    den = math.lcm(a.denominator, b.denominator)
-    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
-
-
 def _separate(
     cs: Sequence[int], segments: list[tuple[Fraction, Fraction]]
 ) -> list[tuple[Fraction, Fraction]]:
@@ -446,7 +406,7 @@ def _separate(
         a, b = segments[i]
         if a == b or b != segments[i + 1][0]:
             continue
-        a, b, den = _common(a, b)
+        (a, b), den = _common_denominator((a, b))
         hs = _at_denominator(cs, den)
         sa, k = _sign_at(hs, a, 0), 0
         while True:
@@ -511,7 +471,7 @@ def refine_root(iv: IsolatingInterval, digits: int) -> IsolatingInterval:
         return iv
     p = iv.poly
     cs = _primitive_ints(p)
-    a, b, den = _common(iv.lo, iv.hi)
+    (a, b), den = _common_denominator((iv.lo, iv.hi))
     hs = _at_denominator(cs, den)
     if _sign_at(hs, a, 0) == 0:
         return IsolatingInterval(iv.lo, iv.lo, p)

@@ -26,17 +26,16 @@ imply PSD, so the test does not read them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, OutOfWindow
-from .exact import RationalPoly
+from .exact import RationalPoly, _common_denominator
 
 __all__ = [
     "Classification",
@@ -78,9 +77,6 @@ class MomentWindow:
         """Largest n for which H_n fits in the window."""
         return self.m // 2
 
-    def with_appended(self, extra: Iterable[Fraction | int | str]) -> "MomentWindow":
-        return MomentWindow(self.moments + tuple(Fraction(s) for s in extra))
-
     def __len__(self) -> int:
         return len(self.moments)
 
@@ -119,13 +115,6 @@ class SymMatrix:
                 if rs[i][j] != rs[j][i]:
                     raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
         self.rows: tuple[tuple[Fraction, ...], ...] = rs
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.rows == other.rows
@@ -166,8 +155,8 @@ def det_exact(matrix) -> Fraction:
     scale = 1
     m: list[list[int]] = []
     for row in rows:
-        den = reduce(math.lcm, (c.denominator for c in row), 1)
-        m.append([int(c * den) for c in row])
+        nums, den = _common_denominator(row)
+        m.append(nums)
         scale *= den
     sign = 1
     prev = 1

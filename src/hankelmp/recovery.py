@@ -10,18 +10,18 @@ exact.  Otherwise atoms are kept as isolating intervals, N / p' is enclosed
 over each interval by integer interval Horner, and the weight enclosures are
 rounded outward onto a 2**-P grid, P about (digits + pad) * log2(10) + 8, so
 their size does not grow with the refinement.  An independent residual check
-certifies every moment up to s_{2*n0 - 1}; its sums, and the inexact moments
-of ``measure_moments``, are accumulated over integers on one common
-denominator.  The unique forward extension of a degenerate window is always
-computed from the exact rational recurrence, never from the recovered
-(possibly irrational) atoms.
+certifies every moment up to s_{2*n0 - 1}, exactly when every atom is
+rational.  One routine, ``_moment_sums``, forms every sum w_j * x_j**k in
+the package: the residual check and ``measure_moments`` of exact and inexact
+measures all call it, with exact values as point intervals, and it sums over
+integers on one common denominator.  The unique forward extension of a
+degenerate window is always computed from the exact rational recurrence,
+never from the recovered (possibly irrational) atoms.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence, Union
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
 from .exact import (
     IsolatingInterval,
     RationalPoly,
-    _common,
+    _common_denominator,
     _homogeneous_value,
     _primitive_ints,
     refine_root,
@@ -71,15 +71,8 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
 
 AtomValue = Union[Fraction, IsolatingInterval]
@@ -133,18 +126,10 @@ class DiscreteMeasure:
         return len(self.atoms)
 
 
-def _one_denominator(ivs: Sequence[RationalInterval]) -> tuple[list[tuple[int, int]], int]:
-    """Endpoint numerators of every interval over D, the lcm of all their denominators, and D."""
-    den = reduce(math.lcm, (x.denominator for iv in ivs for x in (iv.lo, iv.hi)), 1)
-    return [
-        (iv.lo.numerator * (den // iv.lo.denominator), iv.hi.numerator * (den // iv.hi.denominator))
-        for iv in ivs
-    ], den
+Enclosure = Union[RationalInterval, IsolatingInterval]
 
 
-def _moment_sums(
-    atom_ivs: Sequence[RationalInterval], weight_ivs: Sequence[RationalInterval], count: int
-):
+def _moment_sums(atom_ivs: Sequence[Enclosure], weight_ivs: Sequence[Enclosure], count: int):
     """Enclosures of sum_j w_j * x_j**k for k < count, as integers (lo, hi, den).
 
     lo/den and hi/den bound the sum over x_j in ``atom_ivs[j]`` and w_j in
@@ -153,10 +138,13 @@ def _moment_sums(
     the weight interval, summed over j.  All atom endpoints are written over
     one denominator X and all weight endpoints over one W, so every term of
     moment k shares the denominator W * X**k and nothing is reduced while
-    summing.
+    summing.  This is the package's one moment sum: exact atoms and weights
+    enter as point intervals, for which lo = hi is the exact moment.
     """
-    atoms, xden = _one_denominator(atom_ivs)
-    weights, wden = _one_denominator(weight_ivs)
+    xs, xden = _common_denominator(x for iv in atom_ivs for x in (iv.lo, iv.hi))
+    ws, wden = _common_denominator(w for iv in weight_ivs for w in (iv.lo, iv.hi))
+    atoms = list(zip(xs[::2], xs[1::2]))
+    weights = list(zip(ws[::2], ws[1::2]))
     powers = [(1, 1)] * len(atoms)
     den = wden
     for k in range(count):
@@ -176,6 +164,11 @@ def _moment_sums(
         den *= xden
 
 
+def _points(values: Sequence[AtomValue | WeightValue]) -> list[Enclosure]:
+    """Each value as an enclosure: exact rationals become point intervals."""
+    return [RationalInterval.point(v) if isinstance(v, Fraction) else v for v in values]
+
+
 def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     """Moments s_0..s_{count-1} of the measure.
 
@@ -187,25 +180,14 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
         raise ValueError("count must be at least 1")
     if digits < 1:
         raise ValueError("digits must be a positive integer")
+    weight_ivs = _points(mu.weights)
     if mu.is_exact:
-        moments = []
-        powers = [Fraction(1)] * len(mu.atoms)
-        for k in range(count):
-            moments.append(sum((w * p for w, p in zip(mu.weights, powers)), Fraction(0)))
-            powers = [p * a for p, a in zip(powers, mu.atoms)]
-        return moments
+        return [Fraction(lo, den) for lo, _, den in _moment_sums(_points(mu.atoms), weight_ivs, count)]
     scale = 10**digits
-    weight_ivs = [
-        w if isinstance(w, RationalInterval) else RationalInterval.point(w) for w in mu.weights
-    ]
     for pad in (5, 10, 20, 40, 80):
-        atom_ivs = []
-        for atom in mu.atoms:
-            if isinstance(atom, IsolatingInterval):
-                refined = refine_root(atom, digits + pad)
-                atom_ivs.append(RationalInterval(refined.lo, refined.hi))
-            else:
-                atom_ivs.append(RationalInterval.point(atom))
+        atom_ivs = _points(
+            [refine_root(a, digits + pad) if isinstance(a, IsolatingInterval) else a for a in mu.atoms]
+        )
         sums = list(_moment_sums(atom_ivs, weight_ivs, count))
         if all((hi - lo) * scale <= den for lo, hi, den in sums):
             return [RationalInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in sums]
@@ -225,8 +207,7 @@ def _weight_polys(kernel: RationalPoly, moments: Sequence[Fraction]) -> tuple[li
     """
     cs = _primitive_ints(kernel)
     n0 = len(cs) - 1
-    scale = reduce(math.lcm, (s.denominator for s in moments[:n0]), 1)
-    s_ints = [s.numerator * (scale // s.denominator) for s in moments[:n0]]
+    s_ints, scale = _common_denominator(moments[:n0])
     numer = [sum(cs[k + m + 1] * s_ints[k] for k in range(n0 - m)) for m in range(n0)]
     deriv = [j * c * scale for j, c in enumerate(cs)][1:]
     return numer, deriv
@@ -248,7 +229,7 @@ def _enclose(cs: Sequence[int], a: int, b: int, den: int) -> tuple[int, int]:
 
 
 def _interval_weights(
-    atom_ivs: Sequence[RationalInterval], numer: Sequence[int], deriv: Sequence[int], bits: int
+    atom_ivs: Sequence[IsolatingInterval], numer: Sequence[int], deriv: Sequence[int], bits: int
 ) -> list[RationalInterval] | None:
     """Enclosures of N(x_j) / D(x_j), rounded outward onto the grid 2**-bits.
 
@@ -257,7 +238,7 @@ def _interval_weights(
     """
     weights = []
     for iv in atom_ivs:
-        a, b, den = _common(iv.lo, iv.hi)
+        (a, b), den = _common_denominator((iv.lo, iv.hi))
         n_lo, n_hi = _enclose(numer, a, b, den)
         d_lo, d_hi = _enclose(deriv, a, b, den)
         if d_lo <= 0 <= d_hi:
@@ -271,8 +252,8 @@ def _interval_weights(
 
 
 def _residuals_certified(
-    atom_ivs: Sequence[RationalInterval],
-    weight_ivs: Sequence[RationalInterval],
+    atom_ivs: Sequence[Enclosure],
+    weight_ivs: Sequence[Enclosure],
     moments: Sequence[Fraction],
     upto: int,
     tol: Fraction,
@@ -330,21 +311,19 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
         ]
         if any(weight <= 0 for weight in weights):
             raise InconsistentWindow("recovered a non-positive weight")
-        for k in range(n0, 2 * n0):
-            if sum((m * a**k for m, a in zip(weights, atoms)), Fraction(0)) != moments[k]:
-                raise InconsistentWindow(f"exact residual at s_{k} is nonzero")
+        if not _residuals_certified(roots, _points(weights), moments, 2 * n0, Fraction(0)):
+            raise InconsistentWindow(f"an exact residual up to s_{2 * n0 - 1} is nonzero")
         return DiscreteMeasure(tuple(atoms), tuple(weights))
     tol = Fraction(1, 10**digits)
     for pad in (10, 20, 40, 80, 160):
         refined = [refine_root(r, digits + pad) for r in roots]
-        atom_ivs = [RationalInterval(r.lo, r.hi) for r in refined]
         # Grid step 2**-bits is below 10**-(digits + pad) / 256.
         bits = (10 ** (digits + pad)).bit_length() + 8
-        weight_ivs = _interval_weights(atom_ivs, numer, deriv, bits)
+        weight_ivs = _interval_weights(refined, numer, deriv, bits)
         if (
             weight_ivs is not None
             and all(iv.lo > 0 for iv in weight_ivs)
-            and _residuals_certified(atom_ivs, weight_ivs, moments, 2 * n0, tol)
+            and _residuals_certified(refined, weight_ivs, moments, 2 * n0, tol)
         ):
             atoms = tuple(r.lo if r.is_exact else r for r in refined)
             return DiscreteMeasure(atoms, tuple(weight_ivs))

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import ceil, floor, gcd
 
 from hankelmp.errors import NotSquareFree, ZeroPolynomial
-from hankelmp.exact import IsolatingInterval, cauchy_root_bound, sign_variations, sturm_chain
+from hankelmp.exact import IsolatingInterval, RationalPoly, cauchy_root_bound
 from hankelmp.recovery import RationalInterval
 
 
@@ -175,22 +175,79 @@ def classify_brute(moments) -> tuple:
     return ("degenerate", n0, consistent)
 
 
+# --- Polynomial arithmetic over Fraction: the reference for exact.sturm_chain -
+
+
+def poly_mul(p, q) -> RationalPoly:
+    """Product of two polynomials by the schoolbook double loop."""
+    if p.is_zero or q.is_zero:
+        return RationalPoly()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return RationalPoly(out)
+
+
+def poly_from_roots(roots) -> RationalPoly:
+    """Monic polynomial with the given roots; a repeated root is a repeated factor."""
+    poly = RationalPoly([1])
+    for r in roots:
+        poly = poly_mul(poly, RationalPoly([-Fraction(r), 1]))
+    return poly
+
+
+def poly_rem(a, b) -> RationalPoly:
+    """Remainder of long division over ``Fraction``."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    rem = list(a.coeffs)
+    while len(rem) >= len(b.coeffs):
+        shift = len(rem) - len(b.coeffs)
+        factor = rem[-1] / b.leading
+        for j, c in enumerate(b.coeffs):
+            rem[shift + j] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return RationalPoly(rem)
+
+
+def fraction_sturm_chain(p) -> list[RationalPoly]:
+    """p, p', -rem(p, p'), ... over ``Fraction``, each remainder divided by |lc|.
+
+    Dividing by a positive rational keeps every sign; the leading
+    coefficient becomes -1 or 1, which keeps the coefficients small.
+    """
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        r = poly_rem(chain[-2], chain[-1])
+        if r.is_zero:
+            break
+        chain.append(RationalPoly([-c / abs(r.leading) for c in r.coeffs]))
+    return chain
+
+
 def poly_gcd(a, b):
     """Monic gcd over the rationals (Euclid); gcd(0, 0) is the zero polynomial."""
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, poly_rem(a, b)
     if a.is_zero:
         return a
-    return a * (1 / a.leading)
+    return RationalPoly([c / a.leading for c in a.coeffs])
 
 
 # --- Fraction bisection: the reference for the integer kernels in exact.py ----
-# These keep the Sturm chain and the root bound of the library, and replace
-# only the integer sign evaluation and bisection that ``exact`` now uses.
+# These keep the root bound of the library, but build their own Sturm chain
+# with ``fraction_sturm_chain`` and count its sign variations themselves.
 
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
+
+
+def _variations(chain, x: Fraction) -> int:
+    signs = [s for s in (_sign(q(x)) for q in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _lead_bound(p) -> int:
@@ -283,12 +340,12 @@ def fraction_sturm_isolate(p):
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         return []
-    chain = sturm_chain(p)
+    chain = fraction_sturm_chain(p)
     if chain[-1].degree > 0:
         raise NotSquareFree(f"{p} has a repeated factor {chain[-1]}")
 
     def variations(x):
-        return sign_variations([q(x) for q in chain])
+        return _variations(chain, x)
 
     bound = cauchy_root_bound(p)
     segments = _isolate_segments(p, variations, -bound, bound, variations(-bound), variations(bound))

@@ -71,6 +71,13 @@ class TestSequenceInput:
         code, out, err = invoke(capsys, ["classify", str(path)])
         assert code == 2 and out == "" and err != ""
 
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = invoke(capsys, ["classify", str(path)])
+        assert code == 2 and out == ""
+        assert f"{path}: JSON nested too deeply" in err
+
     def test_missing_file(self, capsys):
         code, out, err = invoke(capsys, ["classify", "/nonexistent/nope.json"])
         assert code == 2 and out == "" and err != ""
@@ -193,6 +200,14 @@ class TestMoments:
         code, out, err = invoke(capsys, ["moments", path, "--count", "2"])
         assert code == 2 and out == "" and err != ""
 
+    def test_deeply_nested_atoms_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        nested = "[" * 100_000 + "]" * 100_000
+        path.write_text(f'{{"atoms": {nested}, "weights": []}}', encoding="utf-8")
+        code, out, err = invoke(capsys, ["moments", str(path), "--count", "2"])
+        assert code == 2 and out == ""
+        assert f"{path}: JSON nested too deeply" in err
+
     def test_interval_holding_three_roots_rejected(self, tmp_path, capsys):
         # (x - 1)(x - 2)(x - 3) changes sign over [0, 5] but has three roots there.
         payload = {
@@ -270,6 +285,20 @@ class TestVerify:
         code, out, err = invoke(capsys, ["verify", campaign, flag, value])
         assert code == 2 and out == ""
         assert f"argument {flag}: must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "campaign, flag, value, bound",
+        [
+            ("det2", "--trials", "10001", 10_000),
+            ("roundtrip", "--max-n", "33", 32),
+            ("det1", "--max-p", "17", 16),
+            ("det2", "--max-p", "1" + "0" * 30, 16),
+        ],
+    )
+    def test_campaign_flags_above_the_bound_rejected(self, capsys, campaign, flag, value, bound):
+        code, out, err = invoke(capsys, ["verify", campaign, flag, value])
+        assert code == 2 and out == ""
+        assert f"argument {flag}: must be at most {bound}, got {value}" in err
 
     def test_unknown_campaign(self, capsys):
         code, out, err = invoke(capsys, ["verify", "nonsense"])

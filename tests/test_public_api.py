@@ -1,0 +1,44 @@
+"""Every public name of the package resolves, so a deletion leaves no stale export."""
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import hankelmp
+
+MODULES = sorted(
+    name for _, name, _ in pkgutil.iter_modules(hankelmp.__path__) if name != "__main__"
+)
+
+
+def test_modules_found():
+    assert {"cli", "errors", "exact", "hankel", "identities", "recovery"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"hankelmp.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == [], f"hankelmp.{name}.__all__ names {missing}"
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse(Path(hankelmp.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"hankelmp.{node.module}")
+        exported = set(getattr(module, "__all__", ()))
+        stray = [alias.name for alias in node.names if alias.name not in exported]
+        assert stray == [], f"hankelmp imports {stray} from {node.module}, outside its __all__"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import(name):
+    namespace: dict = {}
+    exec(f"from hankelmp.{name} import *", namespace)
+    assert set(getattr(importlib.import_module(f"hankelmp.{name}"), "__all__", ())) <= set(namespace)

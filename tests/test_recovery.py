@@ -29,6 +29,10 @@ from oracles import (
 )
 
 
+def holds(iv, x) -> bool:
+    return iv.lo <= x <= iv.hi
+
+
 def random_exact_measure(rng, max_atoms=5):
     count = rng.randint(1, max_atoms)
     atoms: set[F] = set()
@@ -47,10 +51,10 @@ class TestRationalInterval:
             b = F(rng.randint(-8, 8), rng.randint(1, 5))
             ia = RationalInterval(a - F(1, rng.randint(2, 9)), a + F(1, rng.randint(2, 9)))
             ib = RationalInterval(b - F(1, rng.randint(2, 9)), b + F(1, rng.randint(2, 9)))
-            assert interval_mul(ia, ib).contains(a * b)
+            assert holds(interval_mul(ia, ib), a * b)
             k = rng.randint(0, 5)
-            assert interval_power(ia, k).contains(a**k)
-            assert interval_power_sum([ia, ib], [ib, ia], k).contains(b * a**k + a * b**k)
+            assert holds(interval_power(ia, k), a**k)
+            assert holds(interval_power_sum([ia, ib], [ib, ia], k), b * a**k + a * b**k)
 
     def test_power_tightness(self):
         iv = RationalInterval(F(-1), F(2))
@@ -148,7 +152,7 @@ class TestMeasureMoments:
         for k, expected in enumerate([1, 0, 2, 0, 4, 0]):
             assert isinstance(values[k], RationalInterval)
             assert values[k].width <= F(1, 10**25)
-            assert values[k].contains(F(expected))
+            assert holds(values[k], F(expected))
 
 
 class TestReconstruct:
@@ -191,7 +195,7 @@ class TestReconstruct:
         for weight in rec.weights:
             assert isinstance(weight, RationalInterval)
             assert weight.lo > 0
-            assert weight.contains(F(1, 2))
+            assert holds(weight, F(1, 2))
 
     def test_mixed_exact_and_algebraic_atoms(self):
         rec = reconstruct([1, 0, 1, 0, 2, 0, 4], digits=30)
@@ -202,7 +206,7 @@ class TestReconstruct:
         expected = [F(1, 4), F(1, 2), F(1, 4)]
         for weight, target in zip(rec.weights, expected):
             assert isinstance(weight, RationalInterval)
-            assert weight.contains(target)
+            assert holds(weight, target)
 
     def test_atoms_closer_than_the_recursion_limit(self):
         # Isolating these atoms takes about 1100 bisections of one segment.
@@ -223,6 +227,44 @@ class TestReconstruct:
                 rec = reconstruct(window)
                 assert rec.atoms == mu.atoms
                 assert rec.weights == mu.weights
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+positive_weights = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+
+
+@st.composite
+def hostile_exact_measures(draw):
+    """Exact measures of up to 4 atoms that are 2**-200 apart, near 10**300 or near 10**-300."""
+    base = draw(st.lists(small_rationals.filter(bool), min_size=1, max_size=3, unique=True))
+    kind = draw(st.sampled_from(["close", "huge", "tiny"]))
+    if kind == "close":
+        a = draw(small_rationals)
+        atoms = {a, a + F(1, 2**200)} | set(base[:2])
+    elif kind == "huge":
+        atoms = {b * 10**300 for b in base} | set(base[:1])
+    else:
+        atoms = {b / 10**300 for b in base}
+    weights = draw(st.lists(positive_weights, min_size=len(atoms), max_size=len(atoms)))
+    return DiscreteMeasure(tuple(sorted(atoms)), tuple(weights))
+
+
+class TestMomentRoundTrip:
+    @given(hostile_exact_measures())
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_reconstruct_returns_the_measure(self, mu):
+        rec = reconstruct(measure_moments(mu, 2 * len(mu) + 3))
+        assert rec.atoms == mu.atoms and rec.weights == mu.weights
+
+    @given(hostile_exact_measures(), small_rationals)
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_shifted_atoms_reconstruct_shifted(self, mu, c):
+        count = 2 * len(mu) + 3
+        shifted = DiscreteMeasure(tuple(a + c for a in mu.atoms), mu.weights)
+        rec = reconstruct(measure_moments(mu, count))
+        rec_shifted = reconstruct(measure_moments(shifted, count))
+        assert rec_shifted.atoms == tuple(a + c for a in rec.atoms)
+        assert rec_shifted.weights == rec.weights
 
 
 def encloses_root(iv: RationalInterval, a: F, b: F, m: int) -> bool:
@@ -249,7 +291,7 @@ class TestWeights:
         for digits in (1, 5, 50, 200):
             rec = reconstruct([1, 0, 2, 0, 4], digits=digits)
             for weight in rec.weights:
-                assert weight.lo > 0 and weight.contains(F(1, 2))
+                assert weight.lo > 0 and holds(weight, F(1, 2))
                 assert weight.width <= F(1, 10**digits)
 
     @pytest.mark.parametrize(
@@ -267,7 +309,7 @@ class TestWeights:
         for weight, target in zip(rec.weights, targets):
             assert weight.lo > 0
             if isinstance(target, F):
-                assert weight.contains(target)
+                assert holds(weight, target)
             else:
                 assert encloses_root(weight, target[0], target[1], 30)
 
@@ -289,6 +331,18 @@ class TestWeights:
                     nudged = list(weights)
                     nudged[j] = RationalInterval(weights[j].lo + sign * shift, weights[j].hi + sign * shift)
                     assert not _residuals_certified(atom_ivs, nudged, window, 2 * n0, tol)
+
+    def test_nudged_exact_measure_fails_the_exact_residual_check(self):
+        # reconstruct checks an all-rational measure with point intervals and tol 0.
+        window = [1, 1, 4, 4, 16]
+        rec = reconstruct(window)
+        atoms = [RationalInterval(a, a) for a in rec.atoms]
+        weights = [RationalInterval(w, w) for w in rec.weights]
+        assert _residuals_certified(atoms, weights, window, 4, F(0))
+        for j in range(2):
+            nudged = list(atoms)
+            nudged[j] = RationalInterval(rec.atoms[j] + F(1, 10**40), rec.atoms[j] + F(1, 10**40))
+            assert not _residuals_certified(nudged, weights, window, 4, F(0))
 
     @pytest.mark.parametrize("digits", [0, -3])
     def test_digits_below_one_rejected(self, digits):
@@ -328,7 +382,7 @@ class TestExtend:
             n = len(mu)
             window = MomentWindow(measure_moments(mu, 2 * n + 2))
             for tail in range(1, 11):
-                grown = window.with_appended(extend(window, tail))
+                grown = MomentWindow(list(window) + extend(window, tail))
                 assert classify(grown) == Degenerate(n, True)
 
     def test_extension_agrees_with_measure_moments(self):
