@@ -14,9 +14,12 @@ D_k = D_{k-1} * h_k and whose recurrence coefficients build p_{k+1} =
 (x - alpha_k) p_k - beta_k p_{k-1}.  It stops at the first h_k <= 0.  On a
 consistent degenerate window it keeps p_0..p_{n0}: p_{n0} is the kernel whose
 roots are the atoms, and p_{n0}, ..., p_0 is a Sturm sequence for it.
-Bareiss elimination computes the determinants past that point only for a
-window that is no moment sequence, and only when the verdict or a reader
-needs them.
+Past a zero or negative pivot, which only a window that is no moment
+sequence has, the determinants are signed subresultant coefficients: a
+look-ahead continuation of the pass (``_continuation``) gives D_{k+1}..D_N
+from its last two rows in O(N^2) more operations, across zero blocks too,
+and only when the verdict or a reader needs them.  Bareiss elimination
+(``det_exact``) is for general matrices and is not on this path.
 
 ``is_psd`` decides positive semi-definiteness by exact symmetric (LDL^T)
 elimination without pivoting, O(n^3) per matrix: a negative pivot, or a zero
@@ -278,6 +281,7 @@ class _Recurrence(NamedTuple):
     pivots: list[Fraction]  # h_0..h_k, where the pass stopped after h_k
     alphas: list[Fraction]  # alpha_0..
     betas: list[Fraction]  # beta_0 = s_0, beta_1..
+    prev: list[Fraction]  # sigma_{k-1}(l) for l = 0..m-k+1; zeros when k = 0
     row: list[Fraction]  # sigma_k(l) for l = 0..m-k, i.e. <p_k, x^l>
 
 
@@ -313,7 +317,61 @@ def _chebyshev(s: Sequence[Fraction]) -> _Recurrence:
             row[l + 1] - alpha * row[l] - beta * prev[l] for l in range(k + 1, m - k)
         ]
         k += 1
-    return _Recurrence(pivots, alphas, betas, row)
+    return _Recurrence(pivots, alphas, betas, prev, row)
+
+
+def _continuation(rec: _Recurrence, m: int, known: Sequence[Fraction]) -> list[Fraction]:
+    """D_k..D_{m // 2} past the pass's stop at h_k <= 0, given known = D_0..D_k.
+
+    D_j is the signed subresultant coefficient sRes_{m-j}(P, Q) of P = x^{m+1}
+    and Q = sum_l s_l x^{m-l} (Basu, Pollack & Roy, *Algorithms in Real
+    Algebraic Geometry*, Ch. 8-9).  Read as the coefficients of x^{m-l} for
+    l = k..m-k, the row sigma_k is the top of sResP_{m-k} / D_{k-1}, and
+    sigma_{k-1} / h_{k-1} is the monic sResP_{m-k+1} (P itself for k = 0).
+    From these two rows the signed subresultant recursion (BPR Alg. 8.21)
+    goes on with every remainder row monic and its scale in two scalars: t,
+    the leading coefficient of the current sResP, and s_j, the last nonzero
+    sRes.  A row whose first ``lead`` entries vanish is a defective block:
+    sRes is 0 at those indices, and t_{j-d-1} = (-1)^d t_{j-1} t_{j-d} / s_j
+    for d = 1..lead gives the sRes below them.  Each long division keeps only
+    the coefficients the window determines, one fewer per quotient
+    coefficient, which is the triangle of the Chebyshev rows; without a
+    defect the step is the Chebyshev step.  A row that is zero as far as it
+    is determined makes every later D_j zero.  O(N^2) field operations.
+    """
+    k = len(rec.pivots) - 1
+    count = m // 2 - k + 1
+    if k == 0:
+        a, s_j = [Fraction(1)] + [Fraction(0)] * (m + 1), Fraction(1)
+    else:
+        a, s_j = [v / rec.pivots[k - 1] for v in rec.prev[k - 1 : m - k + 2]], known[k - 1]
+    # r holds the leading coefficients of sResP / scale, from the degree
+    # below that of the monic row a down.
+    r, scale = rec.row[k : m - k + 1], s_j
+    dets: list[Fraction] = []
+    while True:
+        lead = next((i for i, v in enumerate(r) if v), None)
+        if lead is None:
+            break
+        c = r[lead]
+        t = scale * c
+        # The t_{j-d-1} recursion multiplied out over d = 1..lead.
+        s_new = t ** (lead + 1) / s_j**lead
+        if lead * (lead + 1) // 2 % 2:
+            s_new = -s_new
+        dets += [Fraction(0)] * lead + [s_new]
+        if len(dets) >= count:
+            break
+        b = [v / c for v in r[lead:]]
+        # b is always the shorter row, and a coefficient of a past len(b)
+        # would only meet undetermined ones of b.
+        rem = a[: len(b)]
+        for i in range(lead + 2):
+            q = rem[i]
+            if q:
+                rem[i + 1 :] = [x - q * y for x, y in zip(rem[i + 1 :], b[1:])]
+        a, r, scale, s_j = b, rem[lead + 2 :], -s_new * t / s_j, s_new
+    return dets[:count] + [Fraction(0)] * (count - len(dets))
 
 
 def _monic_from_recurrence(
@@ -342,15 +400,17 @@ class WindowAnalysis:
     p_0..p_{n0}, the monic orthogonal polynomials of the window, when it is
     ``Degenerate`` with a consistent tail, and None otherwise; its last entry
     is the ``kernel``, whose roots are the n0 atoms.  ``known`` holds the
-    determinants the verdict needed; when it stops short of D_N, which
+    determinants the verdict needed.  When it stops short of D_N, which
     happens after a negative pivot or on an s_0 = 0 window with a nonzero
-    moment, the rest come from Bareiss elimination on first read.
+    moment, ``stop`` keeps the pass's last state, and the first read of
+    ``determinants`` continues from it past the stop.
     """
 
     window: MomentWindow
     classification: Classification
     orthogonal_polys: tuple[RationalPoly, ...] | None
     known: tuple[Fraction, ...]
+    stop: _Recurrence | None
 
     @property
     def kernel(self) -> RationalPoly | None:
@@ -359,8 +419,9 @@ class WindowAnalysis:
 
     @cached_property
     def determinants(self) -> tuple[Fraction, ...]:
-        w, start = self.window, len(self.known)
-        return self.known + tuple(det_exact(hankel_matrix(w, j)) for j in range(start, w.horizon + 1))
+        if self.stop is None:
+            return self.known
+        return self.known[:-1] + tuple(_continuation(self.stop, self.window.m, self.known))
 
 
 def analyze(w) -> WindowAnalysis:
@@ -370,7 +431,10 @@ def analyze(w) -> WindowAnalysis:
     positive gives ``PositiveWindow``; h_k < 0 gives ``Invalid`` with a
     negative determinant at k.  At h_k = 0 the window is degenerate at n0 = k
     when its tail obeys the recurrence of p_{n0}, i.e. <p_{n0}, x^l> = 0 for
-    every l up to m - n0, which the pass has just computed.  A window with
+    every l up to m - n0, which the pass has just computed; otherwise the
+    continuation past the stop finds the first later nonzero D_j, whose sign
+    tells ``ZeroThenPositive`` from a negative determinant, or none, which
+    leaves the window degenerate with an inconsistent tail.  A window with
     s_0 = 0 is the zero measure when every moment is zero and ``Invalid``
     otherwise, with ``first_violation`` pointing at the first nonzero moment.
     Only a consistent degenerate window gets p_0..p_{n0}, built from the
@@ -403,8 +467,8 @@ def analyze(w) -> WindowAnalysis:
         cls = Degenerate(k, True)
     else:
         # Past a zero pivot with an inconsistent tail the recurrence breaks
-        # down, and only Bareiss elimination tells the later D_j apart.
-        dets += [det_exact(hankel_matrix(w, j)) for j in range(k + 1, horizon + 1)]
+        # down, and the continuation tells the later D_j apart.
+        dets[k:] = _continuation(rec, w.m, dets)
         later = next((j for j in range(k + 1, horizon + 1) if dets[j] != 0), None)
         if later is None:
             cls = Degenerate(k, False)
@@ -413,7 +477,8 @@ def analyze(w) -> WindowAnalysis:
         else:
             cls = Invalid(later, InvalidReason.ZERO_THEN_POSITIVE)
     polys = _monic_from_recurrence(rec.alphas, rec.betas) if consistent else None
-    return WindowAnalysis(w, cls, polys, tuple(dets))
+    stop = rec if len(dets) <= horizon else None
+    return WindowAnalysis(w, cls, polys, tuple(dets), stop)
 
 
 def det_sequence(w) -> list[Fraction]:

@@ -348,7 +348,7 @@ def verify_det1(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
         n = rng.randint(1, max_n)
         p = rng.randint(1, max_p)
         mu = _campaign_measure(rng, n)
-        cs = rng.increasing_ints(n + 1, 0, 8)
+        cs = rng.increasing_ints(n + 1, 0, max(8, n))
         filler = [
             [rng.rational(Fraction(-5), Fraction(5), 8) for _ in range(n + p)]
             for _ in range(p - 1)

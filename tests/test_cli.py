@@ -300,6 +300,18 @@ class TestVerify:
         assert code == 2 and out == ""
         assert f"argument {flag}: must be at most {bound}, got {value}" in err
 
+    def test_det1_draws_more_than_eight_atoms(self, capsys):
+        from hankelmp.identities import SplitMix64
+
+        # The first trial of seed 3 draws n = 10, whose n + 1 distinct
+        # column shifts do not fit in [0, 8].
+        assert SplitMix64(3).randint(1, 12) == 10
+        argv = ["verify", "det1", "--trials", "1", "--seed", "3", "--max-n", "12", "--max-p", "2"]
+        code, out, err = invoke(capsys, argv)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["ok"] is True and doc["failures"] == 0 and doc["trials"] == 1
+
     def test_unknown_campaign(self, capsys):
         code, out, err = invoke(capsys, ["verify", "nonsense"])
         assert code == 2 and out == ""
