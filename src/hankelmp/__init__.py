@@ -22,6 +22,7 @@ from .errors import (
 from .exact import (
     Fraction,
     IsolatingInterval,
+    RationalInterval,
     RationalPoly,
     cauchy_root_bound,
     format_rational,
@@ -67,7 +68,6 @@ from .identities import (
 from .recovery import (
     AtomValue,
     DiscreteMeasure,
-    RationalInterval,
     WeightValue,
     extend,
     measure_moments,

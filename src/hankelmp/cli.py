@@ -3,7 +3,8 @@
 Subcommands: classify, determinants, reconstruct, extend, moments, verify,
 demo.  Reports are a single JSON object on stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 domain failure (bad classification for the requested
-operation, or a failed verification campaign), 2 usage or parse error.
+operation, a failed verification campaign, or an internal error, reported
+without a traceback), 2 usage or parse error.
 ``--digits`` takes 1..MAX_DECIMAL_EXPONENT (4300); ``--count`` takes
 0..MAX_COUNT (10000) for extend and 1..MAX_COUNT for moments.  ``verify``
 takes ``--trials`` 1..MAX_TRIALS (10000), ``--max-n`` 1..MAX_VERIFY_N (32)
@@ -28,6 +29,7 @@ from .errors import MomentProblemError
 from .exact import (
     MAX_DECIMAL_EXPONENT,
     IsolatingInterval,
+    RationalInterval,
     RationalPoly,
     format_rational,
     parse_rational,
@@ -51,7 +53,6 @@ from .identities import (
 )
 from .recovery import (
     DiscreteMeasure,
-    RationalInterval,
     extend,
     measure_moments,
     reconstruct,
@@ -96,13 +97,13 @@ def _load_sequence(path: str) -> MomentWindow:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
     if stripped.startswith("[") or stripped.startswith("{"):
         try:
             doc = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise _InputError(f"{path}: invalid JSON: {exc}") from exc
         except RecursionError:
             raise _InputError(f"{path}: JSON nested too deeply") from None
@@ -174,12 +175,14 @@ def _load_measure(path: str) -> DiscreteMeasure:
             doc = json.load(handle)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an over-long integer
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise _InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict) or "atoms" not in doc or "weights" not in doc:
         raise _InputError(f"{path}: expected an object with 'atoms' and 'weights'")
+    if not isinstance(doc["atoms"], list) or not isinstance(doc["weights"], list):
+        raise _InputError(f"{path}: 'atoms' and 'weights' must be JSON arrays")
     atoms = [_parse_atom(a, path) for a in doc["atoms"]]
     weights = [_parse_weight(w, path) for w in doc["weights"]]
     try:
@@ -188,11 +191,11 @@ def _load_measure(path: str) -> DiscreteMeasure:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _enclosure_doc(lo: Fraction, hi: Fraction) -> dict:
+def _enclosure_doc(iv: RationalInterval) -> dict:
     return {
-        "lo": format_rational(lo),
-        "hi": format_rational(hi),
-        "decimal": _decimal_str((lo + hi) / 2),
+        "lo": format_rational(iv.lo),
+        "hi": format_rational(iv.hi),
+        "decimal": _decimal_str(iv.midpoint()),
     }
 
 
@@ -211,7 +214,7 @@ def measure_to_doc(mu: DiscreteMeasure) -> dict:
                 }
             )
     weights = [
-        format_rational(w) if isinstance(w, Fraction) else _enclosure_doc(w.lo, w.hi)
+        format_rational(w) if isinstance(w, Fraction) else _enclosure_doc(w)
         for w in mu.weights
     ]
     return {"atoms": atoms, "weights": weights}
@@ -269,7 +272,7 @@ def _cmd_moments(args) -> int:
     _emit(
         {
             "moments": [
-                format_rational(v) if isinstance(v, Fraction) else _enclosure_doc(v.lo, v.hi)
+                format_rational(v) if isinstance(v, Fraction) else _enclosure_doc(v)
                 for v in values
             ]
         }
@@ -429,10 +432,10 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (_InputError, ValueError) as exc:
+    except _InputError as exc:
         print(f"hankelmp: {exc}", file=sys.stderr)
         return 2
-    except MomentProblemError as exc:
+    except (MomentProblemError, ValueError) as exc:
         print(f"hankelmp: {exc}", file=sys.stderr)
         return 1
 

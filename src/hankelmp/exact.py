@@ -10,9 +10,11 @@ Bisection keeps integer numerators over one denominator D * 2**k, so no step
 reduces a fraction, and the endpoints are the same rationals that bisection
 over ``Fraction`` would give.  ``sturm_isolate`` takes a Sturm sequence for
 a square-free polynomial and isolates its real roots into pairwise disjoint
-closed intervals with rational endpoints.  ``sturm_chain`` builds one for
-any polynomial as a primitive integer remainder sequence, and a degenerate
-moment window supplies its own from the orthogonal-polynomial recurrence.
+``IsolatingInterval`` objects, each a ``RationalInterval`` (a closed
+interval with rational endpoints) that carries its polynomial.
+``sturm_chain`` builds a Sturm sequence for any polynomial as a primitive
+integer remainder sequence, and a degenerate moment window supplies its own
+from the orthogonal-polynomial recurrence.
 A root that happens to be rational is recovered exactly and its interval
 collapses to a point.
 """
@@ -32,6 +34,7 @@ __all__ = [
     "MAX_DECIMAL_EXPONENT",
     "Fraction",
     "IsolatingInterval",
+    "RationalInterval",
     "RationalPoly",
     "cauchy_root_bound",
     "format_rational",
@@ -270,25 +273,15 @@ def cauchy_root_bound(p: RationalPoly) -> Fraction:
 
 
 @dataclass(frozen=True)
-class IsolatingInterval:
-    """Closed interval [lo, hi] holding exactly one simple real root of ``poly``.
-
-    ``lo == hi`` means the root is the exact rational ``lo``.
-    """
+class RationalInterval:
+    """Closed interval [lo, hi] with exact rational endpoints."""
 
     lo: Fraction
     hi: Fraction
-    poly: RationalPoly
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
-        if self.poly.is_zero:
-            raise ZeroPolynomial("isolating interval for the zero polynomial")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
 
     @property
     def width(self) -> Fraction:
@@ -296,6 +289,25 @@ class IsolatingInterval:
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
+
+
+@dataclass(frozen=True)
+class IsolatingInterval(RationalInterval):
+    """A ``RationalInterval`` holding exactly one simple real root of ``poly``.
+
+    ``lo == hi`` means the root is the exact rational ``lo``.
+    """
+
+    poly: RationalPoly
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.poly.is_zero:
+            raise ZeroPolynomial("isolating interval for the zero polynomial")
+
+    @property
+    def is_exact(self) -> bool:
+        return self.lo == self.hi
 
 
 def _isolate_segments(
@@ -454,7 +466,6 @@ def sturm_isolate(chain: Sequence[RationalPoly]) -> list[IsolatingInterval]:
         (Fraction(a, den << k),) * 2 if a == b else _settle_segment(cs, hchain[0], den, a, b, k)
         for a, b, k in segments
     ]
-    settled.sort(key=lambda s: s[0])
     settled = _separate(cs, settled)
     return [IsolatingInterval(a, b, p) for a, b in settled]
 

@@ -13,10 +13,11 @@ their size does not grow with the refinement.  An independent residual check
 certifies every moment up to s_{2*n0 - 1}, exactly when every atom is
 rational.  One routine, ``_moment_sums``, forms every sum w_j * x_j**k in
 the package: the residual check and ``measure_moments`` of exact and inexact
-measures all call it, with exact values as point intervals, and it sums over
-integers on one common denominator.  The unique forward extension of a
-degenerate window is always computed from the exact rational recurrence,
-never from the recovered (possibly irrational) atoms.
+measures all call it on atoms and weights as stored, reading an exact value v
+as the bounds (v, v), and it sums over integers on one common denominator.
+The unique forward extension of a degenerate window is always computed from
+the exact rational recurrence, never from the recovered (possibly irrational)
+atoms.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .exact import (
     IsolatingInterval,
+    RationalInterval,
     RationalPoly,
     _common_denominator,
     _homogeneous_value,
@@ -51,44 +53,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    """Closed interval with exact rational endpoints, used as an enclosure."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    @classmethod
-    def point(cls, x: Fraction | int | str) -> "RationalInterval":
-        x = Fraction(x)
-        return cls(x, x)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-
 AtomValue = Union[Fraction, IsolatingInterval]
 WeightValue = Union[Fraction, RationalInterval]
 
 
-def _atom_bounds(atom: AtomValue) -> tuple[Fraction, Fraction]:
-    if isinstance(atom, IsolatingInterval):
-        return atom.lo, atom.hi
-    return atom, atom
-
-
-def _weight_positive(weight: WeightValue) -> bool:
-    if isinstance(weight, RationalInterval):
-        return weight.lo > 0
-    return weight > 0
+def _bounds(value: AtomValue | WeightValue) -> tuple[Fraction, Fraction]:
+    """(lo, hi) of an atom or weight; an exact value v gives (v, v)."""
+    if isinstance(value, RationalInterval):
+        return value.lo, value.hi
+    return value, value
 
 
 @dataclass(frozen=True)
@@ -109,9 +82,9 @@ class DiscreteMeasure:
         if len(self.atoms) != len(self.weights):
             raise ValueError("atom and weight counts differ")
         for w in self.weights:
-            if not _weight_positive(w):
+            if _bounds(w)[0] <= 0:
                 raise ValueError(f"weight {w} is not certified positive")
-        bounds = [_atom_bounds(a) for a in self.atoms]
+        bounds = [_bounds(a) for a in self.atoms]
         for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
             if hi >= lo:
                 raise ValueError("atoms must be strictly increasing and disjoint")
@@ -126,30 +99,28 @@ class DiscreteMeasure:
         return len(self.atoms)
 
 
-Enclosure = Union[RationalInterval, IsolatingInterval]
-
-
-def _moment_sums(atom_ivs: Sequence[Enclosure], weight_ivs: Sequence[Enclosure], count: int):
+def _moment_sums(atoms: Sequence[AtomValue], weights: Sequence[WeightValue], count: int):
     """Enclosures of sum_j w_j * x_j**k for k < count, as integers (lo, hi, den).
 
-    lo/den and hi/den bound the sum over x_j in ``atom_ivs[j]`` and w_j in
-    ``weight_ivs[j]``.  They are the endpoints of plain interval arithmetic:
-    the tight enclosure of x**k over the atom interval (1 for k = 0), times
-    the weight interval, summed over j.  All atom endpoints are written over
-    one denominator X and all weight endpoints over one W, so every term of
-    moment k shares the denominator W * X**k and nothing is reduced while
-    summing.  This is the package's one moment sum: exact atoms and weights
-    enter as point intervals, for which lo = hi is the exact moment.
+    lo/den and hi/den bound the sum over x_j within ``_bounds(atoms[j])`` and
+    w_j within ``_bounds(weights[j])``.  They are the endpoints of plain
+    interval arithmetic: the tight enclosure of x**k over the atom interval
+    (1 for k = 0), times the weight interval, summed over j.  All atom
+    endpoints are written over one denominator X and all weight endpoints
+    over one W, so every term of moment k shares the denominator W * X**k
+    and nothing is reduced while summing.  This is the package's one moment
+    sum: exact atoms and weights enter as (v, v) bounds, for which lo = hi is
+    the exact moment.
     """
-    xs, xden = _common_denominator(x for iv in atom_ivs for x in (iv.lo, iv.hi))
-    ws, wden = _common_denominator(w for iv in weight_ivs for w in (iv.lo, iv.hi))
-    atoms = list(zip(xs[::2], xs[1::2]))
-    weights = list(zip(ws[::2], ws[1::2]))
-    powers = [(1, 1)] * len(atoms)
+    xs, xden = _common_denominator(x for a in atoms for x in _bounds(a))
+    ws, wden = _common_denominator(w for v in weights for w in _bounds(v))
+    x_ints = list(zip(xs[::2], xs[1::2]))
+    w_ints = list(zip(ws[::2], ws[1::2]))
+    powers = [(1, 1)] * len(x_ints)
     den = wden
     for k in range(count):
         lo_sum = hi_sum = 0
-        for (w_lo, w_hi), (x_lo, x_hi), (p_lo, p_hi) in zip(weights, atoms, powers):
+        for (w_lo, w_hi), (x_lo, x_hi), (p_lo, p_hi) in zip(w_ints, x_ints, powers):
             if k == 0 or k % 2 == 1 or x_lo >= 0:
                 a, b = p_lo, p_hi
             elif x_hi <= 0:
@@ -160,13 +131,8 @@ def _moment_sums(atom_ivs: Sequence[Enclosure], weight_ivs: Sequence[Enclosure],
             lo_sum += min(products)
             hi_sum += max(products)
         yield lo_sum, hi_sum, den
-        powers = [(p_lo * x_lo, p_hi * x_hi) for (p_lo, p_hi), (x_lo, x_hi) in zip(powers, atoms)]
+        powers = [(p_lo * x_lo, p_hi * x_hi) for (p_lo, p_hi), (x_lo, x_hi) in zip(powers, x_ints)]
         den *= xden
-
-
-def _points(values: Sequence[AtomValue | WeightValue]) -> list[Enclosure]:
-    """Each value as an enclosure: exact rationals become point intervals."""
-    return [RationalInterval.point(v) if isinstance(v, Fraction) else v for v in values]
 
 
 def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
@@ -180,15 +146,14 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
         raise ValueError("count must be at least 1")
     if digits < 1:
         raise ValueError("digits must be a positive integer")
-    weight_ivs = _points(mu.weights)
     if mu.is_exact:
-        return [Fraction(lo, den) for lo, _, den in _moment_sums(_points(mu.atoms), weight_ivs, count)]
+        return [Fraction(lo, den) for lo, _, den in _moment_sums(mu.atoms, mu.weights, count)]
     scale = 10**digits
     for pad in (5, 10, 20, 40, 80):
-        atom_ivs = _points(
-            [refine_root(a, digits + pad) if isinstance(a, IsolatingInterval) else a for a in mu.atoms]
-        )
-        sums = list(_moment_sums(atom_ivs, weight_ivs, count))
+        atoms = [
+            refine_root(a, digits + pad) if isinstance(a, IsolatingInterval) else a for a in mu.atoms
+        ]
+        sums = list(_moment_sums(atoms, mu.weights, count))
         if all((hi - lo) * scale <= den for lo, hi, den in sums):
             return [RationalInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in sums]
     raise PrecisionUnattainable(
@@ -252,14 +217,14 @@ def _interval_weights(
 
 
 def _residuals_certified(
-    atom_ivs: Sequence[Enclosure],
-    weight_ivs: Sequence[Enclosure],
+    atoms: Sequence[AtomValue],
+    weights: Sequence[WeightValue],
     moments: Sequence[Fraction],
     upto: int,
     tol: Fraction,
 ) -> bool:
     """True when sum_j w_j x_j**k is within tol of s_k for every k < upto."""
-    for (lo, hi, den), s in zip(_moment_sums(atom_ivs, weight_ivs, upto), moments[:upto]):
+    for (lo, hi, den), s in zip(_moment_sums(atoms, weights, upto), moments[:upto]):
         floor, ceiling = s - tol, s + tol
         if lo * floor.denominator < floor.numerator * den:
             return False
@@ -311,7 +276,7 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
         ]
         if any(weight <= 0 for weight in weights):
             raise InconsistentWindow("recovered a non-positive weight")
-        if not _residuals_certified(roots, _points(weights), moments, 2 * n0, Fraction(0)):
+        if not _residuals_certified(atoms, weights, moments, 2 * n0, Fraction(0)):
             raise InconsistentWindow(f"an exact residual up to s_{2 * n0 - 1} is nonzero")
         return DiscreteMeasure(tuple(atoms), tuple(weights))
     tol = Fraction(1, 10**digits)

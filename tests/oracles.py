@@ -393,7 +393,7 @@ def interval_mul(a: RationalInterval, b: RationalInterval) -> RationalInterval:
 def interval_power(iv: RationalInterval, k: int) -> RationalInterval:
     """Tight enclosure of {x**k : x in iv} for k >= 0."""
     if k == 0:
-        return RationalInterval.point(1)
+        return RationalInterval(Fraction(1), Fraction(1))
     if k % 2 == 1 or iv.lo >= 0:
         return RationalInterval(iv.lo**k, iv.hi**k)
     if iv.hi <= 0:

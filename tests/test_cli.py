@@ -82,6 +82,24 @@ class TestSequenceInput:
         code, out, err = invoke(capsys, ["classify", "/nonexistent/nope.json"])
         assert code == 2 and out == "" and err != ""
 
+    @pytest.mark.parametrize("command", [["classify"], ["moments", "--count", "2"]])
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff\xfe["1"]')
+        code, out, err = invoke(capsys, [command[0], str(path), *command[1:]])
+        assert code == 2 and out == "" and str(path) in err and "utf-8" in err
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        # json builds int("1" * 5000), which the int-to-string limit refuses.
+        digits = "1" * 5000
+        sequence = tmp_path / "seq.json"
+        sequence.write_text(f"[{digits}]", encoding="utf-8")
+        measure = tmp_path / "m.json"
+        measure.write_text(f'{{"atoms": [{{"exact": "1"}}], "weights": [{digits}]}}', encoding="utf-8")
+        for argv in (["classify", str(sequence)], ["moments", str(measure), "--count", "2"]):
+            code, out, err = invoke(capsys, argv)
+            assert code == 2 and out == "" and f"{argv[1]}: invalid JSON" in err
+
     def test_huge_exponent_rejected_before_evaluation(self, tmp_path, capsys):
         # 10**100000000 would take seconds and tens of megabytes to build.
         path = write_json(tmp_path, "huge.json", ["1", "1e100000000", "1"])
@@ -199,6 +217,20 @@ class TestMoments:
         path = write_json(tmp_path, "m.json", payload)
         code, out, err = invoke(capsys, ["moments", path, "--count", "2"])
         assert code == 2 and out == "" and err != ""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"atoms": 5, "weights": 5},
+            {"atoms": [{"exact": "1"}], "weights": None},
+            {"atoms": "12", "weights": ["1", "1"]},
+        ],
+    )
+    def test_atoms_and_weights_must_be_arrays(self, tmp_path, capsys, payload):
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, err = invoke(capsys, ["moments", path, "--count", "3"])
+        assert code == 2 and out == ""
+        assert err == f"hankelmp: {path}: 'atoms' and 'weights' must be JSON arrays\n"
 
     def test_deeply_nested_atoms_are_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -399,6 +431,17 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         code, out, err = invoke(capsys, [])
         assert code == 2
+
+    def test_internal_value_error_is_a_domain_failure(self, tmp_path, capsys, monkeypatch):
+        # Input errors are turned into exit 2 while parsing; a ValueError that
+        # escapes a library call is not a usage error.
+        def broken(window):
+            raise ValueError("internal invariant failed")
+
+        monkeypatch.setattr("hankelmp.cli.analyze", broken)
+        path = write_json(tmp_path, "a4.json", A4)
+        code, out, err = invoke(capsys, ["classify", path])
+        assert (code, out, err) == (1, "", "hankelmp: internal invariant failed\n")
 
     def test_parser_is_built_once(self, tmp_path, capsys):
         from hankelmp.cli import _build_parser

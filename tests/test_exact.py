@@ -13,6 +13,7 @@ from hankelmp.errors import NotSquareFree, ZeroPolynomial
 from hankelmp.exact import (
     MAX_DECIMAL_EXPONENT,
     IsolatingInterval,
+    RationalInterval,
     RationalPoly,
     cauchy_root_bound,
     format_rational,
@@ -283,6 +284,35 @@ class TestIntegerKernelsAgainstFractionBisection:
         iv = IsolatingInterval(F(4, 3), F(3, 2), RationalPoly([-2, 0, 1]))
         for digits in (1, 7, 30):
             assert refine_root(iv, digits) == oracles.fraction_refine_root(iv, digits)
+
+
+class TestIntervalTypes:
+    poly = RationalPoly([-2, 0, 1])
+
+    def test_isolating_interval_is_a_rational_interval(self):
+        iv = IsolatingInterval(F(1), F(2), self.poly)
+        assert isinstance(iv, RationalInterval)
+        assert (iv.width, iv.midpoint()) == (F(1), F(3, 2))
+        assert repr(iv) == (
+            "IsolatingInterval(lo=Fraction(1, 1), hi=Fraction(2, 1), "
+            "poly=RationalPoly(['-2', '0', '1']))"
+        )
+
+    def test_types_compare_unequal_and_both_hash(self):
+        plain = RationalInterval(F(1), F(2))
+        isolating = IsolatingInterval(F(1), F(2), self.poly)
+        assert plain != isolating and isolating != plain
+        assert plain == RationalInterval(F(1), F(2))
+        assert isolating == IsolatingInterval(F(1), F(2), RationalPoly([-2, 0, 1]))
+        assert len({plain, isolating, RationalInterval(F(1), F(2))}) == 2
+
+    def test_out_of_order_isolating_interval_rejected(self):
+        with pytest.raises(ValueError, match="out of order"):
+            IsolatingInterval(F(2), F(1), self.poly)
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ZeroPolynomial):
+            IsolatingInterval(F(1), F(2), RationalPoly())
 
 
 class TestRefineRoot:

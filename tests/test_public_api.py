@@ -42,3 +42,17 @@ def test_star_import(name):
     namespace: dict = {}
     exec(f"from hankelmp.{name} import *", namespace)
     assert set(getattr(importlib.import_module(f"hankelmp.{name}"), "__all__", ())) <= set(namespace)
+
+
+def test_names_exported_twice_are_one_object():
+    owners: dict[str, list[tuple[str, object]]] = {}
+    for name in MODULES:
+        module = importlib.import_module(f"hankelmp.{name}")
+        for attr in getattr(module, "__all__", ()):
+            owners.setdefault(attr, []).append((name, getattr(module, attr)))
+    shared = {attr: found for attr, found in owners.items() if len(found) > 1}
+    assert "RationalInterval" in shared
+    for attr, found in shared.items():
+        distinct = [name for name, obj in found if obj is not found[0][1]]
+        assert distinct == [], f"{attr} in {found[0][0]} differs from {attr} in {distinct}"
+        assert getattr(hankelmp, attr, found[0][1]) is found[0][1], f"hankelmp.{attr} differs"

@@ -96,13 +96,16 @@ nonneg = st.fractions(min_value=0, max_value=4, max_denominator=7)
 
 @st.composite
 def atom_intervals(draw):
-    """Mixed-sign, point, negative and positive atom enclosures."""
+    """Mixed-sign, point, bare rational, negative and positive atom enclosures."""
     a, b = sorted(draw(st.tuples(nonneg, nonneg)))
-    kind = draw(st.sampled_from(["mixed", "point", "negative", "positive"]))
+    kind = draw(st.sampled_from(["mixed", "point", "bare", "negative", "positive"]))
     if kind == "mixed":
         return RationalInterval(-a, b)
     if kind == "point":
-        return RationalInterval.point(draw(st.sampled_from([-a, b])))
+        x = draw(st.sampled_from([-a, b]))
+        return RationalInterval(x, x)
+    if kind == "bare":
+        return draw(st.sampled_from([-a, b]))
     if kind == "negative":
         return RationalInterval(-b, -a)
     return RationalInterval(a, b)
@@ -111,7 +114,14 @@ def atom_intervals(draw):
 @st.composite
 def weight_intervals(draw):
     lo = draw(nonneg)
+    if draw(st.booleans()):
+        return lo  # a bare rational, as exact weights are stored
     return RationalInterval(lo, lo + draw(nonneg))
+
+
+def as_interval(value) -> RationalInterval:
+    """The oracle's view of a stored value: a bare rational is a point interval."""
+    return RationalInterval(value, value) if isinstance(value, F) else value
 
 
 class TestMeasureMoments:
@@ -125,8 +135,10 @@ class TestMeasureMoments:
         weights = [weight for _, weight in terms]
         sums = list(_moment_sums(atoms, weights, count))
         assert len(sums) == count
+        atom_ivs = [as_interval(a) for a in atoms]
+        weight_ivs = [as_interval(w) for w in weights]
         for k, (lo, hi, den) in enumerate(sums):
-            assert RationalInterval(F(lo, den), F(hi, den)) == interval_power_sum(atoms, weights, k)
+            assert RationalInterval(F(lo, den), F(hi, den)) == interval_power_sum(atom_ivs, weight_ivs, k)
 
     def test_dirac_at_origin(self):
         assert measure_moments(DiscreteMeasure((F(0),), (F(1),)), 4) == [1, 0, 0, 0]
@@ -320,7 +332,7 @@ class TestWeights:
             rec = reconstruct(window, digits=digits)
             n0 = len(rec)
             atom_ivs = [
-                RationalInterval.point(a) if isinstance(a, F) else RationalInterval(a.lo, a.hi)
+                RationalInterval(a, a) if isinstance(a, F) else RationalInterval(a.lo, a.hi)
                 for a in rec.atoms
             ]
             weights = list(rec.weights)
