@@ -20,6 +20,12 @@ look-ahead continuation of the pass (``_continuation``) gives D_{k+1}..D_N
 from its last two rows in O(N^2) more operations, across zero blocks too,
 and only when the verdict or a reader needs them.  Bareiss elimination
 (``det_exact``) is for general matrices and is not on this path.
+Every row of the pass, of the continuation and of the polynomials p_k is
+integer numerators over one positive denominator, the form of
+``_common_denominator``, reduced once per row by a single gcd; only the O(N)
+pivots and recurrence coefficients are ``Fraction`` values.  A reduced row's
+denominator is the lcm of its entries' reduced denominators, so the entries
+do not grow like determinants, as those of a fraction-free pass would.
 
 ``is_psd`` decides positive semi-definiteness by exact symmetric (LDL^T)
 elimination without pivoting, O(n^3) per matrix: a negative pivot, or a zero
@@ -29,6 +35,7 @@ imply PSD, so the test does not read them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -277,12 +284,43 @@ class Invalid:
 Classification = Union[PositiveWindow, Degenerate, Invalid]
 
 
+# A row of rationals as integer numerators over one positive denominator,
+# with gcd(den, *nums) = 1: the form ``_common_denominator`` gives.
+_Row = tuple[list[int], int]
+
+
 class _Recurrence(NamedTuple):
     pivots: list[Fraction]  # h_0..h_k, where the pass stopped after h_k
     alphas: list[Fraction]  # alpha_0..
     betas: list[Fraction]  # beta_0 = s_0, beta_1..
-    prev: list[Fraction]  # sigma_{k-1}(l) for l = 0..m-k+1; zeros when k = 0
-    row: list[Fraction]  # sigma_k(l) for l = 0..m-k, i.e. <p_k, x^l>
+    prev: _Row  # sigma_{k-1}(l) for l = 0..m-k+1; zeros when k = 0
+    row: _Row  # sigma_k(l) for l = 0..m-k, i.e. <p_k, x^l>
+
+
+def _three_term(
+    shifted: Sequence[int],
+    cur: Sequence[int],
+    den: int,
+    prev: Sequence[int],
+    prev_den: int,
+    alpha: Fraction,
+    beta: Fraction,
+) -> _Row:
+    """shifted - alpha * cur - beta * prev, entrywise, as a reduced row.
+
+    ``shifted`` and ``cur`` are numerators over ``den`` and ``prev`` over
+    ``prev_den``.  With alpha = a/b and beta = c/e every term is put over
+    L = lcm(b * den, e * prev_den) by three integer factors, and the result
+    is reduced once by gcd(L, *nums).  The output has the length of the
+    shortest input.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    c, e = beta.numerator, beta.denominator
+    lcm = math.lcm(b * den, e * prev_den)
+    f, fa, fc = lcm // den, a * (lcm // (b * den)), c * (lcm // (e * prev_den))
+    nums = [f * x - fa * y - fc * z for x, y, z in zip(shifted, cur, prev)]
+    g = math.gcd(lcm, *nums)
+    return [v // g for v in nums], lcm // g
 
 
 def _chebyshev(s: Sequence[Fraction]) -> _Recurrence:
@@ -292,32 +330,34 @@ def _chebyshev(s: Sequence[Fraction]) -> _Recurrence:
     there when h_k <= 0 or k = m // 2.  Otherwise it forms alpha_k, beta_k and
     the next row sigma_{k+1}(l) = sigma_k(l+1) - alpha_k sigma_k(l) -
     beta_k sigma_{k-1}(l), whose pivot needs s_{2k+2}, in the window since
-    k < m // 2.
+    k < m // 2.  Each row is integer numerators over one denominator, reduced
+    once per row by ``_three_term``, so its entries stay as small as the
+    lcm of their reduced denominators; only the O(N) pivots and recurrence
+    coefficients are ``Fraction`` values.
     """
     m = len(s) - 1
     pivots: list[Fraction] = []
     alphas: list[Fraction] = []
     betas: list[Fraction] = []
-    prev, row = [Fraction(0)] * (m + 1), list(s)
+    (q, qden), (r, rden) = ([0] * (m + 1), 1), _common_denominator(s)
     k = 0
     while True:
-        h = row[k]
+        h = Fraction(r[k], rden)
         pivots.append(h)
         if h <= 0 or k == m // 2:
             break
         if k == 0:
-            alphas.append(row[1] / h)
+            alphas.append(Fraction(r[1], r[0]))
             betas.append(h)
         else:
-            alphas.append(row[k + 1] / h - prev[k] / pivots[k - 1])
+            alphas.append(Fraction(r[k + 1], r[k]) - Fraction(q[k], q[k - 1]))
             betas.append(h / pivots[k - 1])
-        alpha, beta = alphas[k], betas[k]
         # Entries l <= k of the new row vanish by orthogonality and are never read.
-        prev, row = row, [0] * (k + 1) + [
-            row[l + 1] - alpha * row[l] - beta * prev[l] for l in range(k + 1, m - k)
-        ]
+        shifted, cur, prev = r[k + 2 : m - k + 1], r[k + 1 : m - k], q[k + 1 : m - k]
+        nums, den = _three_term(shifted, cur, rden, prev, qden, alphas[k], betas[k])
+        (q, qden), (r, rden) = (r, rden), ([0] * (k + 1) + nums, den)
         k += 1
-    return _Recurrence(pivots, alphas, betas, prev, row)
+    return _Recurrence(pivots, alphas, betas, (q, qden), (r, rden))
 
 
 def _continuation(rec: _Recurrence, m: int, known: Sequence[Fraction]) -> list[Fraction]:
@@ -338,23 +378,30 @@ def _continuation(rec: _Recurrence, m: int, known: Sequence[Fraction]) -> list[F
     coefficient, which is the triangle of the Chebyshev rows; without a
     defect the step is the Chebyshev step.  A row that is zero as far as it
     is determined makes every later D_j zero.  O(N^2) field operations.
+    Rows are integer numerators over one denominator, as in ``_chebyshev``:
+    the monic row is the remainder's numerators over its leading one, each
+    division step multiplies the remainder's denominator by that lead, and
+    the remainder is reduced once at the end; t, s_j and the scale are
+    ``Fraction`` values.
     """
     k = len(rec.pivots) - 1
     count = m // 2 - k + 1
     if k == 0:
-        a, s_j = [Fraction(1)] + [Fraction(0)] * (m + 1), Fraction(1)
+        (a, aden), s_j = ([1] + [0] * (m + 1), 1), Fraction(1)
     else:
-        a, s_j = [v / rec.pivots[k - 1] for v in rec.prev[k - 1 : m - k + 2]], known[k - 1]
-    # r holds the leading coefficients of sResP / scale, from the degree
-    # below that of the monic row a down.
-    r, scale = rec.row[k : m - k + 1], s_j
+        # h_{k-1} > 0, so its numerator is a positive denominator.
+        q = rec.prev[0]
+        (a, aden), s_j = (q[k - 1 : m - k + 2], q[k - 1]), known[k - 1]
+    # r / rden holds the leading coefficients of sResP / scale, from the
+    # degree below that of the monic row a / aden down.
+    (r, rden), scale = (rec.row[0][k : m - k + 1], rec.row[1]), s_j
     dets: list[Fraction] = []
     while True:
         lead = next((i for i, v in enumerate(r) if v), None)
         if lead is None:
             break
         c = r[lead]
-        t = scale * c
+        t = scale * Fraction(c, rden)
         # The t_{j-d-1} recursion multiplied out over d = 1..lead.
         s_new = t ** (lead + 1) / s_j**lead
         if lead * (lead + 1) // 2 % 2:
@@ -362,34 +409,39 @@ def _continuation(rec: _Recurrence, m: int, known: Sequence[Fraction]) -> list[F
         dets += [Fraction(0)] * lead + [s_new]
         if len(dets) >= count:
             break
-        b = [v / c for v in r[lead:]]
+        b, bden = (r[lead:], c) if c > 0 else ([-v for v in r[lead:]], -c)
         # b is always the shorter row, and a coefficient of a past len(b)
         # would only meet undetermined ones of b.
-        rem = a[: len(b)]
+        rem, rem_den = a[: len(b)], aden
         for i in range(lead + 2):
             q = rem[i]
             if q:
-                rem[i + 1 :] = [x - q * y for x, y in zip(rem[i + 1 :], b[1:])]
-        a, r, scale, s_j = b, rem[lead + 2 :], -s_new * t / s_j, s_new
+                rem[i + 1 :] = [x * bden - q * y for x, y in zip(rem[i + 1 :], b[1:])]
+                rem_den *= bden
+        rem = rem[lead + 2 :]
+        g = math.gcd(rem_den, *rem)
+        a, aden = b, bden
+        r, rden = [v // g for v in rem], rem_den // g
+        scale, s_j = -s_new * t / s_j, s_new
     return dets[:count] + [Fraction(0)] * (count - len(dets))
 
 
 def _monic_from_recurrence(
     alphas: Sequence[Fraction], betas: Sequence[Fraction]
 ) -> tuple[RationalPoly, ...]:
-    """p_0..p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}."""
-    prev: list[Fraction] = []
-    cur = [Fraction(1)]
-    polys = [RationalPoly(cur)]
+    """p_0..p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}.
+
+    Each p_k is built as integer coefficients over one denominator by
+    ``_three_term`` and becomes a ``RationalPoly`` at the end.
+    """
+    (prev, prev_den), (cur, den) = ([], 1), ([1], 1)
+    rows = [(cur, den)]
     for alpha, beta in zip(alphas, betas):
-        nxt = [Fraction(0)] + cur
-        for j, c in enumerate(cur):
-            nxt[j] -= alpha * c
-        for j, c in enumerate(prev):
-            nxt[j] -= beta * c
-        prev, cur = cur, nxt
-        polys.append(RationalPoly(cur))
-    return tuple(polys)
+        padded = prev + [0] * (len(cur) + 1 - len(prev))
+        nxt = _three_term([0] + cur, cur + [0], den, padded, prev_den, alpha, beta)
+        (prev, prev_den), (cur, den) = (cur, den), nxt
+        rows.append(nxt)
+    return tuple(RationalPoly([Fraction(v, d) for v in nums]) for nums, d in rows)
 
 
 @dataclass(frozen=True)
@@ -445,7 +497,7 @@ def analyze(w) -> WindowAnalysis:
     rec = _chebyshev(w.moments)
     dets = list(accumulate(rec.pivots, mul))
     k = len(dets) - 1
-    consistent = rec.pivots[k] == 0 and all(v == 0 for v in rec.row[k:])
+    consistent = rec.pivots[k] == 0 and not any(rec.row[0][k:])
     if consistent:
         # Every later D_j is 0 with no elimination: for n0 <= j <= horizon
         # and t <= j - n0 the coefficient vector c of x^t p_{n0} is nonzero

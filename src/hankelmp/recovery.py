@@ -77,8 +77,10 @@ class DiscreteMeasure:
     weights: tuple[WeightValue, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "weights", tuple(self.weights))
+        # An int is an exact value too; as a Fraction it keeps the measure exact.
+        for name in ("atoms", "weights"):
+            values = tuple(Fraction(v) if isinstance(v, int) else v for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         if len(self.atoms) != len(self.weights):
             raise ValueError("atom and weight counts differ")
         for w in self.weights:

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import ceil, floor, gcd
+from typing import NamedTuple
 
 from hankelmp.errors import NotSquareFree, ZeroPolynomial
 from hankelmp.exact import IsolatingInterval, RationalPoly, cauchy_root_bound
@@ -408,3 +409,101 @@ def interval_power_sum(atom_ivs, weight_ivs, k: int) -> RationalInterval:
         term = interval_mul(w, interval_power(x, k))
         lo, hi = lo + term.lo, hi + term.hi
     return RationalInterval(lo, hi)
+
+
+# --- The recurrence pass over Fraction: the reference for hankel's integer rows
+
+
+class FractionRecurrence(NamedTuple):
+    pivots: list[Fraction]  # h_0..h_k, where the pass stopped after h_k
+    alphas: list[Fraction]  # alpha_0..
+    betas: list[Fraction]  # beta_0 = s_0, beta_1..
+    prev: list[Fraction]  # sigma_{k-1}(l) for l = 0..m-k+1; zeros when k = 0
+    row: list[Fraction]  # sigma_k(l) for l = 0..m-k, i.e. <p_k, x^l>
+
+
+def fraction_chebyshev(s) -> FractionRecurrence:
+    """``hankel._chebyshev`` with every row entry a ``Fraction``.
+
+    Step k reads the pivot h_k = sigma_k(k) = D_k / D_{k-1}; the pass ends
+    there when h_k <= 0 or k = m // 2.  Otherwise it forms alpha_k, beta_k and
+    the next row sigma_{k+1}(l) = sigma_k(l+1) - alpha_k sigma_k(l) -
+    beta_k sigma_{k-1}(l).
+    """
+    s = [Fraction(c) for c in s]
+    m = len(s) - 1
+    pivots: list[Fraction] = []
+    alphas: list[Fraction] = []
+    betas: list[Fraction] = []
+    prev, row = [Fraction(0)] * (m + 1), list(s)
+    k = 0
+    while True:
+        h = row[k]
+        pivots.append(h)
+        if h <= 0 or k == m // 2:
+            break
+        if k == 0:
+            alphas.append(row[1] / h)
+            betas.append(h)
+        else:
+            alphas.append(row[k + 1] / h - prev[k] / pivots[k - 1])
+            betas.append(h / pivots[k - 1])
+        alpha, beta = alphas[k], betas[k]
+        # Entries l <= k of the new row vanish by orthogonality and are never read.
+        prev, row = row, [0] * (k + 1) + [
+            row[l + 1] - alpha * row[l] - beta * prev[l] for l in range(k + 1, m - k)
+        ]
+        k += 1
+    return FractionRecurrence(pivots, alphas, betas, prev, row)
+
+
+def fraction_continuation(rec: FractionRecurrence, m: int, known) -> list[Fraction]:
+    """``hankel._continuation`` with every row entry a ``Fraction``.
+
+    D_k..D_{m // 2} past the pass's stop at h_k <= 0, given known = D_0..D_k,
+    by the signed subresultant recursion with monic remainder rows.
+    """
+    k = len(rec.pivots) - 1
+    count = m // 2 - k + 1
+    if k == 0:
+        a, s_j = [Fraction(1)] + [Fraction(0)] * (m + 1), Fraction(1)
+    else:
+        a, s_j = [v / rec.pivots[k - 1] for v in rec.prev[k - 1 : m - k + 2]], known[k - 1]
+    r, scale = rec.row[k : m - k + 1], s_j
+    dets: list[Fraction] = []
+    while True:
+        lead = next((i for i, v in enumerate(r) if v), None)
+        if lead is None:
+            break
+        c = r[lead]
+        t = scale * c
+        s_new = t ** (lead + 1) / s_j**lead
+        if lead * (lead + 1) // 2 % 2:
+            s_new = -s_new
+        dets += [Fraction(0)] * lead + [s_new]
+        if len(dets) >= count:
+            break
+        b = [v / c for v in r[lead:]]
+        rem = a[: len(b)]
+        for i in range(lead + 2):
+            q = rem[i]
+            if q:
+                rem[i + 1 :] = [x - q * y for x, y in zip(rem[i + 1 :], b[1:])]
+        a, r, scale, s_j = b, rem[lead + 2 :], -s_new * t / s_j, s_new
+    return dets[:count] + [Fraction(0)] * (count - len(dets))
+
+
+def fraction_monic_polys(alphas, betas) -> tuple[RationalPoly, ...]:
+    """p_0..p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}."""
+    prev: list[Fraction] = []
+    cur = [Fraction(1)]
+    polys = [RationalPoly(cur)]
+    for alpha, beta in zip(alphas, betas):
+        nxt = [Fraction(0)] + cur
+        for j, c in enumerate(cur):
+            nxt[j] -= alpha * c
+        for j, c in enumerate(prev):
+            nxt[j] -= beta * c
+        prev, cur = cur, nxt
+        polys.append(RationalPoly(cur))
+    return tuple(polys)

@@ -1,14 +1,18 @@
 """Tests for Hankel matrices, exact determinants, the PSD test, and classify."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelmp.errors import NotSymmetric, OutOfWindow
+from hankelmp.exact import RationalPoly
 from hankelmp.hankel import (
     Degenerate,
     Invalid,
@@ -16,6 +20,9 @@ from hankelmp.hankel import (
     MomentWindow,
     PositiveWindow,
     SymMatrix,
+    _chebyshev,
+    _continuation,
+    _monic_from_recurrence,
     analyze,
     classify,
     det_exact,
@@ -27,6 +34,10 @@ from hankelmp.hankel import (
 from oracles import (
     classify_brute,
     det_cofactor,
+    fraction_chebyshev,
+    fraction_continuation,
+    fraction_monic_polys,
+    moment_inner_product,
     orthogonal_poly,
     principal_minor_sums,
     psd_all_principal_minors,
@@ -406,7 +417,55 @@ determinant_windows = st.one_of(
 )
 
 
+# Ten-digit primes: every entry of a window gets its own denominator, so the
+# lcm of a row's denominators is as large as it can be.
+LARGE_PRIMES = (
+    1000000007, 1000000009, 1000000021, 1000000033, 1000000087, 1000000093, 1000000097,
+    1000000103, 1000000123, 1000000181, 1000000207, 1000000223, 1000000241,
+)
+
+
+@st.composite
+def coprime_windows(draw):
+    """Windows whose entries or atoms and weights have distinct large prime denominators.
+
+    Either free numerators over LARGE_PRIMES, or the moments of a measure of
+    up to 4 atoms and weights over them, with one moment perturbed or not.
+    """
+    length = draw(st.integers(1, len(LARGE_PRIMES)))
+    primes = draw(st.permutations(LARGE_PRIMES))
+    if draw(st.booleans()):
+        nums = draw(st.lists(st.integers(-10**9, 10**9), min_size=length, max_size=length))
+        return [F(v, p) for v, p in zip(nums, primes)]
+    count = draw(st.integers(1, 4))
+    atoms = sorted({F(draw(st.integers(-3 * p, 3 * p)), p) for p in primes[:count]})
+    weights = [F(draw(st.integers(1, 3 * p)), p) for p in primes[count : 2 * count]]
+    window = moments_of((atoms, weights), draw(st.integers(2 * len(atoms) + 1, 12)))
+    if draw(st.booleans()):
+        window[draw(st.integers(0, len(window) - 1))] += F(draw(st.sampled_from([-1, 1])), primes[-1])
+    return window
+
+
 class TestRecurrencePass:
+    @given(st.one_of(determinant_windows, coprime_windows()))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @example([1, 1, 1, 1, 0, 0, 0])
+    @example([0, 0, 0, 0, 1])
+    def test_integer_rows_match_the_fraction_pass(self, window):
+        s = MomentWindow(window).moments
+        rec, ref = _chebyshev(s), fraction_chebyshev(s)
+        assert (rec.pivots, rec.alphas, rec.betas) == (ref.pivots, ref.alphas, ref.betas)
+        for (nums, den), expected in ((rec.row, ref.row), (rec.prev, ref.prev)):
+            # Content-reduced: den is the lcm of the entries' reduced
+            # denominators, so no factor builds up from row to row.
+            assert den > 0 and math.gcd(den, *nums) == 1
+            assert [F(v, den) for v in nums] == expected
+        if rec.pivots[-1] <= 0:
+            known = list(accumulate(rec.pivots, mul))
+            m = len(s) - 1
+            assert _continuation(rec, m, known) == fraction_continuation(ref, m, known)
+        assert _monic_from_recurrence(rec.alphas, rec.betas) == fraction_monic_polys(ref.alphas, ref.betas)
+
     @given(raw_windows)
     @settings(derandomize=True, max_examples=150, deadline=None)
     @example([1, 1, 1, 1, 0, 0, 0])
@@ -531,6 +590,51 @@ class TestRecurrencePass:
             for _ in range(2):
                 assert list(analysis.determinants) == cofactor_determinants(window)
             assert calls == {"_chebyshev": 2, "_continuation": 1}
+
+
+# The 40 primes from 53 to 257: distinct denominators for 20 atoms and 20 weights.
+DEEP_PRIMES = tuple(p for p in range(53, 258) if all(p % d for d in range(2, 17)))
+
+
+def deep_window(rng, n, perturbed):
+    """(window, a, c): n atoms in [-3, 3] and weights in (0, 3], each over its
+    own prime from DEEP_PRIMES, and integers a and c with every c * a^k * s_k
+    an integer.  A perturbed copy moves one moment by +-1/q, q a weight prime.
+    """
+    dens = rng.sample(DEEP_PRIMES, 2 * n)
+    atoms = sorted(F(rng.choice([v for v in range(-3 * p, 3 * p + 1) if v % p]), p) for p in dens[:n])
+    weights = [F(rng.choice([v for v in range(1, 3 * q) if v % q]), q) for q in dens[n:]]
+    window = moments_of((atoms, weights), 2 * n + 1 + rng.randint(0, 1))
+    if perturbed:
+        window[rng.randrange(len(window))] += F(rng.choice([-1, 1]), dens[-1])
+    return window, math.prod(dens[:n]), math.prod(dens[n:])
+
+
+class TestDeepWindows:
+    @pytest.mark.parametrize(
+        "n, perturbed, seed",
+        [(20, False, 0), (18, True, 1), (14, True, 2), (11, False, 3), (7, True, 4), (4, True, 5)],
+    )
+    def test_determinants_match_bareiss_and_polys_stay_orthogonal(self, n, perturbed, seed):
+        window, a, c = deep_window(random.Random(seed), n, perturbed)
+        analysis = analyze(window)
+        if not perturbed:
+            assert analysis.classification == Degenerate(n, True)
+        # D_j of c * a^k * s_k is c^(j+1) a^(j(j+1)) D_j.  Bareiss runs on that
+        # integer window, where its rows need no scaling and it is ~4x faster.
+        scaled = [c * a**k * s for k, s in enumerate(window)]
+        for j, d in enumerate(analysis.determinants):
+            assert det_exact(hankel_matrix(scaled, j)) == c ** (j + 1) * a ** (j * (j + 1)) * d
+        rec = _chebyshev(analysis.window.moments)
+        for nums, den in (rec.row, rec.prev):
+            assert den > 0 and math.gcd(den, *nums) == 1
+        polys = _monic_from_recurrence(rec.alphas, rec.betas)
+        for k, p in enumerate(polys):
+            for j in range(k + 1):
+                x_j = RationalPoly([0] * j + [1])
+                assert moment_inner_product(p, x_j, window) == (rec.pivots[k] if j == k else 0)
+        if not perturbed:
+            assert analysis.orthogonal_polys == polys
 
 
 @pytest.fixture(scope="module")

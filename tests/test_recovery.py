@@ -90,6 +90,19 @@ class TestDiscreteMeasure:
         mu = DiscreteMeasure((), ())
         assert mu.is_exact and len(mu) == 0
 
+    @pytest.mark.parametrize(
+        "atoms, weights",
+        [((1, 2), (1, 3)), ((F(1), 2), (1, F(3)))],
+        ids=["all-int", "mixed"],
+    )
+    def test_int_atoms_and_weights_are_exact(self, atoms, weights):
+        mu = DiscreteMeasure(atoms, weights)
+        assert mu.is_exact
+        assert all(type(v) is F for v in mu.atoms + mu.weights)
+        moments = measure_moments(mu, 3)
+        assert moments == [4, 7, 13]
+        assert all(type(s) is F for s in moments)
+
 
 nonneg = st.fractions(min_value=0, max_value=4, max_denominator=7)
 
