@@ -1,11 +1,13 @@
 """Exact rational scalars, polynomial records, and Sturm root isolation.
 
-Nothing in this module rounds.  ``RationalPoly`` holds ``fractions.Fraction``
-coefficients and only evaluates, differentiates and prints; every kernel
-runs on integers.  ``_common_denominator`` writes rationals as integer
-numerators over their lcm denominator, here and in the rest of the package.
-A polynomial is replaced by its primitive integer form, and its sign at
-x = n/d is the sign of sum_j c_j n^j d^(deg-j) (homogeneous Horner).
+Nothing in this module rounds.  ``_common_denominator`` writes rationals as
+integer numerators over their lcm denominator, here and in the rest of the
+package.  ``RationalPoly`` stores that row form, the one in which the
+recurrence pass of ``hankel`` builds each orthogonal polynomial, and its
+primitive integer form, on which every kernel runs; its ``coeffs`` are
+``fractions.Fraction`` values made for printing and for readers only.
+The sign of a polynomial at x = n/d is the sign of sum_j c_j n^j d^(deg-j)
+over its primitive form (homogeneous Horner).
 Bisection keeps integer numerators over one denominator D * 2**k, so no step
 reduces a fraction, and the endpoints are the same rationals that bisection
 over ``Fraction`` would give.  ``sturm_isolate`` takes a Sturm sequence for
@@ -86,56 +88,71 @@ def format_rational(value: Fraction) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 class RationalPoly:
     """Dense univariate polynomial over the rationals.
 
     ``coeffs[j]`` is the coefficient of ``x**j`` and the top coefficient is
     nonzero; the zero polynomial is the empty tuple and reports degree -1.
-    Instances are immutable coefficient records that evaluate, differentiate
-    and print; the integer kernels below do all other arithmetic.
+    Instances are immutable.  They store the coefficients as ``numerators``
+    over one positive ``denominator`` with gcd(denominator, *numerators) = 1,
+    the row form of the recurrence pass, and as ``primitive``, the
+    numerators with their content divided out: coprime integers, a positive
+    multiple of the polynomial, on which the root kernels below run.
+    ``coeffs`` is derived from the numerators for printing and readers.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator", "primitive")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._set(*_common_denominator(Fraction(c) for c in coeffs))
+
+    @classmethod
+    def _from_row(cls, nums: Sequence[int], den: int = 1) -> "RationalPoly":
+        """sum_j nums[j] x**j / den for integers nums and den > 0, reduced here."""
+        p = cls.__new__(cls)
+        p._set(nums, den)
+        return p
+
+    def _set(self, nums: Sequence[int], den: int) -> None:
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g, content = math.gcd(den, *nums), math.gcd(*nums) or 1
+        self.numerators: tuple[int, ...] = tuple(v // g for v in nums)
+        self.denominator: int = den // g
+        self.primitive: tuple[int, ...] = tuple(v // content for v in nums)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.denominator) for v in self.numerators)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.numerators:
             raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        value = _homogeneous_value(self.numerators, x.numerator, x.denominator)
+        return Fraction(value, self.denominator * x.denominator ** max(self.degree, 0))
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly([j * c for j, c in enumerate(self.coeffs)][1:])
+        return RationalPoly._from_row(
+            [j * c for j, c in enumerate(self.numerators)][1:], self.denominator
+        )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
+        if not isinstance(other, RationalPoly):
+            return False
+        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -146,9 +163,9 @@ class RationalPoly:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        terms = []
+        cs, terms = self.coeffs, []
         for j in range(self.degree, -1, -1):
-            c = self.coeffs[j]
+            c = cs[j]
             if c == 0:
                 continue
             mag = abs(c)
@@ -169,13 +186,6 @@ def _common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     values = list(values)
     den = reduce(math.lcm, (v.denominator for v in values), 1)
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _primitive_ints(p: RationalPoly) -> tuple[int, ...]:
-    """Coprime integer coefficients of a positive rational multiple of ``p``."""
-    nums, _ = _common_denominator(p.coeffs)
-    g = reduce(math.gcd, nums, 0)
-    return tuple(n // g for n in nums) if g else ()
 
 
 def _homogeneous_value(cs: Sequence[int], n: int, d: int) -> int:
@@ -248,18 +258,18 @@ def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
     chain = [p, p.derivative()]
-    a, b = _primitive_ints(p), _primitive_ints(chain[1])
+    a, b = p.primitive, chain[1].primitive
     while len(b) > 1:
         a, b = b, _negated_remainder(a, b)
         if not b:
             break
-        chain.append(RationalPoly(b))
+        chain.append(RationalPoly._from_row(b))
     return chain
 
 
 def sign_variations(values: Sequence[Fraction]) -> int:
     """Number of sign changes in a sequence, zeros ignored."""
-    signs = [_sign(v) for v in values if v != 0]
+    signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -267,9 +277,8 @@ def cauchy_root_bound(p: RationalPoly) -> Fraction:
     """Strict bound B with every real root of ``p`` inside (-B, B)."""
     if p.degree < 1:
         raise ZeroPolynomial("root bound needs degree >= 1")
-    lead = abs(p.leading)
-    rest = [abs(c) for c in p.coeffs[:-1]]
-    return 1 + (max(rest) / lead if rest else Fraction(0))
+    cs = p.primitive
+    return 1 + Fraction(max(map(abs, cs[:-1])), abs(cs[-1]))
 
 
 @dataclass(frozen=True)
@@ -457,11 +466,10 @@ def sturm_isolate(chain: Sequence[RationalPoly]) -> list[IsolatingInterval]:
 
     bound = cauchy_root_bound(p)
     den = bound.denominator
-    chain_ints = [_primitive_ints(q) for q in chain]
-    hchain = [_at_denominator(q, den) for q in chain_ints]
+    hchain = [_at_denominator(q.primitive, den) for q in chain]
     segments = _isolate_segments(hchain, -bound.numerator, bound.numerator)
 
-    cs = chain_ints[0]
+    cs = p.primitive
     settled = [
         (Fraction(a, den << k),) * 2 if a == b else _settle_segment(cs, hchain[0], den, a, b, k)
         for a, b, k in segments
@@ -481,9 +489,8 @@ def refine_root(iv: IsolatingInterval, digits: int) -> IsolatingInterval:
     if iv.is_exact:
         return iv
     p = iv.poly
-    cs = _primitive_ints(p)
     (a, b), den = _common_denominator((iv.lo, iv.hi))
-    hs = _at_denominator(cs, den)
+    hs = _at_denominator(p.primitive, den)
     if _sign_at(hs, a, 0) == 0:
         return IsolatingInterval(iv.lo, iv.lo, p)
     if _sign_at(hs, b, 0) == 0:

@@ -17,13 +17,13 @@ roots are the atoms, and p_{n0}, ..., p_0 is a Sturm sequence for it.
 Past a zero or negative pivot, which only a window that is no moment
 sequence has, the determinants are signed subresultant coefficients: a
 look-ahead continuation of the pass (``_continuation``) gives D_{k+1}..D_N
-from its last two rows in O(N^2) more operations, across zero blocks too,
-and only when the verdict or a reader needs them.  Bareiss elimination
-(``det_exact``) is for general matrices and is not on this path.
-Every row of the pass, of the continuation and of the polynomials p_k is
-integer numerators over one positive denominator, the form of
-``_common_denominator``, reduced once per row by a single gcd; only the O(N)
-pivots and recurrence coefficients are ``Fraction`` values.  A reduced row's
+from its last two rows in O(N^2) more operations, across zero blocks too.
+Bareiss elimination (``det_exact``) is for general matrices and is not on
+this path.  Every row of the pass, of the continuation and of the
+polynomials p_k is integer numerators over one positive denominator, the
+form of ``_common_denominator``, reduced once per row by a single gcd; each
+p_k is handed to ``RationalPoly`` in that form, and only the O(N) pivots and
+recurrence coefficients are ``Fraction`` values.  A reduced row's
 denominator is the lcm of its entries' reduced denominators, so the entries
 do not grow like determinants, as those of a fraction-free pass would.
 
@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -432,7 +431,7 @@ def _monic_from_recurrence(
     """p_0..p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}.
 
     Each p_k is built as integer coefficients over one denominator by
-    ``_three_term`` and becomes a ``RationalPoly`` at the end.
+    ``_three_term``, the form a ``RationalPoly`` stores, and kept as it is.
     """
     (prev, prev_den), (cur, den) = ([], 1), ([1], 1)
     rows = [(cur, den)]
@@ -441,7 +440,7 @@ def _monic_from_recurrence(
         nxt = _three_term([0] + cur, cur + [0], den, padded, prev_den, alpha, beta)
         (prev, prev_den), (cur, den) = (cur, den), nxt
         rows.append(nxt)
-    return tuple(RationalPoly([Fraction(v, d) for v in nums]) for nums, d in rows)
+    return tuple(RationalPoly._from_row(nums, d) for nums, d in rows)
 
 
 @dataclass(frozen=True)
@@ -451,29 +450,18 @@ class WindowAnalysis:
     ``determinants`` is D_0..D_N for N = horizon.  ``orthogonal_polys`` is
     p_0..p_{n0}, the monic orthogonal polynomials of the window, when it is
     ``Degenerate`` with a consistent tail, and None otherwise; its last entry
-    is the ``kernel``, whose roots are the n0 atoms.  ``known`` holds the
-    determinants the verdict needed.  When it stops short of D_N, which
-    happens after a negative pivot or on an s_0 = 0 window with a nonzero
-    moment, ``stop`` keeps the pass's last state, and the first read of
-    ``determinants`` continues from it past the stop.
+    is the ``kernel``, whose roots are the n0 atoms.
     """
 
     window: MomentWindow
     classification: Classification
     orthogonal_polys: tuple[RationalPoly, ...] | None
-    known: tuple[Fraction, ...]
-    stop: _Recurrence | None
+    determinants: tuple[Fraction, ...]
 
     @property
     def kernel(self) -> RationalPoly | None:
         """The monic p_{n0} of a consistent degenerate window, else None."""
         return self.orthogonal_polys[-1] if self.orthogonal_polys else None
-
-    @cached_property
-    def determinants(self) -> tuple[Fraction, ...]:
-        if self.stop is None:
-            return self.known
-        return self.known[:-1] + tuple(_continuation(self.stop, self.window.m, self.known))
 
 
 def analyze(w) -> WindowAnalysis:
@@ -483,14 +471,15 @@ def analyze(w) -> WindowAnalysis:
     positive gives ``PositiveWindow``; h_k < 0 gives ``Invalid`` with a
     negative determinant at k.  At h_k = 0 the window is degenerate at n0 = k
     when its tail obeys the recurrence of p_{n0}, i.e. <p_{n0}, x^l> = 0 for
-    every l up to m - n0, which the pass has just computed; otherwise the
-    continuation past the stop finds the first later nonzero D_j, whose sign
-    tells ``ZeroThenPositive`` from a negative determinant, or none, which
-    leaves the window degenerate with an inconsistent tail.  A window with
-    s_0 = 0 is the zero measure when every moment is zero and ``Invalid``
-    otherwise, with ``first_violation`` pointing at the first nonzero moment.
-    Only a consistent degenerate window gets p_0..p_{n0}, built from the
-    recurrence coefficients of the same pass.
+    every l up to m - n0, which the pass has just computed, and D_{k+1}..D_N
+    are then zero.  Otherwise a pass that stops short of D_N is continued
+    once past the stop for D_{k+1}..D_N, and the first later nonzero D_j
+    tells ``ZeroThenPositive`` from a negative determinant, or none leaves
+    the window degenerate with an inconsistent tail.  A window with s_0 = 0
+    is the zero measure when every moment is zero and ``Invalid`` otherwise,
+    with ``first_violation`` pointing at the first nonzero moment.  Only a
+    consistent degenerate window gets p_0..p_{n0}, built from the recurrence
+    coefficients of the same pass.
     """
     w = _as_window(w)
     horizon = w.horizon
@@ -504,6 +493,9 @@ def analyze(w) -> WindowAnalysis:
         # (p_{n0} is monic), and (H_j c)_i = <x^i, x^t p_{n0}> =
         # <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.
         dets += [Fraction(0)] * (horizon - k)
+    elif k < horizon:
+        # Past a zero or negative pivot the continuation gives D_k..D_N.
+        dets[k:] = _continuation(rec, w.m, dets)
     if w[0] == 0:
         first_nonzero = next((j for j, s in enumerate(w) if s != 0), None)
         cls: Classification = (
@@ -519,8 +511,7 @@ def analyze(w) -> WindowAnalysis:
         cls = Degenerate(k, True)
     else:
         # Past a zero pivot with an inconsistent tail the recurrence breaks
-        # down, and the continuation tells the later D_j apart.
-        dets[k:] = _continuation(rec, w.m, dets)
+        # down, and the later D_j from the continuation tell the cases apart.
         later = next((j for j in range(k + 1, horizon + 1) if dets[j] != 0), None)
         if later is None:
             cls = Degenerate(k, False)
@@ -529,8 +520,7 @@ def analyze(w) -> WindowAnalysis:
         else:
             cls = Invalid(later, InvalidReason.ZERO_THEN_POSITIVE)
     polys = _monic_from_recurrence(rec.alphas, rec.betas) if consistent else None
-    stop = rec if len(dets) <= horizon else None
-    return WindowAnalysis(w, cls, polys, tuple(dets), stop)
+    return WindowAnalysis(w, cls, polys, tuple(dets))
 
 
 def det_sequence(w) -> list[Fraction]:

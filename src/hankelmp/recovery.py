@@ -2,27 +2,30 @@
 
 The atoms are the real roots of the monic degree-n0 orthogonal polynomial p,
 isolated with the Sturm sequence p = p_{n0}, ..., p_0 that the recurrence
-pass of ``hankel.analyze`` already built.  The weight of atom x_j is
-w_j = N(x_j) / p'(x_j), where N(x_j) is the moment functional applied to the
-synthetic-division quotient p / (x - x_j); N is one fixed polynomial, so all
-weights cost O(n0**2).  When every atom is rational the whole measure is
-exact.  Otherwise atoms are kept as isolating intervals, N / p' is enclosed
-over each interval by integer interval Horner, and the weight enclosures are
-rounded outward onto a 2**-P grid, P about (digits + pad) * log2(10) + 8, so
-their size does not grow with the refinement.  An independent residual check
-certifies every moment up to s_{2*n0 - 1}, exactly when every atom is
-rational.  One routine, ``_moment_sums``, forms every sum w_j * x_j**k in
-the package: the residual check and ``measure_moments`` of exact and inexact
-measures all call it on atoms and weights as stored, reading an exact value v
-as the bounds (v, v), and it sums over integers on one common denominator.
-The unique forward extension of a degenerate window is always computed from
-the exact rational recurrence, never from the recovered (possibly irrational)
-atoms.
+pass of ``hankel.analyze`` already built; isolation, weights and extension
+read the integer forms that each ``RationalPoly`` stores.  The weight of
+atom x_j is w_j = N(x_j) / p'(x_j), where N(x_j) is the moment functional
+applied to the synthetic-division quotient p / (x - x_j); N is one fixed
+polynomial, so all weights cost O(n0**2).  When every atom is rational the
+whole measure is exact, and ``DiscreteMeasure`` stores an atom interval
+collapsed to a point as its rational.  Otherwise atoms are kept as
+isolating intervals, N / p' is enclosed over each interval by integer
+interval Horner, and the weight enclosures are rounded outward onto a 2**-P
+grid, P about (digits + pad) * log2(10) + 8, so their size does not grow
+with the refinement.  An independent residual check certifies every moment
+up to s_{2*n0 - 1}, exactly when every atom is rational.  One routine,
+``_moment_sums``, forms every sum w_j * x_j**k in the package: the residual
+check and ``measure_moments`` of exact and inexact measures all call it on
+atoms and weights as stored, reading an exact value v as the bounds (v, v),
+and it sums over integers on one common denominator.  The unique forward
+extension of a degenerate window is always computed from the exact rational
+recurrence, never from the recovered (possibly irrational) atoms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import (
@@ -36,7 +39,6 @@ from .exact import (
     RationalPoly,
     _common_denominator,
     _homogeneous_value,
-    _primitive_ints,
     refine_root,
     sturm_isolate,
 )
@@ -77,9 +79,11 @@ class DiscreteMeasure:
     weights: tuple[WeightValue, ...]
 
     def __post_init__(self):
-        # An int is an exact value too; as a Fraction it keeps the measure exact.
-        for name in ("atoms", "weights"):
-            values = tuple(Fraction(v) if isinstance(v, int) else v for v in getattr(self, name))
+        # An int is an exact value, and so is an atom interval collapsed to a
+        # point; as Fractions they keep the measure exact.
+        atoms = (a.lo if isinstance(a, IsolatingInterval) and a.is_exact else a for a in self.atoms)
+        for name, values in (("atoms", atoms), ("weights", self.weights)):
+            values = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
             object.__setattr__(self, name, values)
         if len(self.atoms) != len(self.weights):
             raise ValueError("atom and weight counts differ")
@@ -172,7 +176,7 @@ def _weight_polys(kernel: RationalPoly, moments: Sequence[Fraction]) -> tuple[li
     numerator is N(x_j) with [x^m]N = sum_k c_{k+m+1} s_k, and D is p'.  Both
     are scaled by the same positive integer, which leaves N/D unchanged.
     """
-    cs = _primitive_ints(kernel)
+    cs = kernel.primitive
     n0 = len(cs) - 1
     s_ints, scale = _common_denominator(moments[:n0])
     numer = [sum(cs[k + m + 1] * s_ints[k] for k in range(n0 - m)) for m in range(n0)]
@@ -256,8 +260,6 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
             f"reconstruct needs a consistent degenerate window, got {analysis.classification}"
         )
     n0 = kernel.degree
-    if n0 == 0:
-        return DiscreteMeasure((), ())
     # p_{n0}, ..., p_0 is a Sturm sequence for the kernel: beta_1..beta_{n0-1}
     # are positive on this window, so consecutive p_k have interlacing roots
     # (Szego, Orthogonal Polynomials, Sec. 3.3) and p_{k-1} and p_{k+1} have
@@ -292,8 +294,7 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
             and all(iv.lo > 0 for iv in weight_ivs)
             and _residuals_certified(refined, weight_ivs, moments, 2 * n0, tol)
         ):
-            atoms = tuple(r.lo if r.is_exact else r for r in refined)
-            return DiscreteMeasure(atoms, tuple(weight_ivs))
+            return DiscreteMeasure(tuple(refined), tuple(weight_ivs))
     raise InconsistentWindow("weight enclosures failed residual certification")
 
 
@@ -312,10 +313,10 @@ def extend(w, count: int) -> list[Fraction]:
         raise PreconditionViolated(
             f"extend needs a consistent degenerate window, got {analysis.classification}"
         )
-    coeffs = analysis.kernel.coeffs
-    n0 = len(coeffs) - 1
+    # The monic kernel is x**n0 + sum_{j < n0} (cs[j] / den) x**j.
+    kernel = analysis.kernel
+    cs, n0, den = kernel.numerators[:-1], kernel.degree, kernel.denominator
     values = list(analysis.window)
     for _ in range(count):
-        nxt = -sum((coeffs[j] * values[len(values) - n0 + j] for j in range(n0)), Fraction(0))
-        values.append(nxt)
+        values.append(-sum(map(mul, cs, values[len(values) - n0 :]), Fraction(0)) / den)
     return values[len(analysis.window) :]

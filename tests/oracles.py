@@ -176,6 +176,22 @@ def classify_brute(moments) -> tuple:
     return ("degenerate", n0, consistent)
 
 
+# --- Polynomials as plain Fraction tuples: the reference for RationalPoly ----
+
+
+def fraction_coeffs(coeffs) -> tuple[Fraction, ...]:
+    """Coefficients as Fractions, lowest degree first, trailing zeros dropped."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_derivative(cs) -> tuple[Fraction, ...]:
+    """The derivative of a Fraction coefficient tuple, term by term."""
+    return tuple(j * c for j, c in enumerate(cs) if j > 0)
+
+
 # --- Polynomial arithmetic over Fraction: the reference for exact.sturm_chain -
 
 

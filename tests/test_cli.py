@@ -275,6 +275,20 @@ class TestMoments:
         s0 = json.loads(out)["moments"][0]
         assert s0 == {"lo": "1", "hi": "1", "decimal": "1.00000000000000"}
 
+    def test_point_interval_atom_prints_exact_moments(self, tmp_path, capsys):
+        # [1, 1] is the exact root 1 of x - 1, so the measure is exact.
+        point = {"atoms": [{"interval": ["1", "1"], "poly": ["-1", "1"]}, {"exact": "2"}],
+                 "weights": ["1/2", "1/3"]}
+        rational = {"atoms": [{"exact": "1"}, {"exact": "2"}], "weights": ["1/2", "1/3"]}
+        outputs = []
+        for payload in (point, rational):
+            path = write_json(tmp_path, "m.json", payload)
+            code, out, err = invoke(capsys, ["moments", path, "--count", "3"])
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]) == {"moments": ["5/6", "7/6", "11/6"]}
+
     def test_document_round_trip_idempotent(self, tmp_path, capsys):
         for seq in (A4, ["1", "0", "2", "0", "4"]):
             mu = reconstruct([F(s) for s in seq], digits=20)

@@ -75,6 +75,24 @@ class TestRationalStrings:
         assert format_rational(parse_rational(text)) == text
 
 
+# Distinct ten-digit primes: coefficient denominators that share no factor.
+TEN_DIGIT_PRIMES = (1000000007, 1000000009, 1000000021, 1000000033, 1000000087, 1000000093)
+
+
+@st.composite
+def poly_inputs(draw):
+    """Coefficient lists as RationalPoly takes them: ints, strings, Fractions,
+    values over distinct ten-digit primes, trailing zeros, and zero polynomials."""
+    if draw(st.booleans()):
+        primes = draw(st.permutations(TEN_DIGIT_PRIMES))[: draw(st.integers(0, 6))]
+        values = [F(draw(st.integers(-(10**12), 10**12)), q) for q in primes]
+    else:
+        values = draw(st.lists(rationals, max_size=6))
+    values += [F(0)] * draw(st.integers(0, 2))
+    forms = (lambda v: v, str, lambda v: int(v) if v.denominator == 1 else v)
+    return [draw(st.sampled_from(forms))(v) for v in values]
+
+
 class TestPolyBasics:
     def test_eval_examples(self):
         assert RationalPoly([-4, 0, 1])(F(2)) == 0
@@ -90,6 +108,42 @@ class TestPolyBasics:
     @settings(derandomize=True, max_examples=60)
     def test_eval_matches_power_sum(self, p, x):
         assert p(x) == eval_power_sum(p.coeffs, x)
+
+    @given(
+        poly_inputs(), poly_inputs(), st.lists(st.one_of(rationals, st.integers(-9, 9)), max_size=3)
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @example([0, "0", F(0)], [], [F(3, 7)])
+    @example(["1/2", 0, "-3"], [F(1, 2), F(0), F(-3), F(0)], [2, F(-1, 1000000007)])
+    def test_matches_fraction_tuple_reference(self, coeffs, other, points):
+        p, ref = RationalPoly(coeffs), oracles.fraction_coeffs(coeffs)
+        q, other_ref = RationalPoly(other), oracles.fraction_coeffs(other)
+        assert p.coeffs == ref and all(type(c) is F for c in p.coeffs)
+        assert RationalPoly(p.coeffs) == p == RationalPoly(ref)
+        assert (p == q) == (ref == other_ref)
+        assert hash(p) == hash(ref) and (p != q or hash(p) == hash(q))
+        assert p.degree == len(ref) - 1 and p.is_zero == (not ref)
+        derivative = oracles.fraction_derivative(ref)
+        assert p.derivative().coeffs == derivative
+        assert p.derivative() == RationalPoly(derivative)
+        if ref:
+            assert p.leading == ref[-1]
+        else:
+            with pytest.raises(ZeroPolynomial):
+                p.leading
+        for x in points + ([F(1, TEN_DIGIT_PRIMES[0])] if ref else []):
+            assert p(x) == eval_power_sum(ref, F(x))
+        # The stored forms: reduced numerators over a positive denominator, and
+        # coprime integers that are a positive multiple of the polynomial.
+        for poly, cs in ((p, ref), (p.derivative(), derivative)):
+            nums, den, prim = poly.numerators, poly.denominator, poly.primitive
+            assert den > 0 and math.gcd(den, *nums) == 1
+            assert tuple(F(v, den) for v in nums) == cs
+            assert all(type(v) is int for v in nums + prim)
+            assert len(prim) == len(cs) and math.gcd(*prim) == (1 if cs else 0)
+            if cs:
+                ratio = F(prim[-1]) / cs[-1]
+                assert ratio > 0 and all(v == ratio * c for v, c in zip(prim, cs))
 
     def test_derivative(self):
         p = RationalPoly([5, -1, 0, 2])

@@ -556,7 +556,7 @@ class TestRecurrencePass:
         assert analysis.classification == Invalid(4, InvalidReason.ZERO_THEN_POSITIVE)
         assert list(analysis.determinants) == cofactor_determinants(window) == [2, 4, 0, 0, 4]
 
-    def test_verdict_reads_no_later_determinants(self, monkeypatch):
+    def test_analysis_continues_once_past_the_stop(self, monkeypatch):
         import hankelmp.hankel as hankel
 
         def refuse(matrix):
@@ -576,20 +576,21 @@ class TestRecurrencePass:
         monkeypatch.setattr(hankel, "det_exact", refuse)
         for name in calls:
             monkeypatch.setattr(hankel, name, counted(name))
-        # After s_0 = 0 or a negative pivot the verdict is known without
-        # D_{k+1..N}; one continuation from the stored stop gives them when
-        # read, and the recurrence pass does not run again.
-        for window, verdict in [
-            ([0, 0, 1, 0, 0], Invalid(2, InvalidReason.ZERO_S0_NONZERO_TAIL)),
-            ([1, 0, -1, 0, 1], Invalid(1, InvalidReason.NEGATIVE_DETERMINANT)),
+        # After s_0 = 0 or a negative pivot, analyze runs one continuation
+        # from the pass's stop for D_{k+1..N}; a pass that reaches D_N, or a
+        # consistent tail, needs none.  Reading the record computes nothing.
+        for window, verdict, continued in [
+            ([0, 0, 1, 0, 0], Invalid(2, InvalidReason.ZERO_S0_NONZERO_TAIL), 1),
+            ([1, 0, -1, 0, 1], Invalid(1, InvalidReason.NEGATIVE_DETERMINANT), 1),
+            ([1, 1, 1, 1, 1], Degenerate(1, True), 0),
+            ([1, 0, 1, 0, 2], PositiveWindow(2), 0),
         ]:
             calls.update(_chebyshev=0, _continuation=0)
-            assert classify(window) == verdict
-            assert calls == {"_chebyshev": 1, "_continuation": 0}
             analysis = analyze(window)
+            assert analysis.classification == verdict
             for _ in range(2):
                 assert list(analysis.determinants) == cofactor_determinants(window)
-            assert calls == {"_chebyshev": 2, "_continuation": 1}
+            assert calls == {"_chebyshev": 1, "_continuation": continued}
 
 
 # The 40 primes from 53 to 257: distinct denominators for 20 atoms and 20 weights.

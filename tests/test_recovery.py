@@ -103,6 +103,17 @@ class TestDiscreteMeasure:
         assert moments == [4, 7, 13]
         assert all(type(s) is F for s in moments)
 
+    def test_point_interval_atom_is_exact(self):
+        # An isolating interval with lo == hi is its rational root; weights
+        # are stored as given, a point enclosure included.
+        atom = IsolatingInterval(F(1), F(1), RationalPoly([-1, 1]))
+        weight = RationalInterval(F(1, 3), F(1, 3))
+        mu = DiscreteMeasure((atom, F(2)), (F(1, 2), F(1, 3)))
+        assert mu.is_exact and mu.atoms == (F(1), F(2))
+        assert all(type(a) is F for a in mu.atoms)
+        assert measure_moments(mu, 3) == [F(5, 6), F(7, 6), F(11, 6)]
+        assert DiscreteMeasure((atom,), (weight,)).weights == (weight,)
+
 
 nonneg = st.fractions(min_value=0, max_value=4, max_denominator=7)
 
