@@ -6,26 +6,20 @@ a positive prefix followed only by zeros (the degenerate case, carrying a
 finitely supported representing measure), or anything else, which cannot be a
 moment sequence.
 
-``analyze`` reads all of this off one exact O(N^2) pass of the Chebyshev
-algorithm (Gautschi, *Orthogonal Polynomials: Computation and Approximation*,
-2004, Sec. 2.1).  The pass tracks the mixed moments sigma_k(l) = <p_k, x^l> of
-the monic orthogonal polynomials p_k, whose pivots h_k = sigma_k(k) give
-D_k = D_{k-1} * h_k and whose recurrence coefficients build p_{k+1} =
-(x - alpha_k) p_k - beta_k p_{k-1}.  It stops at the first h_k <= 0.  On a
-consistent degenerate window it keeps p_0..p_{n0}: p_{n0} is the kernel whose
-roots are the atoms, and p_{n0}, ..., p_0 is a Sturm sequence for it.
-Past a zero or negative pivot, which only a window that is no moment
-sequence has, the determinants are signed subresultant coefficients: a
-look-ahead continuation of the pass (``_continuation``) gives D_{k+1}..D_N
-from its last two rows in O(N^2) more operations, across zero blocks too.
-Bareiss elimination (``det_exact``) is for general matrices and is not on
-this path.  Every row of the pass, of the continuation and of the
-polynomials p_k is integer numerators over one positive denominator, the
-form of ``_common_denominator``, reduced once per row by a single gcd; each
-p_k is handed to ``RationalPoly`` in that form, and only the O(N) pivots and
-recurrence coefficients are ``Fraction`` values.  A reduced row's
-denominator is the lcm of its entries' reduced denominators, so the entries
-do not grow like determinants, as those of a fraction-free pass would.
+``analyze`` reads all of this off one exact O(N^2) recurrence pass
+(``_pass``) over the mixed moments sigma_k(l) = <p_k, x^l> of the monic
+orthogonal polynomials p_k.  At a nonzero pivot, negative included, it takes
+the Chebyshev algorithm's three-term step; at a zero pivot it reads the
+first nonzero entry further along the row, which gives the run of zero
+determinants and the nonzero one after it, and one look-ahead step crosses
+the run.  So one loop yields every D_j, and no elimination runs on this
+path.  The pass is a generator, so library ``classify``, ``reconstruct`` and
+``extend`` take no step past the one that fixes the verdict.  On a
+consistent degenerate window its recurrence coefficients build p_0..p_{n0}:
+p_{n0} is the kernel whose roots are the atoms, and p_{n0}, ..., p_0 is a
+Sturm sequence for it.  Rows and polynomials are integer numerators over one
+positive denominator, the form of ``_common_denominator`` and of
+``RationalPoly``, reduced once per row by a single gcd.
 
 ``is_psd`` decides positive semi-definiteness by exact symmetric (LDL^T)
 elimination without pivoting, O(n^3) per matrix: a negative pivot, or a zero
@@ -39,9 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, OutOfWindow
 from .exact import RationalPoly, _common_denominator
@@ -288,12 +280,13 @@ Classification = Union[PositiveWindow, Degenerate, Invalid]
 _Row = tuple[list[int], int]
 
 
-class _Recurrence(NamedTuple):
-    pivots: list[Fraction]  # h_0..h_k, where the pass stopped after h_k
-    alphas: list[Fraction]  # alpha_0..
-    betas: list[Fraction]  # beta_0 = s_0, beta_1..
-    prev: _Row  # sigma_{k-1}(l) for l = 0..m-k+1; zeros when k = 0
-    row: _Row  # sigma_k(l) for l = 0..m-k, i.e. <p_k, x^l>
+class _Step(NamedTuple):
+    """One step of ``_pass``, at a regular index k."""
+
+    dets: list[Fraction]  # D_k..D_{k+d}: d zeros, then D_{k+d} != 0; or D_k..D_N, all 0
+    row: _Row  # sigma_k(l) = <p_k, x^l> for l = 0..m-k
+    alpha: Fraction | None  # p_k = (x - alpha) p_{k-1} - beta p_{k-2} after a
+    beta: Fraction | None  # three-term step; None at k = 0 and after a block step
 
 
 def _three_term(
@@ -322,107 +315,95 @@ def _three_term(
     return [v // g for v in nums], lcm // g
 
 
-def _chebyshev(s: Sequence[Fraction]) -> _Recurrence:
-    """The Chebyshev algorithm over s_0..s_m, up to the first pivot h_k <= 0.
+def _block_step(r: Sequence[int], rden: int, q: Sequence[int], qden: int, k: int, d: int) -> _Row:
+    """sigma_{k+d+1}(l) for l = k+d+1..m-k-d-1 across the zero run sigma_k(k..k+d-1).
 
-    Step k reads the pivot h_k = sigma_k(k) = D_k / D_{k-1}; the pass ends
-    there when h_k <= 0 or k = m // 2.  Otherwise it forms alpha_k, beta_k and
-    the next row sigma_{k+1}(l) = sigma_k(l+1) - alpha_k sigma_k(l) -
-    beta_k sigma_{k-1}(l), whose pivot needs s_{2k+2}, in the window since
-    k < m // 2.  Each row is integer numerators over one denominator, reduced
-    once per row by ``_three_term``, so its entries stay as small as the
-    lcm of their reduced denominators; only the O(N) pivots and recurrence
-    coefficients are ``Fraction`` values.
+    The row is sum_i u_i sigma_k(l+i) - gamma sigma_prev(l) for the monic
+    u of degree d+1 and gamma = c / sigma_prev(k-1), c = sigma_k(k+d).  Its
+    entries l < k-1 vanish for every u, l = k-1 fixes gamma, and l = k..k+d
+    give u_d, .., u_0 in turn, each by one division by c.  The terms are put
+    over one denominator and reduced once, as in ``_three_term``.
+    """
+    m = len(r) - 1 + k
+    c = r[k + d]
+    u = [Fraction(0)] * (d + 1) + [Fraction(1)]
+    for t in range(d + 1):
+        # gamma * sigma_prev(k+t) / c, where the denominators cancel.
+        known = Fraction(q[k + t], q[k - 1]) if k else Fraction(0)
+        u[d - t] = known - sum(u[i] * r[k + t + i] for i in range(d - t + 1, d + 2)) / c
+    gamma = Fraction(c * qden, rden * q[k - 1]) if k else Fraction(0)
+    lcm = math.lcm(rden * math.lcm(*(v.denominator for v in u)), gamma.denominator * qden)
+    fs = [v.numerator * (lcm // (v.denominator * rden)) for v in u]
+    fg = gamma.numerator * (lcm // (gamma.denominator * qden))
+    nums = [
+        sum(f * x for f, x in zip(fs, r[l : l + d + 2])) - fg * q[l]
+        for l in range(k + d + 1, m - k - d)
+    ]
+    g = math.gcd(lcm, *nums)
+    return [v // g for v in nums], lcm // g
+
+
+def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
+    """The recurrence pass over s_0..s_m, one step per regular index k <= m // 2.
+
+    An index k is regular when D_{k-1} != 0 (D_{-1} = 1); then the monic
+    p_k with <p_k, x^l> = 0 for l < k exists, and the pass holds its row
+    sigma_k and that of the previous regular index.  Step k finds the first
+    nonzero c = sigma_k(k+d), d >= 0, up to N = m // 2.  In the basis p_0..
+    p_{k-1}, p_k, x p_k, .., x^d p_k, H_{k+d} is block diagonal: the earlier
+    blocks, and a Hankel block that is zero above its antidiagonal of c.
+    So D_k..D_{k+d-1} are 0 and D_{k+d} = (-1)^{d(d+1)/2} D_{k-1} c^{d+1}.
+    The next regular index is k+d+1.  For d = 0 the step is the Chebyshev
+    algorithm's three-term step (Gautschi, *Orthogonal Polynomials:
+    Computation and Approximation*, 2004, Sec. 2.1), with alpha_k =
+    sigma_k(k+1) / sigma_k(k) - sigma_prev(k) / sigma_prev(k-1) and beta_k =
+    sigma_k(k) / sigma_prev(k-1), negative pivots included.  For d >= 1 the
+    zero run is a defective block of the subresultant structure theorem
+    (Basu, Pollack & Roy, *Algorithms in Real Algebraic Geometry*, Ch. 8),
+    and ``_block_step`` steps over it, as look-ahead Lanczos does (Gutknecht,
+    SIAM J. Matrix Anal. Appl. 13, 1992).  The pass ends after D_N, or at a
+    row that is zero from sigma_k(k) to sigma_k(N), which leaves D_k..D_N
+    zero.  Each step is yielded before the next row is formed, so a reader
+    that stops at a step pays for no later row.  Every row is integer
+    numerators over one positive denominator, reduced once by a single gcd;
+    a reduced row's denominator is the lcm of its entries' reduced
+    denominators, so the entries stay the size of the determinants.  Only
+    the O(N) determinants and recurrence coefficients are ``Fraction``
+    values.  O(N^2) operations in all.
     """
     m = len(s) - 1
-    pivots: list[Fraction] = []
-    alphas: list[Fraction] = []
-    betas: list[Fraction] = []
+    horizon = m // 2
     (q, qden), (r, rden) = ([0] * (m + 1), 1), _common_denominator(s)
+    # det is D_{k-1}, and lead is sigma_prev(k-1), the first nonzero entry of
+    # the previous regular row.
+    zero, det, lead, alpha, beta = Fraction(0), Fraction(1), None, None, None
     k = 0
     while True:
-        h = Fraction(r[k], rden)
-        pivots.append(h)
-        if h <= 0 or k == m // 2:
-            break
-        if k == 0:
-            alphas.append(Fraction(r[1], r[0]))
-            betas.append(h)
+        d = 0
+        while k + d <= horizon and not r[k + d]:
+            d += 1
+        if k + d > horizon:
+            yield _Step([zero] * d, (r, rden), alpha, beta)
+            return
+        c = Fraction(r[k + d], rden)
+        det *= (-1) ** (d * (d + 1) // 2) * c ** (d + 1) if d else c
+        yield _Step([zero] * d + [det], (r, rden), alpha, beta)
+        if k + d == horizon:
+            return
+        if d:
+            nums, den = _block_step(r, rden, q, qden, k, d)
+            alpha = beta = None
         else:
-            alphas.append(Fraction(r[k + 1], r[k]) - Fraction(q[k], q[k - 1]))
-            betas.append(h / pivots[k - 1])
-        # Entries l <= k of the new row vanish by orthogonality and are never read.
-        shifted, cur, prev = r[k + 2 : m - k + 1], r[k + 1 : m - k], q[k + 1 : m - k]
-        nums, den = _three_term(shifted, cur, rden, prev, qden, alphas[k], betas[k])
-        (q, qden), (r, rden) = (r, rden), ([0] * (k + 1) + nums, den)
-        k += 1
-    return _Recurrence(pivots, alphas, betas, (q, qden), (r, rden))
-
-
-def _continuation(rec: _Recurrence, m: int, known: Sequence[Fraction]) -> list[Fraction]:
-    """D_k..D_{m // 2} past the pass's stop at h_k <= 0, given known = D_0..D_k.
-
-    D_j is the signed subresultant coefficient sRes_{m-j}(P, Q) of P = x^{m+1}
-    and Q = sum_l s_l x^{m-l} (Basu, Pollack & Roy, *Algorithms in Real
-    Algebraic Geometry*, Ch. 8-9).  Read as the coefficients of x^{m-l} for
-    l = k..m-k, the row sigma_k is the top of sResP_{m-k} / D_{k-1}, and
-    sigma_{k-1} / h_{k-1} is the monic sResP_{m-k+1} (P itself for k = 0).
-    From these two rows the signed subresultant recursion (BPR Alg. 8.21)
-    goes on with every remainder row monic and its scale in two scalars: t,
-    the leading coefficient of the current sResP, and s_j, the last nonzero
-    sRes.  A row whose first ``lead`` entries vanish is a defective block:
-    sRes is 0 at those indices, and t_{j-d-1} = (-1)^d t_{j-1} t_{j-d} / s_j
-    for d = 1..lead gives the sRes below them.  Each long division keeps only
-    the coefficients the window determines, one fewer per quotient
-    coefficient, which is the triangle of the Chebyshev rows; without a
-    defect the step is the Chebyshev step.  A row that is zero as far as it
-    is determined makes every later D_j zero.  O(N^2) field operations.
-    Rows are integer numerators over one denominator, as in ``_chebyshev``:
-    the monic row is the remainder's numerators over its leading one, each
-    division step multiplies the remainder's denominator by that lead, and
-    the remainder is reduced once at the end; t, s_j and the scale are
-    ``Fraction`` values.
-    """
-    k = len(rec.pivots) - 1
-    count = m // 2 - k + 1
-    if k == 0:
-        (a, aden), s_j = ([1] + [0] * (m + 1), 1), Fraction(1)
-    else:
-        # h_{k-1} > 0, so its numerator is a positive denominator.
-        q = rec.prev[0]
-        (a, aden), s_j = (q[k - 1 : m - k + 2], q[k - 1]), known[k - 1]
-    # r / rden holds the leading coefficients of sResP / scale, from the
-    # degree below that of the monic row a / aden down.
-    (r, rden), scale = (rec.row[0][k : m - k + 1], rec.row[1]), s_j
-    dets: list[Fraction] = []
-    while True:
-        lead = next((i for i, v in enumerate(r) if v), None)
-        if lead is None:
-            break
-        c = r[lead]
-        t = scale * Fraction(c, rden)
-        # The t_{j-d-1} recursion multiplied out over d = 1..lead.
-        s_new = t ** (lead + 1) / s_j**lead
-        if lead * (lead + 1) // 2 % 2:
-            s_new = -s_new
-        dets += [Fraction(0)] * lead + [s_new]
-        if len(dets) >= count:
-            break
-        b, bden = (r[lead:], c) if c > 0 else ([-v for v in r[lead:]], -c)
-        # b is always the shorter row, and a coefficient of a past len(b)
-        # would only meet undetermined ones of b.
-        rem, rem_den = a[: len(b)], aden
-        for i in range(lead + 2):
-            q = rem[i]
-            if q:
-                rem[i + 1 :] = [x * bden - q * y for x, y in zip(rem[i + 1 :], b[1:])]
-                rem_den *= bden
-        rem = rem[lead + 2 :]
-        g = math.gcd(rem_den, *rem)
-        a, aden = b, bden
-        r, rden = [v // g for v in rem], rem_den // g
-        scale, s_j = -s_new * t / s_j, s_new
-    return dets[:count] + [Fraction(0)] * (count - len(dets))
+            if k == 0:
+                alpha, beta = Fraction(r[1], r[0]), zero
+            else:
+                alpha = Fraction(r[k + 1], r[k]) - Fraction(q[k], q[k - 1])
+                beta = c / lead
+            # Entries l <= k of the new row vanish by orthogonality and are never read.
+            shifted, cur, prev = r[k + 2 : m - k + 1], r[k + 1 : m - k], q[k + 1 : m - k]
+            nums, den = _three_term(shifted, cur, rden, prev, qden, alpha, beta)
+        (q, qden), (r, rden), lead = (r, rden), ([0] * (k + d + 1) + nums, den), c
+        k += d + 1
 
 
 def _monic_from_recurrence(
@@ -464,62 +445,73 @@ class WindowAnalysis:
         return self.orthogonal_polys[-1] if self.orthogonal_polys else None
 
 
+def _verdict(
+    w: MomentWindow, steps: Iterator[_Step]
+) -> tuple[Classification, tuple[RationalPoly, ...] | None, list[Fraction]]:
+    """The classification, p_0..p_{n0} and the D_j read, taking ``steps`` only to the verdict.
+
+    A window with s_0 = 0 reads no step.  It is the zero measure, with kernel
+    p_0 = 1, when every moment is zero, and otherwise ``Invalid`` with
+    ``first_violation`` at the first nonzero moment.  Otherwise the first D_k <= 0 decides.  D_k < 0
+    gives ``Invalid`` with a negative determinant at k.  At D_k = 0 the window
+    is degenerate at n0 = k when its tail obeys the recurrence of p_{n0},
+    i.e. <p_{n0}, x^l> = 0 for every l up to m - n0, which is the row of that
+    step.  Every later D_j is then zero: for n0 <= j <= N and t <= j - n0
+    the coefficient vector c of x^t p_{n0} is nonzero, and (H_j c)_i =
+    <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.  Otherwise the
+    same step ends with the first later nonzero D_j, whose sign tells
+    ``ZeroThenPositive`` from a negative determinant, or with none, which
+    leaves the window degenerate with an inconsistent tail.  No D_k <= 0
+    gives ``PositiveWindow``.  Only a consistent degenerate window gets
+    p_0..p_{n0}, built from the recurrence coefficients of its steps.
+    """
+    if w[0] == 0:
+        first_nonzero = next((j for j, s in enumerate(w) if s != 0), None)
+        if first_nonzero is None:
+            return Degenerate(0, True), _monic_from_recurrence([], []), []
+        return Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL), None, []
+    dets: list[Fraction] = []
+    alphas: list[Fraction] = []
+    betas: list[Fraction] = []
+    for step in steps:
+        k = len(dets)
+        dets += step.dets
+        if step.alpha is not None:
+            alphas.append(step.alpha)
+            betas.append(step.beta)
+        if step.dets[0] > 0:
+            continue
+        if step.dets[0] < 0:
+            return Invalid(k, InvalidReason.NEGATIVE_DETERMINANT), None, dets
+        if not any(step.row[0][k:]):
+            return Degenerate(k, True), _monic_from_recurrence(alphas, betas), dets
+        if dets[-1] == 0:
+            return Degenerate(k, False), None, dets
+        if dets[-1] < 0:
+            return Invalid(len(dets) - 1, InvalidReason.NEGATIVE_DETERMINANT), None, dets
+        return Invalid(len(dets) - 1, InvalidReason.ZERO_THEN_POSITIVE), None, dets
+    return PositiveWindow(w.horizon), None, dets
+
+
+def _classified(w) -> tuple[MomentWindow, Classification, tuple[RationalPoly, ...] | None]:
+    """The window, its classification and p_0..p_{n0}: ``analyze`` up to the verdict."""
+    w = _as_window(w)
+    cls, polys, _ = _verdict(w, _pass(w.moments))
+    return w, cls, polys
+
+
 def analyze(w) -> WindowAnalysis:
     """Determinants, classification and orthogonal polynomials in one exact pass.
 
-    The Chebyshev pass gives D_0..D_k up to the first pivot h_k <= 0.  All
-    positive gives ``PositiveWindow``; h_k < 0 gives ``Invalid`` with a
-    negative determinant at k.  At h_k = 0 the window is degenerate at n0 = k
-    when its tail obeys the recurrence of p_{n0}, i.e. <p_{n0}, x^l> = 0 for
-    every l up to m - n0, which the pass has just computed, and D_{k+1}..D_N
-    are then zero.  Otherwise a pass that stops short of D_N is continued
-    once past the stop for D_{k+1}..D_N, and the first later nonzero D_j
-    tells ``ZeroThenPositive`` from a negative determinant, or none leaves
-    the window degenerate with an inconsistent tail.  A window with s_0 = 0
-    is the zero measure when every moment is zero and ``Invalid`` otherwise,
-    with ``first_violation`` pointing at the first nonzero moment.  Only a
-    consistent degenerate window gets p_0..p_{n0}, built from the recurrence
-    coefficients of the same pass.
+    ``_verdict`` reads the steps of ``_pass`` up to the step that fixes the
+    classification, and the same pass then runs on to D_N.  Library
+    ``classify``, ``reconstruct`` and ``extend`` stop at the verdict.
     """
     w = _as_window(w)
-    horizon = w.horizon
-    rec = _chebyshev(w.moments)
-    dets = list(accumulate(rec.pivots, mul))
-    k = len(dets) - 1
-    consistent = rec.pivots[k] == 0 and not any(rec.row[0][k:])
-    if consistent:
-        # Every later D_j is 0 with no elimination: for n0 <= j <= horizon
-        # and t <= j - n0 the coefficient vector c of x^t p_{n0} is nonzero
-        # (p_{n0} is monic), and (H_j c)_i = <x^i, x^t p_{n0}> =
-        # <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.
-        dets += [Fraction(0)] * (horizon - k)
-    elif k < horizon:
-        # Past a zero or negative pivot the continuation gives D_k..D_N.
-        dets[k:] = _continuation(rec, w.m, dets)
-    if w[0] == 0:
-        first_nonzero = next((j for j, s in enumerate(w) if s != 0), None)
-        cls: Classification = (
-            Degenerate(0, True)
-            if first_nonzero is None
-            else Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL)
-        )
-    elif rec.pivots[k] > 0:
-        cls = PositiveWindow(horizon)
-    elif rec.pivots[k] < 0:
-        cls = Invalid(k, InvalidReason.NEGATIVE_DETERMINANT)
-    elif consistent:
-        cls = Degenerate(k, True)
-    else:
-        # Past a zero pivot with an inconsistent tail the recurrence breaks
-        # down, and the later D_j from the continuation tell the cases apart.
-        later = next((j for j in range(k + 1, horizon + 1) if dets[j] != 0), None)
-        if later is None:
-            cls = Degenerate(k, False)
-        elif dets[later] < 0:
-            cls = Invalid(later, InvalidReason.NEGATIVE_DETERMINANT)
-        else:
-            cls = Invalid(later, InvalidReason.ZERO_THEN_POSITIVE)
-    polys = _monic_from_recurrence(rec.alphas, rec.betas) if consistent else None
+    steps = _pass(w.moments)
+    cls, polys, dets = _verdict(w, steps)
+    for step in steps:
+        dets += step.dets
     return WindowAnalysis(w, cls, polys, tuple(dets))
 
 
@@ -534,6 +526,7 @@ def classify(w) -> Classification:
     A positive prefix D_0..D_{n0-1} followed only by zeros gives
     ``Degenerate`` (with the tail-consistency bit), all positive gives
     ``PositiveWindow``, and a negative determinant or a zero followed by a
-    positive one gives ``Invalid``; see ``analyze``.
+    positive one gives ``Invalid``; see ``analyze``.  The pass stops at the
+    step that fixes the verdict.
     """
-    return analyze(w).classification
+    return _classified(w)[1]

@@ -24,6 +24,7 @@ from .hankel import (
     analyze,
     classify,
     det_exact,
+    det_sequence,
     hankel_matrix,
     is_psd,
     psd_witness,
@@ -270,7 +271,7 @@ def _det2_result(inst: Det2Instance, moments: Sequence[Fraction]) -> Det2Result:
     """``det2_check`` from the base measure's moments s_0..s_{2n+p}."""
     n, p = inst.n, inst.p
     lhs = det_exact(_det2_rows(inst, moments))
-    d_prev = det_exact(hankel_matrix(MomentWindow(moments[: 2 * n - 1]), n - 1))
+    d_prev = det_sequence(moments[: 2 * n - 1])[n - 1]
     s_top = moments[2 * n + p]
     rhs = Fraction((-1) ** (p * (p + 1) // 2)) * d_prev
     for x in inst.xs:

@@ -2,7 +2,7 @@
 
 The atoms are the real roots of the monic degree-n0 orthogonal polynomial p,
 isolated with the Sturm sequence p = p_{n0}, ..., p_0 that the recurrence
-pass of ``hankel.analyze`` already built; isolation, weights and extension
+pass of ``hankel`` already built; isolation, weights and extension
 read the integer forms that each ``RationalPoly`` stores.  The weight of
 atom x_j is w_j = N(x_j) / p'(x_j), where N(x_j) is the moment functional
 applied to the synthetic-division quotient p / (x - x_j); N is one fixed
@@ -42,7 +42,7 @@ from .exact import (
     refine_root,
     sturm_isolate,
 )
-from .hankel import analyze
+from .hankel import _classified
 
 __all__ = [
     "AtomValue",
@@ -253,23 +253,21 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     """
     if digits < 1:
         raise ValueError("digits must be a positive integer")
-    analysis = analyze(w)
-    kernel = analysis.kernel
-    if kernel is None:
-        raise PreconditionViolated(
-            f"reconstruct needs a consistent degenerate window, got {analysis.classification}"
-        )
+    w, cls, polys = _classified(w)
+    if polys is None:
+        raise PreconditionViolated(f"reconstruct needs a consistent degenerate window, got {cls}")
+    kernel = polys[-1]
     n0 = kernel.degree
     # p_{n0}, ..., p_0 is a Sturm sequence for the kernel: beta_1..beta_{n0-1}
     # are positive on this window, so consecutive p_k have interlacing roots
     # (Szego, Orthogonal Polynomials, Sec. 3.3) and p_{k-1} and p_{k+1} have
     # opposite signs at each root of p_k.
-    roots = sturm_isolate(analysis.orthogonal_polys[::-1])
+    roots = sturm_isolate(polys[::-1])
     if len(roots) != n0:
         raise InconsistentWindow(
             f"kernel polynomial has {len(roots)} real roots, expected {n0}"
         )
-    moments = list(analysis.window[: 2 * n0])
+    moments = list(w[: 2 * n0])
     numer, deriv = _weight_polys(kernel, moments)
     if all(r.is_exact for r in roots):
         atoms = [r.lo for r in roots]
@@ -308,15 +306,13 @@ def extend(w, count: int) -> list[Fraction]:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    analysis = analyze(w)
-    if analysis.kernel is None:
-        raise PreconditionViolated(
-            f"extend needs a consistent degenerate window, got {analysis.classification}"
-        )
+    w, cls, polys = _classified(w)
+    if polys is None:
+        raise PreconditionViolated(f"extend needs a consistent degenerate window, got {cls}")
     # The monic kernel is x**n0 + sum_{j < n0} (cs[j] / den) x**j.
-    kernel = analysis.kernel
+    kernel = polys[-1]
     cs, n0, den = kernel.numerators[:-1], kernel.degree, kernel.denominator
-    values = list(analysis.window)
+    values = list(w)
     for _ in range(count):
         values.append(-sum(map(mul, cs, values[len(values) - n0 :]), Fraction(0)) / den)
-    return values[len(analysis.window) :]
+    return values[len(w) :]

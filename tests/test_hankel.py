@@ -20,9 +20,8 @@ from hankelmp.hankel import (
     MomentWindow,
     PositiveWindow,
     SymMatrix,
-    _chebyshev,
-    _continuation,
     _monic_from_recurrence,
+    _pass,
     analyze,
     classify,
     det_exact,
@@ -446,25 +445,55 @@ def coprime_windows(draw):
     return window
 
 
+@st.composite
+def zero_block_windows(draw):
+    """A zero run D_n..D_{n+d-1}, d = 1..7, after the moments of n = 0..3 signed atoms.
+
+    The window agrees with the measure through s_{2n+d-1} and moves s_{2n+d},
+    so sigma_n(n+d) is the first nonzero entry of the row of p_n; a free
+    tail follows, up to 21 entries in all.  Weights of either sign put
+    negative pivots ahead of the run, n = 0 is an s_0 = 0 prefix, and a
+    window that ends before s_{2n+2d} has a block that reaches the horizon.
+    """
+    n = draw(st.integers(0, 3))
+    d = draw(st.integers(1, 7))
+    atoms = draw(st.lists(small_rationals, min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(small_rationals.filter(bool), min_size=n, max_size=n))
+    window = [F(v) for v in moments_of((atoms, weights), 2 * n + d + 1)]
+    window[-1] += draw(nudges) * draw(st.sampled_from([-1, 1]))
+    tail = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(3)])
+    return window + draw(st.lists(tail, max_size=min(d + 3, 20 - 2 * n - d)))
+
+
 class TestRecurrencePass:
-    @given(st.one_of(determinant_windows, coprime_windows()))
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.one_of(determinant_windows, coprime_windows(), zero_block_windows()))
+    @settings(derandomize=True, max_examples=600, deadline=None)
     @example([1, 1, 1, 1, 0, 0, 0])
     @example([0, 0, 0, 0, 1])
+    @example([1, -1, 1, -1, 1, -1, 1, 0, 0, 2, -1])
     def test_integer_rows_match_the_fraction_pass(self, window):
         s = MomentWindow(window).moments
-        rec, ref = _chebyshev(s), fraction_chebyshev(s)
-        assert (rec.pivots, rec.alphas, rec.betas) == (ref.pivots, ref.alphas, ref.betas)
-        for (nums, den), expected in ((rec.row, ref.row), (rec.prev, ref.prev)):
+        steps, ref = list(_pass(s)), fraction_chebyshev(s)
+        for step in steps:
             # Content-reduced: den is the lcm of the entries' reduced
             # denominators, so no factor builds up from row to row.
+            nums, den = step.row
             assert den > 0 and math.gcd(den, *nums) == 1
-            assert [F(v, den) for v in nums] == expected
-        if rec.pivots[-1] <= 0:
-            known = list(accumulate(rec.pivots, mul))
-            m = len(s) - 1
-            assert _continuation(rec, m, known) == fraction_continuation(ref, m, known)
-        assert _monic_from_recurrence(rec.alphas, rec.betas) == fraction_monic_polys(ref.alphas, ref.betas)
+        # Up to the first pivot h_k <= 0 the pass takes one three-term step
+        # per index, the steps of the Chebyshev algorithm.
+        k = len(ref.pivots) - 1
+        nums, den = steps[k].row
+        assert [F(v, den) for v in nums] == ref.row
+        alphas = [step.alpha for step in steps[1 : k + 1]]
+        betas = [step.beta for step in steps[1 : k + 1]]
+        assert (alphas, betas[1:]) == (ref.alphas, ref.betas[1:])
+        assert _monic_from_recurrence(alphas, betas) == fraction_monic_polys(ref.alphas, ref.betas)
+        # Past it, the look-ahead steps give what the subresultant
+        # continuation gave, and both give the cofactor determinants.
+        known = list(accumulate(ref.pivots, mul))
+        if ref.pivots[-1] <= 0:
+            known[k:] = fraction_continuation(ref, len(s) - 1, known)
+        assert [d for step in steps for d in step.dets] == known == cofactor_determinants(window)
 
     @given(raw_windows)
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -522,8 +551,8 @@ class TestRecurrencePass:
     @example([0, 0, 0, 0, 1])
     @example([1, 0, 0, 0, 1])
     def test_every_determinant_matches_cofactor_oracle(self, window):
-        # Past a zero or negative pivot every D_j comes from the
-        # continuation, across zero blocks and zero prefixes alike.
+        # Past a zero or negative pivot every D_j comes from the same pass,
+        # across zero blocks and zero prefixes alike.
         analysis = analyze(window)
         assert list(analysis.determinants) == cofactor_determinants(window)
         assert as_tuple(analysis.classification) == classify_brute(window)
@@ -550,7 +579,7 @@ class TestRecurrencePass:
         monkeypatch.setattr(hankel, "det_exact", refuse)
         # Two atoms +-1 through s_5; s_6 = 1 breaks the tail with
         # <p_2, x^3> = 0 and <p_2, x^4> = -1, so D_2 = D_3 = 0 and the verdict
-        # needs D_4 from the continuation across that zero block.
+        # needs D_4 from the look-ahead step across that zero block.
         window = [2, 0, 2, 0, 2, 0, 1, 0, 2]
         analysis = analyze(window)
         assert analysis.classification == Invalid(4, InvalidReason.ZERO_THEN_POSITIVE)
@@ -562,35 +591,70 @@ class TestRecurrencePass:
         def refuse(matrix):
             raise AssertionError("det_exact called on the classification path")
 
-        calls = {"_chebyshev": 0, "_continuation": 0}
-
-        def counted(name):
-            real = getattr(hankel, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return wrapper
-
         monkeypatch.setattr(hankel, "det_exact", refuse)
-        for name in calls:
-            monkeypatch.setattr(hankel, name, counted(name))
-        # After s_0 = 0 or a negative pivot, analyze runs one continuation
-        # from the pass's stop for D_{k+1..N}; a pass that reaches D_N, or a
-        # consistent tail, needs none.  Reading the record computes nothing.
-        for window, verdict, continued in [
+        calls = count_pass_steps(monkeypatch)
+        # analyze runs one pass to D_N, also past s_0 = 0, a negative pivot
+        # or a zero block, with one step per regular index; a consistent
+        # tail ends the pass at n0.  Reading the record computes nothing.
+        for window, verdict, steps in [
             ([0, 0, 1, 0, 0], Invalid(2, InvalidReason.ZERO_S0_NONZERO_TAIL), 1),
-            ([1, 0, -1, 0, 1], Invalid(1, InvalidReason.NEGATIVE_DETERMINANT), 1),
-            ([1, 1, 1, 1, 1], Degenerate(1, True), 0),
-            ([1, 0, 1, 0, 2], PositiveWindow(2), 0),
+            ([1, 0, -1, 0, 1], Invalid(1, InvalidReason.NEGATIVE_DETERMINANT), 3),
+            ([2, 0, 2, 0, 2, 0, 1, 0, 2], Invalid(4, InvalidReason.ZERO_THEN_POSITIVE), 3),
+            ([1, 1, 1, 1, 1], Degenerate(1, True), 2),
+            ([1, 0, 1, 0, 2], PositiveWindow(2), 3),
         ]:
-            calls.update(_chebyshev=0, _continuation=0)
+            calls.clear()
             analysis = analyze(window)
             assert analysis.classification == verdict
             for _ in range(2):
                 assert list(analysis.determinants) == cofactor_determinants(window)
-            assert calls == {"_chebyshev": 1, "_continuation": continued}
+            assert calls == [steps]
+
+    def test_verdict_reads_no_later_determinants(self, monkeypatch):
+        from hankelmp.errors import PreconditionViolated
+        from hankelmp.recovery import extend, reconstruct
+
+        calls = count_pass_steps(monkeypatch)
+        tail = [3, -1, 2, 0, 1, 1, 2, 0, -1, 2, 1, 1, 0, 2]
+        # Step k of the pass forms no row past sigma_k, so library classify,
+        # reconstruct and extend pay for nothing past the step that fixes
+        # the verdict; analyze, the CLI path, takes every step to D_N.
+        for window, verdict, read, drained in [
+            ([0, 0, 1] + tail, Invalid(2, InvalidReason.ZERO_S0_NONZERO_TAIL), [], 7),
+            ([1, 2, 1] + tail, Invalid(1, InvalidReason.NEGATIVE_DETERMINANT), [2], 9),
+            ([2, 0, 2, 0, 2, 0, 1, 0, 2] + tail, Invalid(4, InvalidReason.ZERO_THEN_POSITIVE), [3], 10),
+            ([1] * 16 + [2], Degenerate(1, False), [2], 2),
+            ([2, 0] * 8 + [2], Degenerate(2, True), [3], 3),
+        ]:
+            calls.clear()
+            assert classify(window) == verdict
+            for call in (reconstruct, lambda w: extend(w, 3)):
+                if verdict == Degenerate(2, True):
+                    call(window)
+                else:
+                    with pytest.raises(PreconditionViolated):
+                        call(window)
+            assert calls == read * 3
+            calls.clear()
+            assert analyze(window).classification == verdict
+            assert calls == [drained]
+
+
+def count_pass_steps(monkeypatch) -> list[int]:
+    """Count the steps taken from each ``hankel._pass``, one list entry per pass."""
+    import hankelmp.hankel as hankel
+
+    real = hankel._pass
+    calls: list[int] = []
+
+    def counted(s):
+        calls.append(0)
+        for step in real(s):
+            calls[-1] += 1
+            yield step
+
+    monkeypatch.setattr(hankel, "_pass", counted)
+    return calls
 
 
 # The 40 primes from 53 to 257: distinct denominators for 20 atoms and 20 weights.
@@ -626,14 +690,21 @@ class TestDeepWindows:
         scaled = [c * a**k * s for k, s in enumerate(window)]
         for j, d in enumerate(analysis.determinants):
             assert det_exact(hankel_matrix(scaled, j)) == c ** (j + 1) * a ** (j * (j + 1)) * d
-        rec = _chebyshev(analysis.window.moments)
-        for nums, den in (rec.row, rec.prev):
+        steps = list(_pass(analysis.window.moments))
+        for step in steps:
+            nums, den = step.row
             assert den > 0 and math.gcd(den, *nums) == 1
-        polys = _monic_from_recurrence(rec.alphas, rec.betas)
+        # Up to the first D_k <= 0, step k is a three-term step with pivot
+        # h_k = D_k / D_{k-1}, and p_0..p_k stay orthogonal.
+        k = next((k for k, step in enumerate(steps) if step.dets[0] <= 0), len(steps) - 1)
+        dets = [F(1)] + [step.dets[0] for step in steps[: k + 1]]
+        polys = _monic_from_recurrence(
+            [step.alpha for step in steps[1 : k + 1]], [step.beta for step in steps[1 : k + 1]]
+        )
         for k, p in enumerate(polys):
             for j in range(k + 1):
                 x_j = RationalPoly([0] * j + [1])
-                assert moment_inner_product(p, x_j, window) == (rec.pivots[k] if j == k else 0)
+                assert moment_inner_product(p, x_j, window) == (dets[k + 1] / dets[k] if j == k else 0)
         if not perturbed:
             assert analysis.orthogonal_polys == polys
 
