@@ -8,12 +8,13 @@ primitive integer form, on which every kernel runs; its ``coeffs`` are
 ``fractions.Fraction`` values made for printing and for readers only.
 The sign of a polynomial at x = n/d is the sign of sum_j c_j n^j d^(deg-j)
 over its primitive form (homogeneous Horner).
-Bisection keeps integer numerators over one denominator D * 2**k, so no step
-reduces a fraction, and the endpoints are the same rationals that bisection
-over ``Fraction`` would give.  ``sturm_isolate`` takes a Sturm sequence for
-a square-free polynomial and isolates its real roots into pairwise disjoint
-``IsolatingInterval`` objects, each a ``RationalInterval`` (a closed
-interval with rational endpoints) that carries its polynomial.
+Isolation bisects, and refinement takes quadratic interval refinement steps
+on the same grid; both keep integer numerators over one denominator D * 2**k,
+so no step reduces a fraction, and the endpoints are the same rationals that
+bisection over ``Fraction`` would give.  ``sturm_isolate`` takes a Sturm
+sequence for a square-free polynomial and isolates its real roots into
+pairwise disjoint ``IsolatingInterval`` objects, each a ``RationalInterval``
+(a closed interval with rational endpoints) that carries its polynomial.
 ``sturm_chain`` builds a Sturm sequence for any polynomial as a primitive
 integer remainder sequence, and a degenerate moment window supplies its own
 from the orthogonal-polynomial recurrence.
@@ -202,7 +203,7 @@ def _homogeneous_value(cs: Sequence[int], n: int, d: int) -> int:
 
 
 def _at_denominator(cs: Sequence[int], den: int) -> tuple[int, ...]:
-    """``cs[j] * den**(deg - j)``, highest degree first, for ``_sign_at``."""
+    """``cs[j] * den**(deg - j)``, highest degree first, for ``_value_at``."""
     out, dp = [], 1
     for c in reversed(cs):
         out.append(c * dp)
@@ -210,17 +211,25 @@ def _at_denominator(cs: Sequence[int], den: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sign_at(hs: Sequence[int], n: int, k: int) -> int:
-    """Sign of p(n / (den * 2**k)), with ``hs = _at_denominator(cs, den)``.
+def _value_at(hs: Sequence[int], n: int, k: int) -> int:
+    """(den * 2**k)**deg * p(n / (den * 2**k)), with ``hs = _at_denominator(cs, den)``.
 
     Homogeneous Horner over integers: ``c_j * den**(deg-j) * 2**(k*(deg-j))``
     is a shift of the prepared coefficient, so no step reduces a fraction.
+    The value has the sign of p there, and two values at one level k stand
+    in the ratio of the polynomial's values.
     """
     acc, shift = 0, 0
     for c in hs:
         acc = acc * n + (c << shift)
         shift += k
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(hs: Sequence[int], n: int, k: int) -> int:
+    """Sign of p(n / (den * 2**k)); see ``_value_at``."""
+    v = _value_at(hs, n, k)
+    return (v > 0) - (v < 0)
 
 
 def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -378,24 +387,63 @@ def _isolate_segments(
     return out
 
 
-def _bisect(
+def _refine(
     hs: Sequence[int], den: int, a: int, b: int, k: int, width: int
 ) -> tuple[int, int, int]:
-    """Bisect [a, b] / (den * 2**k) around its root until no wider than 1/width.
+    """Narrow [a, b] / (den * 2**k) around its one root until no wider than 1/width.
 
-    p(a) and p(b) must be nonzero with opposite signs.  Returns (a, b, k) at
-    the final level; a == b when a midpoint is an exact root.
+    Quadratic interval refinement (Abbott, "Quadratic Interval Refinement for
+    Real Roots", arXiv:1203.1227) on the bisection grid.  A step cuts the
+    interval into 2**e cells at level k + e, lets the secant through the two
+    endpoint values pick one cell, and keeps it only when the signs at both
+    of its endpoints show the sign change.  A kept cell doubles e, so the
+    number of cells is squared; a miss halves e and takes one bisection step.
+    e never exceeds the halvings that bisection would still make, so the
+    result is the cell of the last bisection level that holds the root, the
+    interval that bisection returns.  A zero at an endpoint or at an
+    evaluated grid point is the root, returned as (m, m, level).  Raises
+    ``ValueError`` when p(a) and p(b) are nonzero with one sign.
     """
-    sa = _sign_at(hs, a, k)
-    while (b - a) * width > den << k:
+    w, deg = b - a, len(hs) - 1
+    va, vb = _value_at(hs, a, k), _value_at(hs, b, k)
+    if not va:
+        return a, a, k
+    if not vb:
+        return b, b, k
+    sa = va > 0
+    if (vb > 0) == sa:
+        raise ValueError("the polynomial does not change sign over the interval")
+    # Bisection halves until (b - a) * width <= den * 2**k, so it makes
+    # ceil(log2(w * width / (den * 2**k))) more steps.
+    left = (-(-w * width // (den << k)) - 1).bit_length()
+    e = 2
+    while left:
+        e = min(e, left)
+        last = (1 << e) - 1
+        i = min((va << e) // (va - vb), last)
+        lo, level = (a << e) + i * w, k + e
+        vlo = _value_at(hs, lo, level) if i else va << (deg * e)
+        if not vlo:
+            return lo, lo, level
+        if (vlo > 0) == sa:
+            vhi = _value_at(hs, lo + w, level) if i < last else vb << (deg * e)
+            if not vhi:
+                return lo + w, lo + w, level
+            if (vhi > 0) != sa:
+                a, b, k, va, vb = lo, lo + w, level, vlo, vhi
+                left -= e
+                e *= 2
+                continue
+        e = max(e // 2, 2)
         mid, k = a + b, k + 1
-        s = _sign_at(hs, mid, k)
-        if s == 0:
+        vm = _value_at(hs, mid, k)
+        if not vm:
             return mid, mid, k
-        if s == sa:
-            a, b = mid, b << 1
+        if (vm > 0) == sa:
+            a, b, va, vb = mid, b << 1, vm, vb << deg
         else:
-            a, b = a << 1, mid
+            a, b, va, vb = a << 1, mid, va << deg, vm
+        left -= 1
     return a, b, k
 
 
@@ -408,10 +456,12 @@ def _settle_segment(
     and the segment is [a, b] / (den * 2**k).  Any rational root of ``cs`` has
     a denominator dividing the leading coefficient L, so once the segment is
     no wider than min(1/4, 1/(2L)) it contains at most one candidate r/L,
-    which is tested exactly.
+    which is tested exactly.  ``_refine`` narrows it to that width in
+    quadratic steps rather than log2(L) bisection steps, and returns the
+    segment that bisection would give.
     """
     lead = abs(cs[-1])
-    a, b, k = _bisect(hs, den, a, b, k, max(4, 2 * lead))
+    a, b, k = _refine(hs, den, a, b, k, max(4, 2 * lead))
     scale = den << k
     for r in range(-((-a * lead) // scale), (b * lead) // scale + 1):
         if a * lead < r * scale < b * lead and _homogeneous_value(cs, r, lead) == 0:
@@ -479,10 +529,15 @@ def sturm_isolate(chain: Sequence[RationalPoly]) -> list[IsolatingInterval]:
 
 
 def refine_root(iv: IsolatingInterval, digits: int) -> IsolatingInterval:
-    """Bisect until the interval is no wider than 10**-digits.
+    """Narrow the interval until it is no wider than 10**-digits.
 
-    Exact roots come back unchanged; the output is always nested inside the
-    input and keeps isolating the same root.
+    ``_refine`` takes quadratic interval refinement steps on the bisection
+    grid, so the result is the interval that bisection to this width gives,
+    and a root on a grid point of its levels comes back exact, at O(log
+    digits) evaluations near the root in place of O(digits).  Exact roots
+    come back unchanged; the output is always nested inside the input and
+    keeps isolating the same root.  Raises ``ValueError`` for digits < 1, or
+    when p has the same nonzero sign at both endpoints.
     """
     if digits < 1:
         raise ValueError("digits must be a positive integer")
@@ -490,10 +545,5 @@ def refine_root(iv: IsolatingInterval, digits: int) -> IsolatingInterval:
         return iv
     p = iv.poly
     (a, b), den = _common_denominator((iv.lo, iv.hi))
-    hs = _at_denominator(p.primitive, den)
-    if _sign_at(hs, a, 0) == 0:
-        return IsolatingInterval(iv.lo, iv.lo, p)
-    if _sign_at(hs, b, 0) == 0:
-        return IsolatingInterval(iv.hi, iv.hi, p)
-    a, b, k = _bisect(hs, den, a, b, 0, 10**digits)
+    a, b, k = _refine(_at_denominator(p.primitive, den), den, a, b, 0, 10**digits)
     return IsolatingInterval(Fraction(a, den << k), Fraction(b, den << k), p)

@@ -155,9 +155,12 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     if mu.is_exact:
         return [Fraction(lo, den) for lo, _, den in _moment_sums(mu.atoms, mu.weights, count)]
     scale = 10**digits
+    atoms = mu.atoms
+    # Each retry refines the last retry's intervals: refinement cells nest, so
+    # this gives the intervals that refining the stored atoms would give.
     for pad in (5, 10, 20, 40, 80):
         atoms = [
-            refine_root(a, digits + pad) if isinstance(a, IsolatingInterval) else a for a in mu.atoms
+            refine_root(a, digits + pad) if isinstance(a, IsolatingInterval) else a for a in atoms
         ]
         sums = list(_moment_sums(atoms, mu.weights, count))
         if all((hi - lo) * scale <= den for lo, hi, den in sums):
@@ -282,8 +285,10 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
             raise InconsistentWindow(f"an exact residual up to s_{2 * n0 - 1} is nonzero")
         return DiscreteMeasure(tuple(atoms), tuple(weights))
     tol = Fraction(1, 10**digits)
+    refined = roots
     for pad in (10, 20, 40, 80, 160):
-        refined = [refine_root(r, digits + pad) for r in roots]
+        # As in measure_moments, a retry refines the last retry's intervals.
+        refined = [refine_root(r, digits + pad) for r in refined]
         # Grid step 2**-bits is below 10**-(digits + pad) / 256.
         bits = (10 ** (digits + pad)).bit_length() + 8
         weight_ivs = _interval_weights(refined, numer, deriv, bits)

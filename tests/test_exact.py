@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hankelmp import exact
 from hankelmp.errors import NotSquareFree, ZeroPolynomial
 from hankelmp.exact import (
     MAX_DECIMAL_EXPONENT,
@@ -338,6 +339,84 @@ class TestIntegerKernelsAgainstFractionBisection:
         iv = IsolatingInterval(F(4, 3), F(3, 2), RationalPoly([-2, 0, 1]))
         for digits in (1, 7, 30):
             assert refine_root(iv, digits) == oracles.fraction_refine_root(iv, digits)
+
+
+@pytest.fixture(scope="module")
+def high_digit_cases():
+    """(kind, interval) pairs on which quadratic refinement must match bisection."""
+    r, lead = F(1, 3), 3 * 10**300
+    cases = []
+    for poly in (
+        poly_from_roots([r, r + F(1, 2**230), F(-5, 7)]),
+        RationalPoly([r * r - F(2, 4**215), -2 * r, 1]),
+    ):
+        cases += [("close pair", iv) for iv in sturm_isolate(sturm_chain(poly))]
+    legendre = RationalPoly(oracles.orthogonal_poly(oracles.hilbert_window(3), 3))
+    cases += [("legendre", iv) for iv in sturm_isolate(sturm_chain(legendre))]
+    # Roots on grid points: level 40 of [0, 1], level 41 of [1/3, 2/3] (a
+    # non-dyadic denominator), and level 1500 of [1/2, 3/2], which is below
+    # the target level at 1000 digits and above it at 300.
+    for lo, hi, root in (
+        (F(0), F(1), F(5, 2**40)),
+        (F(1, 3), F(2, 3), F(1, 3) + F(5, 3 * 2**41)),
+        (F(1, 2), F(3, 2), 1 + F(1, 2**1500)),
+    ):
+        cases.append(("grid point", IsolatingInterval(lo, hi, poly_from_roots([root, 7]))))
+    # Primitive leading coefficient L = 3 * 10**300: isolation settles each
+    # segment to width 1/(2L) before it tests the one rational candidate.
+    wide = RationalPoly([-(2 * lead + 7), 0, lead])
+    ivs = sturm_isolate(sturm_chain(wide))
+    assert ivs == oracles.fraction_sturm_isolate(wide)
+    assert all(not iv.is_exact and iv.width <= F(1, 2 * lead) for iv in ivs)
+    cases += [("large leading coefficient", iv) for iv in ivs]
+    return cases
+
+
+class TestQuadraticRefinement:
+    """``refine_root`` takes quadratic steps on the bisection grid: same intervals."""
+
+    @pytest.mark.parametrize("digits,per_kind", [(300, None), (1000, 1)])
+    def test_matches_fraction_bisection_at_high_digits(self, high_digit_cases, digits, per_kind):
+        # The Fraction oracle costs 0.3-1 s per root at 1000 digits, so
+        # that level checks the first inexact interval of each kind.
+        seen: dict[str, int] = {}
+        for kind, iv in high_digit_cases:
+            if iv.is_exact or seen.get(kind, 0) == per_kind:
+                continue
+            seen[kind] = seen.get(kind, 0) + 1
+            refined = refine_root(iv, digits)
+            assert refined == oracles.fraction_refine_root(iv, digits), kind
+            assert iv.lo <= refined.lo <= refined.hi <= iv.hi
+        assert len(seen) == 4
+
+    def test_grid_point_roots_come_back_exact_below_the_target_level(self, high_digit_cases):
+        cases = [iv for kind, iv in high_digit_cases if kind == "grid point"]
+        assert [refine_root(iv, 300).is_exact for iv in cases] == [True, True, False]
+        assert refine_root(cases[2], 1000).lo == 1 + F(1, 2**1500)
+
+    def test_refining_a_refined_interval_matches_refining_the_original(self, high_digit_cases):
+        # The pad loops of reconstruct and measure_moments rely on this.
+        for _, iv in high_digit_cases:
+            assert refine_root(refine_root(iv, 60), 300) == refine_root(iv, 300)
+
+    def test_few_evaluations_to_4300_digits(self, monkeypatch):
+        sqrt2 = sturm_isolate(sturm_chain(RationalPoly([-2, 0, 1])))[1]
+        calls, value_at = [], exact._value_at
+
+        def counting(hs, n, k):
+            calls.append(k)
+            return value_at(hs, n, k)
+
+        monkeypatch.setattr(exact, "_value_at", counting)
+        refined = refine_root(sqrt2, 4300)
+        # Bisection makes one evaluation per bit: about 14 300 here.
+        assert len(calls) < 200
+        assert refined.width <= F(1, 10**4300)
+        assert refined.lo**2 < 2 < refined.hi**2
+
+    def test_same_sign_endpoints_rejected(self):
+        with pytest.raises(ValueError, match="sign"):
+            refine_root(IsolatingInterval(F(2), F(3), RationalPoly([-2, 0, 1])), 5)
 
 
 class TestIntervalTypes:
