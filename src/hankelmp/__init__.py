@@ -28,7 +28,6 @@ from .exact import (
     format_rational,
     parse_rational,
     refine_root,
-    sign_variations,
     sturm_chain,
     sturm_isolate,
 )
@@ -57,8 +56,6 @@ from .identities import (
     SplitMix64,
     det1_determinant,
     det1_matrix,
-    det2_check,
-    det2_matrix,
     random_measure,
     verify_det1,
     verify_det2,

@@ -10,6 +10,9 @@ without a traceback), 2 usage or parse error.
 takes ``--trials`` 1..MAX_TRIALS (10000), ``--max-n`` 1..MAX_VERIFY_N (32)
 and ``--max-p`` 1..MAX_VERIFY_P (16).  An input file whose JSON nests deeper
 than the parser's recursion limit is a parse error (exit 2).
+A measure file's interval atom needs lo <= hi and a poly of degree at most
+MAX_ATOM_DEGREE (100), where its one-root check takes about 0.05 s with small
+integer coefficients; a ``reconstruct`` output with n0 > 100 is not accepted.
 
 Rationals are serialized as canonical strings ("p/q" or an integer), never as
 JSON numbers; enclosures are {"lo", "hi", "decimal"} objects where the decimal
@@ -31,10 +34,9 @@ from .exact import (
     IsolatingInterval,
     RationalInterval,
     RationalPoly,
+    _check_isolating,
     format_rational,
     parse_rational,
-    sign_variations,
-    sturm_chain,
 )
 from .hankel import (
     Degenerate,
@@ -138,17 +140,13 @@ def _parse_atom(entry, where: str):
         poly = RationalPoly([_rational_from_json(c, where) for c in coeffs])
         if poly.is_zero:
             raise _InputError(f"{where}: the defining poly must be nonzero")
-        if lo == hi:
-            if poly(lo) != 0:
-                raise _InputError(f"{where}: point interval is not a root of its poly")
-        elif poly(lo) == 0 or poly(hi) == 0 or (poly(lo) > 0) == (poly(hi) > 0):
-            raise _InputError(f"{where}: the poly does not change sign over [lo, hi]")
-        else:
-            chain = sturm_chain(poly)
-            roots = sign_variations([q(lo) for q in chain])
-            roots -= sign_variations([q(hi) for q in chain])
-            if roots != 1:
-                raise _InputError(f"{where}: [lo, hi] holds {roots} roots of its poly, not one")
+        if poly.degree > MAX_ATOM_DEGREE:
+            raise _InputError(f"{where}: the defining poly has degree {poly.degree}, "
+                              f"above {MAX_ATOM_DEGREE}")
+        try:
+            _check_isolating(poly, lo, hi)
+        except ValueError as exc:
+            raise _InputError(f"{where}: {exc}") from exc
         return IsolatingInterval(lo, hi, poly)
     raise _InputError(f"{where}: atom must be an 'exact' or 'interval' object")
 
@@ -337,6 +335,10 @@ def _cmd_demo(args) -> int:
 
 # Largest --count accepted by extend and moments: each value is built in full.
 MAX_COUNT = 10_000
+# Largest degree of an interval atom's poly.  Its Sturm chain, built by the
+# one-root check, takes 0.05 s at degree 100 with one-digit integer
+# coefficients on a 2-core VM, 0.8 s with 10-digit and 4.9 s with 30-digit ones.
+MAX_ATOM_DEGREE = 100
 # Largest verify --trials, --max-n and --max-p.  A trial builds exact matrices
 # of order up to n + p + 1 in full; one det2 trial at n = 32, p = 16 takes
 # about 16 s on a 2-core VM.

@@ -17,7 +17,8 @@ pairwise disjoint ``IsolatingInterval`` objects, each a ``RationalInterval``
 (a closed interval with rational endpoints) that carries its polynomial.
 ``sturm_chain`` builds a Sturm sequence for any polynomial as a primitive
 integer remainder sequence, and a degenerate moment window supplies its own
-from the orthogonal-polynomial recurrence.
+from the orthogonal-polynomial recurrence, so in the package only
+``_check_isolating`` calls it, on the interval atoms of CLI measure files.
 A root that happens to be rational is recovered exactly and its interval
 collapses to a point.
 """
@@ -43,7 +44,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "refine_root",
-    "sign_variations",
     "sturm_chain",
     "sturm_isolate",
 ]
@@ -134,12 +134,6 @@ class RationalPoly:
     @property
     def degree(self) -> int:
         return len(self.numerators) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.numerators:
-            raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return Fraction(self.numerators[-1], self.denominator)
 
     def __call__(self, x: Fraction | int) -> Fraction:
         value = _homogeneous_value(self.numerators, x.numerator, x.denominator)
@@ -276,10 +270,39 @@ def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
     return chain
 
 
-def sign_variations(values: Sequence[Fraction]) -> int:
-    """Number of sign changes in a sequence, zeros ignored."""
-    signs = [v > 0 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: Sequence[Sequence[int]], n: int, k: int) -> int:
+    """Sign changes, zeros ignored, of ``_at_denominator`` chain members at n / (den * 2**k)."""
+    count, last = 0, 0
+    for hs in chain:
+        s = _sign_at(hs, n, k)
+        if s:
+            count += last != 0 and s != last
+            last = s
+    return count
+
+
+def _check_isolating(p: RationalPoly, lo: Fraction, hi: Fraction) -> None:
+    """Raise ``ValueError`` unless [lo, hi], lo <= hi, isolates one real root of p != 0.
+
+    A point interval must be a root.  Otherwise p must have opposite nonzero
+    signs at lo and hi, and ``sturm_chain(p)`` must lose exactly one sign
+    variation between them, read on the integer grid of ``_variations``.
+    """
+    if lo > hi:
+        raise ValueError("interval endpoints out of order")
+    (a, b), den = _common_denominator((lo, hi))
+    hs = _at_denominator(p.primitive, den)
+    if a == b:
+        if _value_at(hs, a, 0):
+            raise ValueError("point interval is not a root of its poly")
+        return
+    sa, sb = _sign_at(hs, a, 0), _sign_at(hs, b, 0)
+    if sa * sb >= 0:
+        raise ValueError("the poly does not change sign over [lo, hi]")
+    chain = [_at_denominator(q.primitive, den) for q in sturm_chain(p)]
+    roots = _variations(chain, a, 0) - _variations(chain, b, 0)
+    if roots != 1:
+        raise ValueError(f"[lo, hi] holds {roots} roots of its poly, not one")
 
 
 def cauchy_root_bound(p: RationalPoly) -> Fraction:
@@ -300,10 +323,6 @@ class RationalInterval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -343,18 +362,9 @@ def _isolate_segments(
     stack grows with the depth.  An exact root m comes out as (m, m, k).
     """
 
-    def variations(n: int, k: int) -> int:
-        count, last = 0, 0
-        for hs in chain:
-            s = _sign_at(hs, n, k)
-            if s:
-                count += last != 0 and s != last
-                last = s
-        return count
-
     p = chain[0]
     out: list[tuple[int, int, int]] = []
-    work = [(a, b, 0, variations(a, 0), variations(b, 0))]
+    work = [(a, b, 0, _variations(chain, a, 0), _variations(chain, b, 0))]
     while work:
         a, b, k, va, vb = work.pop()
         count = va - vb
@@ -365,7 +375,7 @@ def _isolate_segments(
             continue
         mid, level = a + b, k + 1
         if _sign_at(p, mid, level):
-            vm = variations(mid, level)
+            vm = _variations(chain, mid, level)
             work += [(mid, b << 1, level, vm, vb), (a << 1, mid, level, va, vm)]
             continue
         # Exact root at the midpoint: peel it off with a half-width of
@@ -374,7 +384,7 @@ def _isolate_segments(
         while True:
             lo, hi = mid - width, mid + width
             if _sign_at(p, lo, level) and _sign_at(p, hi, level):
-                vlo, vhi = variations(lo, level), variations(hi, level)
+                vlo, vhi = _variations(chain, lo, level), _variations(chain, hi, level)
                 if vlo - vhi == 1:
                     break
             mid, level = mid << 1, level + 1

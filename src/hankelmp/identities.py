@@ -39,8 +39,6 @@ __all__ = [
     "SplitMix64",
     "det1_determinant",
     "det1_matrix",
-    "det2_check",
-    "det2_matrix",
     "random_measure",
     "verify_det1",
     "verify_det2",
@@ -262,13 +260,9 @@ def _det2_rows(inst: Det2Instance, moments: Sequence[Fraction]) -> list[list[Fra
     return rows
 
 
-def det2_matrix(inst: Det2Instance) -> list[list[Fraction]]:
-    """Assemble the order n+p+1 matrix of a det2 instance."""
-    return _det2_rows(inst, measure_moments(inst.base_measure, 2 * inst.n + inst.p))
-
-
 def _det2_result(inst: Det2Instance, moments: Sequence[Fraction]) -> Det2Result:
-    """``det2_check`` from the base measure's moments s_0..s_{2n+p}."""
+    """Exact factorization check from the moments s_0..s_{2n+p}: lhs is the
+    det2 determinant, rhs is (-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p})."""
     n, p = inst.n, inst.p
     lhs = det_exact(_det2_rows(inst, moments))
     d_prev = det_sequence(moments[: 2 * n - 1])[n - 1]
@@ -277,15 +271,6 @@ def _det2_result(inst: Det2Instance, moments: Sequence[Fraction]) -> Det2Result:
     for x in inst.xs:
         rhs *= x - s_top
     return Det2Result(lhs, rhs, lhs == rhs)
-
-
-def det2_check(inst: Det2Instance) -> Det2Result:
-    """Exact check of the bordered-determinant factorization.
-
-    lhs is the assembled determinant; rhs is
-    (-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p}).
-    """
-    return _det2_result(inst, measure_moments(inst.base_measure, 2 * inst.n + inst.p + 1))
 
 
 # --- seeded verification campaigns -------------------------------------------
@@ -473,7 +458,10 @@ def verify_psd_theorem(trials: int = 200, seed: int = 0, max_n: int = 5) -> Camp
         problems = []
         if cls != Degenerate(n, True):
             problems.append(f"classification {cls!r} instead of Degenerate({n}, True)")
-        bad = [k for k in range(window.horizon + 1) if not is_psd(hankel_matrix(window, k))]
+        # Each H_k is a leading principal submatrix of H_N: one elimination clears all.
+        bad = [] if is_psd(hankel_matrix(window, window.horizon)) else [
+            k for k in range(window.horizon + 1) if not is_psd(hankel_matrix(window, k))
+        ]
         if bad:
             problems.append(f"H_k not PSD for k in {bad}")
         if problems:

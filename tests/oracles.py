@@ -221,7 +221,7 @@ def poly_rem(a, b) -> RationalPoly:
     rem = list(a.coeffs)
     while len(rem) >= len(b.coeffs):
         shift = len(rem) - len(b.coeffs)
-        factor = rem[-1] / b.leading
+        factor = rem[-1] / b.coeffs[-1]
         for j, c in enumerate(b.coeffs):
             rem[shift + j] -= factor * c
         while rem and rem[-1] == 0:
@@ -240,8 +240,27 @@ def fraction_sturm_chain(p) -> list[RationalPoly]:
         r = poly_rem(chain[-2], chain[-1])
         if r.is_zero:
             break
-        chain.append(RationalPoly([-c / abs(r.leading) for c in r.coeffs]))
+        chain.append(RationalPoly([-c / abs(r.coeffs[-1]) for c in r.coeffs]))
     return chain
+
+
+def fraction_isolating_check(p, lo, hi) -> str | None:
+    """Why [lo, hi] does not isolate one root of p, as ``exact`` words it, or None.
+
+    The checks run in the library's order: endpoint order, a point interval
+    on a root, opposite nonzero signs at the ends, and one distinct root
+    between them by ``fraction_sturm_chain``.
+    """
+    if lo > hi:
+        return "interval endpoints out of order"
+    at_lo, at_hi = eval_power_sum(p.coeffs, lo), eval_power_sum(p.coeffs, hi)
+    if lo == hi:
+        return None if at_lo == 0 else "point interval is not a root of its poly"
+    if _sign(at_lo) * _sign(at_hi) >= 0:
+        return "the poly does not change sign over [lo, hi]"
+    chain = fraction_sturm_chain(p)
+    roots = _variations(chain, lo) - _variations(chain, hi)
+    return None if roots == 1 else f"[lo, hi] holds {roots} roots of its poly, not one"
 
 
 def poly_gcd(a, b):
@@ -250,7 +269,7 @@ def poly_gcd(a, b):
         a, b = b, poly_rem(a, b)
     if a.is_zero:
         return a
-    return RationalPoly([c / a.leading for c in a.coeffs])
+    return RationalPoly([c / a.coeffs[-1] for c in a.coeffs])
 
 
 # --- Fraction bisection: the reference for the integer kernels in exact.py ----

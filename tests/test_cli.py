@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hankelmp.cli import _decimal_str, measure_to_doc, run
+from hankelmp.cli import MAX_ATOM_DEGREE, _decimal_str, measure_to_doc, run
 from hankelmp.recovery import reconstruct
 from oracles import det_cofactor
 
@@ -261,6 +261,33 @@ class TestMoments:
         assert code == 0
         for rendered, expected in zip(json.loads(out)["moments"], [2, 6, 18]):
             assert F(rendered["lo"]) <= expected <= F(rendered["hi"])
+
+    @pytest.mark.parametrize("pair", [["2", "1"], ["3/2", "1"]])
+    def test_reversed_interval_rejected(self, tmp_path, capsys, pair):
+        # The root sqrt(3/2) of 2x^2 - 3 lies between the endpoints, but lo > hi.
+        payload = {"atoms": [{"interval": pair, "poly": ["-3", "0", "2"]}], "weights": ["1"]}
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, err = invoke(capsys, ["moments", path, "--count", "2"])
+        assert (code, out) == (2, "")
+        assert err == f"hankelmp: {path}: interval endpoints out of order\n"
+
+    def test_poly_degree_bound(self, tmp_path, capsys):
+        # x^d - 2 has its one positive root 2^(1/d) in [1, 2].
+        for degree in (MAX_ATOM_DEGREE, MAX_ATOM_DEGREE + 1):
+            poly = ["-2"] + ["0"] * (degree - 1) + ["1"]
+            payload = {"atoms": [{"interval": ["1", "2"], "poly": poly}], "weights": ["1"]}
+            path = write_json(tmp_path, "m.json", payload)
+            code, out, err = invoke(capsys, ["moments", path, "--count", "2", "--digits", "5"])
+            if degree == MAX_ATOM_DEGREE:
+                assert (code, err) == (0, "")
+                s1 = json.loads(out)["moments"][1]
+                assert F(s1["lo"]) ** degree <= 2 <= F(s1["hi"]) ** degree
+            else:
+                assert (code, out) == (2, "")
+                assert err == (
+                    f"hankelmp: {path}: the defining poly has degree {degree}, "
+                    f"above {MAX_ATOM_DEGREE}\n"
+                )
 
     def test_atom_enclosure_holding_zero_keeps_s0_exact(self, tmp_path, capsys):
         # The root 10^-400 is never separated from 0 by refinement, but

@@ -20,7 +20,6 @@ from hankelmp.exact import (
     format_rational,
     parse_rational,
     refine_root,
-    sign_variations,
     sturm_chain,
     sturm_isolate,
 )
@@ -127,11 +126,6 @@ class TestPolyBasics:
         derivative = oracles.fraction_derivative(ref)
         assert p.derivative().coeffs == derivative
         assert p.derivative() == RationalPoly(derivative)
-        if ref:
-            assert p.leading == ref[-1]
-        else:
-            with pytest.raises(ZeroPolynomial):
-                p.leading
         for x in points + ([F(1, TEN_DIGIT_PRIMES[0])] if ref else []):
             assert p(x) == eval_power_sum(ref, F(x))
         # The stored forms: reduced numerators over a positive denominator, and
@@ -234,11 +228,13 @@ class TestSturmIsolation:
             poly = poly_from_roots(roots)
             chain = sturm_chain(poly)
             bound = cauchy_root_bound(poly)
+            reference = fraction_sturm_chain(poly)
             for b in (bound + 1, 2 * bound + 3):
-                diff = sign_variations([q(-b) for q in chain]) - sign_variations(
-                    [q(b) for q in chain]
-                )
-                assert diff == len(sturm_isolate(sturm_chain(poly))) == count
+                (lo, hi), den = exact._common_denominator((-b, b))
+                ints = [exact._at_denominator(q.primitive, den) for q in chain]
+                diff = exact._variations(ints, lo, 0) - exact._variations(ints, hi, 0)
+                assert diff == len(sturm_isolate(chain)) == count
+                assert diff == oracles._variations(reference, -b) - oracles._variations(reference, b)
 
 
 def _scaled_to_integers(poly: RationalPoly) -> RationalPoly:
@@ -302,7 +298,7 @@ class TestSturmChain:
             assert member.degree == ref.degree
             if member.is_zero:
                 continue  # p' of a constant p
-            ratio = member.leading / ref.leading
+            ratio = member.coeffs[-1] / ref.coeffs[-1]
             assert ratio > 0
             assert member.coeffs == tuple(ratio * c for c in ref.coeffs)
 
@@ -312,6 +308,60 @@ class TestSturmChain:
             nums = [c.numerator for c in member.coeffs]
             assert all(c.denominator == 1 for c in member.coeffs)
             assert math.gcd(*nums) == 1
+
+
+@st.composite
+def interval_atoms(draw):
+    """(poly, lo, hi) as a measure file may give them.
+
+    The poly is c * prod (x - u*r)^m * q with multiplicities m up to 3, an
+    optional quadratic q, a constant c from {1, -7/3, 10^300, -10^-300} and
+    a root unit u from {1, 10^-300, 10^300}.  The endpoints are roots, points
+    near roots, or other multiples of u, in either order or equal.
+    """
+    unit = draw(st.sampled_from([F(1), F(1, 10**300), F(10**300)]))
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    roots = draw(st.lists(small, max_size=3, unique=True))
+    poly = RationalPoly([draw(st.sampled_from([F(1), F(-7, 3), F(10**300), -F(1, 10**300)]))])
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            poly = poly_mul(poly, RationalPoly([-r * unit, 1]))
+    if draw(st.booleans()):
+        m = draw(st.integers(-9, 9))
+        poly = poly_mul(poly, RationalPoly([-m * unit * unit, 0, 1]))
+    anchors = st.sampled_from(roots) if roots else small
+
+    def near(anchor):
+        offset = draw(st.sampled_from([F(0), F(1, 2), F(1, 7), F(1, 10**300)]))
+        return (anchor + draw(st.sampled_from([offset, -offset]))) * unit
+
+    anchor = draw(st.one_of(anchors, small))
+    lo = near(anchor)
+    if draw(st.sampled_from([False, False, False, True])):
+        return poly, lo, lo
+    lo, hi = sorted((lo, near(draw(st.one_of(st.just(anchor), anchors, small)))))
+    return (poly, hi, lo) if draw(st.sampled_from([False] * 7 + [True])) else (poly, lo, hi)
+
+
+class TestCheckIsolating:
+    @given(interval_atoms())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @example((poly_from_roots([1, 1, 3]), F(0), F(2)))  # double root: no sign change
+    @example((poly_from_roots([1, 1, 1]), F(0), F(2)))  # triple root: one distinct root
+    @example((poly_from_roots([1, 1, 2]), F(0), F(3)))  # a double and a simple root
+    @example((poly_from_roots([1, 2, 3]), F(0), F(5)))
+    @example((poly_from_roots([1, 2, 3]), F(1), F(3, 2)))  # lo on a root
+    @example((poly_from_roots([1, 2]), F(3, 2), F(3, 2)))  # point off the roots
+    @example((RationalPoly([-3, 0, 2]), F(2), F(1)))  # reversed
+    def test_matches_the_fraction_oracle(self, case):
+        poly, lo, hi = case
+        expected = oracles.fraction_isolating_check(poly, lo, hi)
+        try:
+            exact._check_isolating(poly, lo, hi)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
 
 class TestIntegerKernelsAgainstFractionBisection:
@@ -367,7 +417,7 @@ def high_digit_cases():
     wide = RationalPoly([-(2 * lead + 7), 0, lead])
     ivs = sturm_isolate(sturm_chain(wide))
     assert ivs == oracles.fraction_sturm_isolate(wide)
-    assert all(not iv.is_exact and iv.width <= F(1, 2 * lead) for iv in ivs)
+    assert all(not iv.is_exact and iv.hi - iv.lo <= F(1, 2 * lead) for iv in ivs)
     cases += [("large leading coefficient", iv) for iv in ivs]
     return cases
 
@@ -411,7 +461,7 @@ class TestQuadraticRefinement:
         refined = refine_root(sqrt2, 4300)
         # Bisection makes one evaluation per bit: about 14 300 here.
         assert len(calls) < 200
-        assert refined.width <= F(1, 10**4300)
+        assert refined.hi - refined.lo <= F(1, 10**4300)
         assert refined.lo**2 < 2 < refined.hi**2
 
     def test_same_sign_endpoints_rejected(self):
@@ -425,7 +475,7 @@ class TestIntervalTypes:
     def test_isolating_interval_is_a_rational_interval(self):
         iv = IsolatingInterval(F(1), F(2), self.poly)
         assert isinstance(iv, RationalInterval)
-        assert (iv.width, iv.midpoint()) == (F(1), F(3, 2))
+        assert (iv.hi - iv.lo, iv.midpoint()) == (F(1), F(3, 2))
         assert repr(iv) == (
             "IsolatingInterval(lo=Fraction(1, 1), hi=Fraction(2, 1), "
             "poly=RationalPoly(['-2', '0', '1']))"
@@ -454,7 +504,7 @@ class TestRefineRoot:
 
     def test_width_and_containment(self):
         refined = refine_root(self.sqrt2, 10)
-        assert refined.width <= F(1, 10**10)
+        assert refined.hi - refined.lo <= F(1, 10**10)
         assert refined.lo**2 <= 2 <= refined.hi**2
 
     def test_exact_root_unchanged(self):
@@ -463,7 +513,7 @@ class TestRefineRoot:
 
     def test_negative_root_digits_3(self):
         refined = refine_root(self.neg_sqrt2, 3)
-        assert refined.width <= F(1, 1000)
+        assert refined.hi - refined.lo <= F(1, 1000)
         assert refined.hi < 0 and refined.hi**2 <= 2 <= refined.lo**2
         assert abs(refined.midpoint() + F(141421, 100000)) < F(2, 1000)
 
@@ -477,7 +527,7 @@ class TestRefineRoot:
     @settings(derandomize=True, max_examples=12)
     def test_nesting_over_digits(self, digits):
         refined = refine_root(self.sqrt2, digits)
-        assert refined.width <= F(1, 10**digits)
+        assert refined.hi - refined.lo <= F(1, 10**digits)
         tighter = refine_root(refined, digits + 2)
         assert refined.lo <= tighter.lo <= tighter.hi <= refined.hi
 

@@ -11,10 +11,10 @@ from hankelmp.identities import (
     Det2Instance,
     MeasureGenSpec,
     SplitMix64,
+    _det2_result,
+    _det2_rows,
     det1_determinant,
     det1_matrix,
-    det2_check,
-    det2_matrix,
     random_measure,
     verify_det1,
     verify_det2,
@@ -129,6 +129,11 @@ class TestDet1:
             det1_determinant(mu, [0, 1, 2], 0, [])  # p must be >= 1
 
 
+def det2_check(inst: Det2Instance):
+    """The campaign's check of one instance, from its base measure's moments."""
+    return _det2_result(inst, measure_moments(inst.base_measure, 2 * inst.n + inst.p + 1))
+
+
 class TestDet2:
     def worked_instance(self):
         mu = DiscreteMeasure((F(2),), (F(1),))
@@ -136,8 +141,9 @@ class TestDet2:
 
     def test_worked_example(self):
         inst = self.worked_instance()
-        assert det2_matrix(inst) == [[1, 2, 4], [2, 4, 0], [4, 0, 5]]
-        result = det2_check(inst)
+        moments = measure_moments(inst.base_measure, 4)
+        assert _det2_rows(inst, moments) == [[1, 2, 4], [2, 4, 0], [4, 0, 5]]
+        result = _det2_result(inst, moments)
         assert result.lhs == -64 and result.rhs == -64 and result.equal
 
     def test_fill_independence(self):

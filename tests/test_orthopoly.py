@@ -118,14 +118,14 @@ class TestOrthogonalPoly:
                 previous = dets[n - 1] if n >= 1 else F(1)
                 assert moment_inner_product(p_n, p_n, window) == previous * dets[n]
                 if n >= 1 and dets[n - 1] != 0:
-                    assert p_n.degree == n and p_n.leading == dets[n - 1]
+                    assert p_n.degree == n and p_n.coeffs[-1] == dets[n - 1]
 
     def test_monic_leading_coefficient(self):
         rng = random.Random(55)
         for _ in range(40):
             polys = analyze(random_measure_window(rng, 5, rng.randint(0, 3))).orthogonal_polys
             for k, p_k in enumerate(polys):
-                assert p_k.degree == k and p_k.leading == 1
+                assert p_k.degree == k and p_k.coeffs[-1] == 1
 
     def test_degenerate_kernel_is_square_free_with_n0_roots(self):
         fixtures = [
@@ -194,7 +194,7 @@ class TestRecurrenceAgainstOracle:
         assert analysis.classification == Degenerate(n0, True)
         for k, p_k in enumerate(polys):
             determinantal = orthogonal_poly(window, k)
-            assert p_k == RationalPoly([c / determinantal.leading for c in determinantal.coeffs])
+            assert p_k == RationalPoly([c / determinantal.coeffs[-1] for c in determinantal.coeffs])
             for j in range(k):
                 assert moment_inner_product(p_k, monomial(j), window) == 0
         assert sturm_isolate(polys[::-1]) == oracles.fraction_sturm_isolate(analysis.kernel)

@@ -56,3 +56,36 @@ def test_names_exported_twice_are_one_object():
         distinct = [name for name, obj in found if obj is not found[0][1]]
         assert distinct == [], f"{attr} in {found[0][0]} differs from {attr} in {distinct}"
         assert getattr(hankelmp, attr, found[0][1]) is found[0][1], f"hankelmp.{attr} differs"
+
+
+def _references(tree: ast.AST, imports: bool) -> set[str]:
+    """Names that ``tree`` reads, attributes it reads, and, if ``imports``, names it imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif imports and isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_exported_name_has_a_caller_or_is_documented():
+    # Read from the AST, not the text: a docstring that names a function is no caller.
+    src = Path(hankelmp.__file__).parent
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in src.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    readme = (src.parents[1] / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for name in MODULES:
+        used = set()
+        for other, tree in trees.items():
+            used |= _references(tree, imports=other != name)
+        for attr in importlib.import_module(f"hankelmp.{name}").__all__:
+            if attr not in used and f"`{attr}" not in readme:
+                unused.append(f"{name}.{attr}")
+    assert unused == [], f"exported but never referenced in src/hankelmp nor named in README.md: {unused}"

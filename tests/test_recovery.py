@@ -187,7 +187,7 @@ class TestMeasureMoments:
         values = measure_moments(rec, 6, digits=25)
         for k, expected in enumerate([1, 0, 2, 0, 4, 0]):
             assert isinstance(values[k], RationalInterval)
-            assert values[k].width <= F(1, 10**25)
+            assert values[k].hi - values[k].lo <= F(1, 10**25)
             assert holds(values[k], F(expected))
 
 
@@ -224,7 +224,7 @@ class TestReconstruct:
         assert len(rec) == 2
         neg, pos = rec.atoms
         assert isinstance(neg, IsolatingInterval) and isinstance(pos, IsolatingInterval)
-        assert neg.width <= F(1, 10**40) and pos.width <= F(1, 10**40)
+        assert neg.hi - neg.lo <= F(1, 10**40) and pos.hi - pos.lo <= F(1, 10**40)
         assert neg.hi < 0 < pos.lo
         assert neg.lo**2 >= 2 >= neg.hi**2
         assert pos.lo**2 <= 2 <= pos.hi**2
@@ -328,7 +328,7 @@ class TestWeights:
             rec = reconstruct([1, 0, 2, 0, 4], digits=digits)
             for weight in rec.weights:
                 assert weight.lo > 0 and holds(weight, F(1, 2))
-                assert weight.width <= F(1, 10**digits)
+                assert weight.hi - weight.lo <= F(1, 10**digits)
 
     @pytest.mark.parametrize(
         "n0, targets",
