@@ -20,7 +20,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exact import (
-    Fraction,
     IsolatingInterval,
     RationalInterval,
     RationalPoly,
@@ -50,8 +49,6 @@ from .hankel import (
 )
 from .identities import (
     CampaignReport,
-    Det2Instance,
-    Det2Result,
     MeasureGenSpec,
     SplitMix64,
     det1_determinant,

@@ -278,21 +278,22 @@ def _cmd_moments(args) -> int:
     return 0
 
 
+# Each campaign's runner, and whether it takes --max-p.  A flag the user leaves
+# out is not passed, so the runner's signature holds every default.
 _CAMPAIGNS = {
-    "det1": (verify_det1, 4, True),
-    "det2": (verify_det2, 4, True),
-    "roundtrip": (verify_roundtrip, 5, False),
-    "psd-theorem": (verify_psd_theorem, 5, False),
+    "det1": (verify_det1, True),
+    "det2": (verify_det2, True),
+    "roundtrip": (verify_roundtrip, False),
+    "psd-theorem": (verify_psd_theorem, False),
 }
 
 
 def _cmd_verify(args) -> int:
-    runner, default_max_n, takes_p = _CAMPAIGNS[args.campaign]
-    max_n = args.max_n if args.max_n is not None else default_max_n
-    kwargs = {"trials": args.trials, "seed": args.seed, "max_n": max_n}
+    runner, takes_p = _CAMPAIGNS[args.campaign]
+    flags = {"trials": args.trials, "seed": args.seed, "max_n": args.max_n}
     if takes_p:
-        kwargs["max_p"] = args.max_p
-    report = runner(**kwargs)
+        flags["max_p"] = args.max_p
+    report = runner(**{key: value for key, value in flags.items() if value is not None})
     _emit(report.to_dict())
     if report.passed:
         return 0
@@ -408,12 +409,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded verification campaign")
     p.add_argument("campaign", choices=sorted(_CAMPAIGNS))
-    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=200,
+    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS),
                    help=f"number of trials, 1..{MAX_TRIALS} (default 200)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=_int_in(1, MAX_VERIFY_N), default=None,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-n", type=_int_in(1, MAX_VERIFY_N),
                    help=f"largest atom count, 1..{MAX_VERIFY_N} (default 4 or 5 by campaign)")
-    p.add_argument("--max-p", type=_int_in(1, MAX_VERIFY_P), default=3,
+    p.add_argument("--max-p", type=_int_in(1, MAX_VERIFY_P),
                    help=f"largest p of det1 and det2, 1..{MAX_VERIFY_P} (default 3)")
     p.set_defaults(handler=_cmd_verify)
 

@@ -36,7 +36,6 @@ from .errors import NotSquareFree, ZeroPolynomial
 
 __all__ = [
     "MAX_DECIMAL_EXPONENT",
-    "Fraction",
     "IsolatingInterval",
     "RationalInterval",
     "RationalPoly",
@@ -136,7 +135,7 @@ class RationalPoly:
         return len(self.numerators) - 1
 
     def __call__(self, x: Fraction | int) -> Fraction:
-        value = _homogeneous_value(self.numerators, x.numerator, x.denominator)
+        value = _value_at(_at_denominator(self.numerators, x.denominator), x.numerator, 0)
         return Fraction(value, self.denominator * x.denominator ** max(self.degree, 0))
 
     def derivative(self) -> "RationalPoly":
@@ -181,19 +180,6 @@ def _common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     values = list(values)
     den = reduce(math.lcm, (v.denominator for v in values), 1)
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _homogeneous_value(cs: Sequence[int], n: int, d: int) -> int:
-    """``sum_j cs[j] * n**j * d**(deg - j)``, which is d**deg * p(n/d).
-
-    For d > 0 it has the sign of p(n/d), and the quotient of two such values
-    of equal degree is the quotient of the polynomials at n/d.
-    """
-    acc, dp = 0, 1
-    for c in reversed(cs):
-        acc = acc * n + c * dp
-        dp *= d
-    return acc
 
 
 def _at_denominator(cs: Sequence[int], den: int) -> tuple[int, ...]:
@@ -474,7 +460,7 @@ def _settle_segment(
     a, b, k = _refine(hs, den, a, b, k, max(4, 2 * lead))
     scale = den << k
     for r in range(-((-a * lead) // scale), (b * lead) // scale + 1):
-        if a * lead < r * scale < b * lead and _homogeneous_value(cs, r, lead) == 0:
+        if a * lead < r * scale < b * lead and _value_at(_at_denominator(cs, lead), r, 0) == 0:
             return Fraction(r, lead), Fraction(r, lead)
     return Fraction(a, scale), Fraction(b, scale)
 

@@ -33,8 +33,6 @@ from .recovery import DiscreteMeasure, measure_moments, reconstruct
 
 __all__ = [
     "CampaignReport",
-    "Det2Instance",
-    "Det2Result",
     "MeasureGenSpec",
     "SplitMix64",
     "det1_determinant",
@@ -156,11 +154,6 @@ def random_measure(spec: MeasureGenSpec) -> DiscreteMeasure:
     return DiscreteMeasure(tuple(sorted(atoms)), tuple(weights))
 
 
-def _require_exact(mu: DiscreteMeasure) -> None:
-    if not mu.is_exact:
-        raise ValueError("identity checks need a measure with exact rational data")
-
-
 def det1_matrix(
     mu: DiscreteMeasure,
     cs: Sequence[int],
@@ -168,7 +161,8 @@ def det1_matrix(
     filler: Sequence[Sequence[Fraction | int | str]],
 ) -> list[list[Fraction]]:
     """The (n+p) x (n+p) matrix of shifted moment rows stacked on the filler."""
-    _require_exact(mu)
+    if not mu.is_exact:
+        raise ValueError("identity checks need a measure with exact rational data")
     n = len(mu)
     if p < 1:
         raise BadShape("p must be at least 1")
@@ -196,81 +190,21 @@ def det1_determinant(
     return det_exact(det1_matrix(mu, cs, p, filler))
 
 
-@dataclass(frozen=True)
-class Det2Instance:
-    """An almost-Hankel bordered matrix instance.
+def _det2_rows(
+    n: int, p: int, moments: Sequence[Fraction], xs: Sequence[Fraction], fill: Sequence[Fraction]
+) -> list[list[Fraction]]:
+    """The almost-Hankel bordered matrix of order n + p + 1.
 
-    Entries follow s_{i+j} for i+j <= 2n+p-1, the anti-diagonal i+j = 2n+p
-    holds the free values x_0..x_p (top right to bottom left), and everything
-    below it is arbitrary fill.
+    Entries are s_{i+j} for i + j <= 2n+p-1, the anti-diagonal i + j = 2n+p
+    holds x_0..x_p (top right to bottom left), and ``fill`` supplies the
+    entries below it row by row: row n + k ends with k of them.
     """
-
-    n: int
-    p: int
-    base_measure: DiscreteMeasure
-    xs: tuple[Fraction, ...]
-    fill: dict[tuple[int, int], Fraction]
-
-    def __post_init__(self):
-        if self.n < 1 or self.p < 1:
-            raise BadShape("need n >= 1 and p >= 1")
-        if len(self.base_measure) != self.n:
-            raise BadShape(f"base measure must have exactly {self.n} atoms")
-        _require_exact(self.base_measure)
-        object.__setattr__(self, "xs", tuple(Fraction(x) for x in self.xs))
-        if len(self.xs) != self.p + 1:
-            raise BadShape(f"need {self.p + 1} anti-diagonal values, got {len(self.xs)}")
-        object.__setattr__(
-            self, "fill", {key: Fraction(v) for key, v in self.fill.items()}
-        )
-        order = self.n + self.p + 1
-        expected = {
-            (i, j)
-            for i in range(order)
-            for j in range(order)
-            if i + j >= 2 * self.n + self.p + 1
-        }
-        if set(self.fill) != expected:
-            raise BadShape("fill must cover exactly the entries with i + j >= 2n + p + 1")
-
-
-@dataclass(frozen=True)
-class Det2Result:
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
-
-
-def _det2_rows(inst: Det2Instance, moments: Sequence[Fraction]) -> list[list[Fraction]]:
-    """The det2 matrix from the base measure's moments s_0..s_{2n+p-1} (or more)."""
-    n, p = inst.n, inst.p
-    order = n + p + 1
-    anti = 2 * n + p
-    rows = []
-    for i in range(order):
-        row = []
-        for j in range(order):
-            if i + j <= anti - 1:
-                row.append(moments[i + j])
-            elif i + j == anti:
-                row.append(inst.xs[i - n])
-            else:
-                row.append(inst.fill[(i, j)])
-        rows.append(row)
+    order, anti = n + p + 1, 2 * n + p
+    rows = [list(moments[i : i + order]) for i in range(n)]
+    rest = iter(fill)
+    for i in range(n, order):
+        rows.append([*moments[i:anti], xs[i - n], *(next(rest) for _ in range(i - n))])
     return rows
-
-
-def _det2_result(inst: Det2Instance, moments: Sequence[Fraction]) -> Det2Result:
-    """Exact factorization check from the moments s_0..s_{2n+p}: lhs is the
-    det2 determinant, rhs is (-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p})."""
-    n, p = inst.n, inst.p
-    lhs = det_exact(_det2_rows(inst, moments))
-    d_prev = det_sequence(moments[: 2 * n - 1])[n - 1]
-    s_top = moments[2 * n + p]
-    rhs = Fraction((-1) ** (p * (p + 1) // 2)) * d_prev
-    for x in inst.xs:
-        rhs *= x - s_top
-    return Det2Result(lhs, rhs, lhs == rhs)
 
 
 # --- seeded verification campaigns -------------------------------------------
@@ -356,14 +290,9 @@ def verify_det1(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
     return report
 
 
-def _random_fill(rng: SplitMix64, n: int, p: int) -> dict[tuple[int, int], Fraction]:
-    order = n + p + 1
-    return {
-        (i, j): rng.rational(Fraction(-5), Fraction(5), 8)
-        for i in range(order)
-        for j in range(order)
-        if i + j >= 2 * n + p + 1
-    }
+def _det2_fill(rng: SplitMix64, p: int) -> list[Fraction]:
+    """The p(p+1)/2 free entries below the det2 anti-diagonal, in row order."""
+    return [rng.rational(Fraction(-5), Fraction(5), 8) for _ in range(p * (p + 1) // 2)]
 
 
 def verify_det2(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3) -> CampaignReport:
@@ -374,21 +303,21 @@ def verify_det2(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
         n = rng.randint(1, max_n)
         p = rng.randint(1, max_p)
         mu = _campaign_measure(rng, n)
-        xs = tuple(rng.rational(Fraction(-6), Fraction(6), 8) for _ in range(p + 1))
-        inst = Det2Instance(n, p, mu, xs, _random_fill(rng, n, p))
-        # One moment list serves all three instances: they share the measure.
+        xs = [rng.rational(Fraction(-6), Fraction(6), 8) for _ in range(p + 1)]
+        # One moment list and one D_{n-1} serve all three matrices: they share the measure.
         moments = measure_moments(mu, 2 * n + p + 1)
-        result = _det2_result(inst, moments)
-        problems = []
-        if not result.equal:
-            problems.append("factorization mismatch")
-        resampled = Det2Instance(n, p, mu, xs, _random_fill(rng, n, p))
-        if det_exact(_det2_rows(resampled, moments)) != result.lhs:
-            problems.append("determinant depends on the free fill entries")
+        d_prev = det_sequence(moments[: 2 * n - 1])[n - 1]
         s_top = moments[2 * n + p]
-        collided = Det2Instance(n, p, mu, (s_top,) * (p + 1), _random_fill(rng, n, p))
-        collision = _det2_result(collided, moments)
-        if collision.lhs != 0 or collision.rhs != 0:
+        matrix = _det2_rows(n, p, moments, xs, _det2_fill(rng, p))
+        lhs = det_exact(matrix)
+        rhs = (-1) ** (p * (p + 1) // 2) * d_prev * math.prod(x - s_top for x in xs)
+        problems = []
+        if lhs != rhs:
+            problems.append("factorization mismatch")
+        if det_exact(_det2_rows(n, p, moments, xs, _det2_fill(rng, p))) != lhs:
+            problems.append("determinant depends on the free fill entries")
+        # With every x_j = s_{2n+p} the factored value is zero.
+        if det_exact(_det2_rows(n, p, moments, [s_top] * (p + 1), _det2_fill(rng, p))) != 0:
             problems.append("forced collision x_j = s_{2n+p} did not vanish")
         if problems:
             report.failures.append(
@@ -398,9 +327,9 @@ def verify_det2(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
                     "p": p,
                     "measure": _measure_doc(mu),
                     "xs": [format_rational(x) for x in xs],
-                    "matrix": _matrix_doc(_det2_rows(inst, moments)),
-                    "lhs": format_rational(result.lhs),
-                    "rhs": format_rational(result.rhs),
+                    "matrix": _matrix_doc(matrix),
+                    "lhs": format_rational(lhs),
+                    "rhs": format_rational(rhs),
                     "problems": problems,
                 }
             )

@@ -37,8 +37,9 @@ from .exact import (
     IsolatingInterval,
     RationalInterval,
     RationalPoly,
+    _at_denominator,
     _common_denominator,
-    _homogeneous_value,
+    _value_at,
     refine_root,
     sturm_isolate,
 )
@@ -275,8 +276,8 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     if all(r.is_exact for r in roots):
         atoms = [r.lo for r in roots]
         weights = [
-            Fraction(_homogeneous_value(numer, a.numerator, a.denominator),
-                     _homogeneous_value(deriv, a.numerator, a.denominator))
+            Fraction(_value_at(_at_denominator(numer, a.denominator), a.numerator, 0),
+                     _value_at(_at_denominator(deriv, a.denominator), a.numerator, 0))
             for a in atoms
         ]
         if any(weight <= 0 for weight in weights):

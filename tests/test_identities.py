@@ -8,10 +8,9 @@ import pytest
 from hankelmp.errors import BadShape, InfeasibleSpec
 from hankelmp.hankel import det_sequence
 from hankelmp.identities import (
-    Det2Instance,
     MeasureGenSpec,
     SplitMix64,
-    _det2_result,
+    _det2_fill,
     _det2_rows,
     det1_determinant,
     det1_matrix,
@@ -22,6 +21,7 @@ from hankelmp.identities import (
     verify_roundtrip,
 )
 from hankelmp.recovery import DiscreteMeasure, measure_moments
+from oracles import det_cofactor
 
 
 class TestSplitMix64:
@@ -129,47 +129,46 @@ class TestDet1:
             det1_determinant(mu, [0, 1, 2], 0, [])  # p must be >= 1
 
 
-def det2_check(inst: Det2Instance):
-    """The campaign's check of one instance, from its base measure's moments."""
-    return _det2_result(inst, measure_moments(inst.base_measure, 2 * inst.n + inst.p + 1))
+def factored(n, p, moments, xs):
+    """(-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p})."""
+    value = (-1) ** (p * (p + 1) // 2) * det_sequence(moments[: 2 * n - 1])[n - 1]
+    for x in xs:
+        value *= x - moments[2 * n + p]
+    return value
+
+
+def det2_sides(n, p, moments, xs, fill):
+    return det_cofactor(_det2_rows(n, p, moments, xs, fill)), factored(n, p, moments, xs)
 
 
 class TestDet2:
-    def worked_instance(self):
-        mu = DiscreteMeasure((F(2),), (F(1),))
-        return Det2Instance(1, 1, mu, (F(0), F(0)), {(2, 2): F(5)})
+    MOMENTS = measure_moments(DiscreteMeasure((F(2),), (F(1),)), 4)
 
     def test_worked_example(self):
-        inst = self.worked_instance()
-        moments = measure_moments(inst.base_measure, 4)
-        assert _det2_rows(inst, moments) == [[1, 2, 4], [2, 4, 0], [4, 0, 5]]
-        result = _det2_result(inst, moments)
-        assert result.lhs == -64 and result.rhs == -64 and result.equal
+        assert _det2_rows(1, 1, self.MOMENTS, [F(0), F(0)], [F(5)]) == [
+            [1, 2, 4], [2, 4, 0], [4, 0, 5]
+        ]
+        assert det2_sides(1, 1, self.MOMENTS, [F(0), F(0)], [F(5)]) == (-64, -64)
 
     def test_fill_independence(self):
-        mu = DiscreteMeasure((F(2),), (F(1),))
-        other = Det2Instance(1, 1, mu, (F(0), F(0)), {(2, 2): F(-123)})
-        assert det2_check(other).lhs == det2_check(self.worked_instance()).lhs
+        lhs, _ = det2_sides(1, 1, self.MOMENTS, [F(0), F(0)], [F(5)])
+        assert det2_sides(1, 1, self.MOMENTS, [F(0), F(0)], [F(-123)])[0] == lhs
 
     def test_forced_collision_vanishes(self):
         mu = DiscreteMeasure((F(-1), F(2)), (F(1, 2), F(3)))
         s = measure_moments(mu, 7)
         s_top = s[6]  # 2n + p = 6 for n = 2, p = 2
-        fill = {(i, j): F(1) for i in range(5) for j in range(5) if i + j >= 7}
-        inst = Det2Instance(2, 2, mu, (s_top, s_top, s_top), fill)
-        result = det2_check(inst)
-        assert result.lhs == 0 and result.rhs == 0 and result.equal
+        assert det2_sides(2, 2, s, [s_top] * 3, [F(1)] * 3) == (0, 0)
 
-    def test_bad_shapes(self):
-        mu = DiscreteMeasure((F(2),), (F(1),))
-        with pytest.raises(BadShape):
-            Det2Instance(2, 1, mu, (F(0), F(0)), {})  # measure has 1 atom, not 2
-        with pytest.raises(BadShape):
-            Det2Instance(1, 1, mu, (F(0),), {(2, 2): F(5)})  # needs p + 1 xs
-        with pytest.raises(BadShape):
-            Det2Instance(1, 1, mu, (F(0), F(0)), {})  # missing fill entry
-        with pytest.raises(BadShape):
-            Det2Instance(1, 1, mu, (F(0), F(0)), {(2, 2): F(5), (0, 0): F(1)})
+    def test_fill_sits_below_the_anti_diagonal_row_by_row(self):
+        s = [F(k) for k in range(1, 10)]
+        fill = _det2_fill(SplitMix64(4), 3)
+        assert len(fill) == 6
+        rows = _det2_rows(1, 3, s, [F(-1), F(-2), F(-3), F(-4)], fill)
+        below = [rows[i][j] for i in range(5) for j in range(5) if i + j > 5]
+        assert below == fill
+        assert [rows[i][5 - i] for i in range(1, 5)] == [-1, -2, -3, -4]
+        assert all(rows[i][j] == s[i + j] for i in range(5) for j in range(5) if i + j < 5)
 
 
 class TestCampaigns:
@@ -210,15 +209,52 @@ class TestCampaigns:
     def test_det2_computes_the_moments_once_per_trial(self, monkeypatch):
         import hankelmp.identities as identities
 
-        calls = []
+        calls, det_calls = [], []
 
         def counted(mu, count):
             calls.append(count)
             return measure_moments(mu, count)
 
+        def counted_dets(w):
+            det_calls.append(len(w))
+            return det_sequence(w)
+
         monkeypatch.setattr(identities, "measure_moments", counted)
+        monkeypatch.setattr(identities, "det_sequence", counted_dets)
         assert verify_det2(trials=8, seed=3).passed
         assert len(calls) == 8
+        assert len(det_calls) == 8
+
+    def test_failing_det2_trial_reports_the_corrupted_instance(self, monkeypatch):
+        import hankelmp.identities as identities
+
+        def corrupted(mu, count):
+            # count = 2n + p + 1, so the last moment is s_{2n+p}, read only by the factors.
+            moments = measure_moments(mu, count)
+            return moments[:-1] + [moments[-1] + 1]
+
+        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        report = verify_det2(trials=4, seed=3)
+        assert len(report.failures) == 4
+        for failure in report.failures:
+            assert failure["problems"] == [
+                "factorization mismatch",
+                "forced collision x_j = s_{2n+p} did not vanish",
+            ]
+            n, p = failure["n"], failure["p"]
+            mu = DiscreteMeasure(
+                tuple(F(a) for a in failure["measure"]["atoms"]),
+                tuple(F(w) for w in failure["measure"]["weights"]),
+            )
+            s = corrupted(mu, 2 * n + p + 1)
+            xs = [F(x) for x in failure["xs"]]
+            matrix = [[F(c) for c in row] for row in failure["matrix"]]
+            anti, order = 2 * n + p, n + p + 1
+            above = [(i, j) for i in range(order) for j in range(order) if i + j < anti]
+            assert all(matrix[i][j] == s[i + j] for i, j in above)
+            assert [matrix[i][anti - i] for i in range(n, order)] == xs
+            assert F(failure["lhs"]) == det_cofactor(matrix)
+            assert F(failure["rhs"]) == factored(n, p, s, xs) != det_cofactor(matrix)
 
     def test_reports_are_deterministic(self):
         a = verify_det2(trials=20, seed=77).to_dict()

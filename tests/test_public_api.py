@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -42,6 +43,20 @@ def test_star_import(name):
     namespace: dict = {}
     exec(f"from hankelmp.{name} import *", namespace)
     assert set(getattr(importlib.import_module(f"hankelmp.{name}"), "__all__", ())) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_classes_and_functions_are_the_packages_own(name):
+    # A stdlib class re-exported here would become a package name; typing aliases
+    # such as AtomValue and int constants such as MAX_DECIMAL_EXPONENT are not checked.
+    module = importlib.import_module(f"hankelmp.{name}")
+    foreign = [
+        f"{attr} from {obj.__module__}"
+        for attr in getattr(module, "__all__", ())
+        if (inspect.isclass(obj := getattr(module, attr)) or inspect.isroutine(obj))
+        and not obj.__module__.startswith("hankelmp")
+    ]
+    assert foreign == [], f"hankelmp.{name}.__all__ exports {foreign}"
 
 
 def test_names_exported_twice_are_one_object():
