@@ -8,7 +8,6 @@ is exact rational; irrational atoms are certified interval enclosures.
 """
 
 from .errors import (
-    BadShape,
     InconsistentWindow,
     InfeasibleSpec,
     MomentProblemError,
@@ -51,8 +50,6 @@ from .identities import (
     CampaignReport,
     MeasureGenSpec,
     SplitMix64,
-    det1_determinant,
-    det1_matrix,
     random_measure,
     verify_det1,
     verify_det2,

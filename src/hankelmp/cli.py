@@ -10,9 +10,11 @@ without a traceback), 2 usage or parse error.
 takes ``--trials`` 1..MAX_TRIALS (10000), ``--max-n`` 1..MAX_VERIFY_N (32)
 and ``--max-p`` 1..MAX_VERIFY_P (16).  An input file whose JSON nests deeper
 than the parser's recursion limit is a parse error (exit 2).
+A decimal exponent in any decimal digits is bounded by MAX_DECIMAL_EXPONENT.
 A measure file's interval atom needs lo <= hi and a poly of degree at most
-MAX_ATOM_DEGREE (100), where its one-root check takes about 0.05 s with small
-integer coefficients; a ``reconstruct`` output with n0 > 100 is not accepted.
+MAX_ATOM_DEGREE (100), checked before the poly is built, where its one-root
+check takes about 0.05 s with small integer coefficients; a ``reconstruct``
+output with n0 > 100 is not accepted.
 
 Rationals are serialized as canonical strings ("p/q" or an integer), never as
 JSON numbers; enclosures are {"lo", "hi", "decimal"} objects where the decimal
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from decimal import Decimal, localcontext
@@ -137,12 +140,17 @@ def _parse_atom(entry, where: str):
         coeffs = entry.get("poly")
         if not isinstance(coeffs, list) or not coeffs:
             raise _InputError(f"{where}: an algebraic atom needs its defining poly")
-        poly = RationalPoly([_rational_from_json(c, where) for c in coeffs])
-        if poly.is_zero:
+        values = [_rational_from_json(c, where) for c in coeffs]
+        while values and values[-1] == 0:
+            values.pop()
+        # Both bounds are checked before RationalPoly puts every coefficient
+        # over one common denominator, whose cost grows with the degree.
+        if not values:
             raise _InputError(f"{where}: the defining poly must be nonzero")
-        if poly.degree > MAX_ATOM_DEGREE:
-            raise _InputError(f"{where}: the defining poly has degree {poly.degree}, "
+        if len(values) - 1 > MAX_ATOM_DEGREE:
+            raise _InputError(f"{where}: the defining poly has degree {len(values) - 1}, "
                               f"above {MAX_ATOM_DEGREE}")
+        poly = RationalPoly(values)
         try:
             _check_isolating(poly, lo, hi)
         except ValueError as exc:
@@ -278,27 +286,40 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-# Each campaign's runner, and whether it takes --max-p.  A flag the user leaves
-# out is not passed, so the runner's signature holds every default.
+# Each campaign's runner, alone in a 1-tuple because bench/spans.py replaces
+# entry[0] with a timing wrapper.  A flag the user gives is passed when the
+# runner takes it, so the runner's signature holds every default.
 _CAMPAIGNS = {
-    "det1": (verify_det1, True),
-    "det2": (verify_det2, True),
-    "roundtrip": (verify_roundtrip, False),
-    "psd-theorem": (verify_psd_theorem, False),
+    "det1": (verify_det1,),
+    "det2": (verify_det2,),
+    "roundtrip": (verify_roundtrip,),
+    "psd-theorem": (verify_psd_theorem,),
 }
 
 
 def _cmd_verify(args) -> int:
-    runner, takes_p = _CAMPAIGNS[args.campaign]
-    flags = {"trials": args.trials, "seed": args.seed, "max_n": args.max_n}
-    if takes_p:
-        flags["max_p"] = args.max_p
-    report = runner(**{key: value for key, value in flags.items() if value is not None})
+    (runner,) = _CAMPAIGNS[args.campaign]
+    params = inspect.signature(runner).parameters
+    # A runner that takes **kwargs, such as a timing wrapper, is given every flag.
+    takes_all = any(param.kind is param.VAR_KEYWORD for param in params.values())
+    flags = {"trials": args.trials, "seed": args.seed, "max_n": args.max_n, "max_p": args.max_p}
+    report = runner(**{key: value for key, value in flags.items()
+                       if value is not None and (takes_all or key in params)})
     _emit(report.to_dict())
     if report.passed:
         return 0
     print(f"verify {args.campaign}: {len(report.failures)} failing trials", file=sys.stderr)
     return 1
+
+
+def _campaign_defaults(param: str) -> tuple[str, str]:
+    """The campaigns whose runner takes ``param``, and its default, for help texts."""
+    params = {name: inspect.signature(runner).parameters
+              for name, (runner,) in sorted(_CAMPAIGNS.items())}
+    takers = [name for name, names in params.items() if param in names]
+    values = sorted({params[name][param].default for name in takers})
+    default = " or ".join(map(str, values)) + (" by campaign" if len(values) > 1 else "")
+    return " and ".join(takers), default
 
 
 def _demo_window(a: Fraction) -> tuple[str, MomentWindow]:
@@ -409,13 +430,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded verification campaign")
     p.add_argument("campaign", choices=sorted(_CAMPAIGNS))
+    _, trials = _campaign_defaults("trials")
+    _, max_n = _campaign_defaults("max_n")
+    p_takers, max_p = _campaign_defaults("max_p")
     p.add_argument("--trials", type=_int_in(1, MAX_TRIALS),
-                   help=f"number of trials, 1..{MAX_TRIALS} (default 200)")
+                   help=f"number of trials, 1..{MAX_TRIALS} (default {trials})")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-n", type=_int_in(1, MAX_VERIFY_N),
-                   help=f"largest atom count, 1..{MAX_VERIFY_N} (default 4 or 5 by campaign)")
+                   help=f"largest atom count, 1..{MAX_VERIFY_N} (default {max_n})")
     p.add_argument("--max-p", type=_int_in(1, MAX_VERIFY_P),
-                   help=f"largest p of det1 and det2, 1..{MAX_VERIFY_P} (default 3)")
+                   help=f"largest p of {p_takers}, 1..{MAX_VERIFY_P} (default {max_p})")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("demo", help="the worked two-branch example for a given a")

@@ -1,7 +1,6 @@
 """Exception types shared across the package."""
 
 __all__ = [
-    "BadShape",
     "InconsistentWindow",
     "InfeasibleSpec",
     "MomentProblemError",
@@ -44,10 +43,6 @@ class InconsistentWindow(MomentProblemError):
 
 class InfeasibleSpec(MomentProblemError):
     """The random-measure spec cannot be satisfied."""
-
-
-class BadShape(MomentProblemError):
-    """A structured matrix input has the wrong shape."""
 
 
 class PrecisionUnattainable(MomentProblemError):

@@ -53,7 +53,7 @@ __all__ = [
 # the default digit limit of Python's int <-> str conversion.
 MAX_DECIMAL_EXPONENT = 4300
 
-_EXPONENT = re.compile(r"e[-+]?([0-9_]+)\s*\Z", re.IGNORECASE)
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -64,7 +64,9 @@ def parse_rational(text: str) -> Fraction:
     """
     exponent = _EXPONENT.search(text)
     if exponent is not None:
+        # The digits may be in any script, so a leading zero is any digit of value 0.
         digits = exponent.group(1).replace("_", "").lstrip("0")
+        digits = digits[next((i for i, c in enumerate(digits) if int(c)), len(digits)):]
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise ValueError(
                 f"decimal exponent of {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in absolute value"

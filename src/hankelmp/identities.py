@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadShape, InfeasibleSpec
+from .errors import InfeasibleSpec
 from .exact import format_rational
 from .hankel import (
     Degenerate,
@@ -35,8 +35,6 @@ __all__ = [
     "CampaignReport",
     "MeasureGenSpec",
     "SplitMix64",
-    "det1_determinant",
-    "det1_matrix",
     "random_measure",
     "verify_det1",
     "verify_det2",
@@ -154,40 +152,11 @@ def random_measure(spec: MeasureGenSpec) -> DiscreteMeasure:
     return DiscreteMeasure(tuple(sorted(atoms)), tuple(weights))
 
 
-def det1_matrix(
-    mu: DiscreteMeasure,
-    cs: Sequence[int],
-    p: int,
-    filler: Sequence[Sequence[Fraction | int | str]],
+def _det1_rows(
+    moments: Sequence[Fraction], cs: Sequence[int], width: int, filler: list[list[Fraction]]
 ) -> list[list[Fraction]]:
-    """The (n+p) x (n+p) matrix of shifted moment rows stacked on the filler."""
-    if not mu.is_exact:
-        raise ValueError("identity checks need a measure with exact rational data")
-    n = len(mu)
-    if p < 1:
-        raise BadShape("p must be at least 1")
-    if len(cs) != n + 1:
-        raise BadShape(f"need {n + 1} row shifts, got {len(cs)}")
-    if any(c < 0 for c in cs) or any(a >= b for a, b in zip(cs, cs[1:])):
-        raise BadShape("row shifts must be strictly increasing nonnegative integers")
-    fill_rows = [[Fraction(c) for c in row] for row in filler]
-    if len(fill_rows) != p - 1 or any(len(row) != n + p for row in fill_rows):
-        raise BadShape(f"filler must be {p - 1} rows of length {n + p}")
-    width = n + p
-    moments = measure_moments(mu, cs[-1] + width)
-    matrix = [[moments[c + t] for t in range(width)] for c in cs]
-    matrix.extend(fill_rows)
-    return matrix
-
-
-def det1_determinant(
-    mu: DiscreteMeasure,
-    cs: Sequence[int],
-    p: int,
-    filler: Sequence[Sequence[Fraction | int | str]],
-) -> Fraction:
-    """Exact determinant of the det1 matrix; zero whenever mu has n atoms."""
-    return det_exact(det1_matrix(mu, cs, p, filler))
+    """The det1 matrix: the moment rows s_c..s_{c+width-1}, one per shift c, on the filler."""
+    return [list(moments[c : c + width]) for c in cs] + filler
 
 
 def _det2_rows(
@@ -273,7 +242,8 @@ def verify_det1(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
             [rng.rational(Fraction(-5), Fraction(5), 8) for _ in range(n + p)]
             for _ in range(p - 1)
         ]
-        value = det1_determinant(mu, cs, p, filler)
+        matrix = _det1_rows(measure_moments(mu, cs[-1] + n + p), cs, n + p, filler)
+        value = det_exact(matrix)
         if value != 0:
             report.failures.append(
                 {
@@ -283,7 +253,7 @@ def verify_det1(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
                     "measure": _measure_doc(mu),
                     "cs": cs,
                     "filler": _matrix_doc(filler),
-                    "matrix": _matrix_doc(det1_matrix(mu, cs, p, filler)),
+                    "matrix": _matrix_doc(matrix),
                     "determinant": format_rational(value),
                 }
             )

@@ -275,14 +275,29 @@ def poly_gcd(a, b):
 # --- Fraction bisection: the reference for the integer kernels in exact.py ----
 # These keep the root bound of the library, but build their own Sturm chain
 # with ``fraction_sturm_chain`` and count its sign variations themselves.
+# Every bisection point is a ``Fraction``; only the sign of p there is read.
 
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _sign_at(p, x: Fraction) -> int:
+    """The sign of p(x), read from sum_j c_j a^j b^(deg-j) for x = a/b.
+
+    The c_j are p's numerators, so the sum is p(x) b^deg times p's positive
+    denominator and stays an integer, where p(x) reduces a Fraction.
+    """
+    a, b = x.numerator, x.denominator
+    total, power = 0, 1
+    for c in reversed(p.numerators):
+        total = total * a + c * power
+        power *= b
+    return _sign(total)
+
+
 def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign(q(x)) for q in chain) if s]
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -314,14 +329,14 @@ def _isolate_segments(p, variations, a, b, va, vb):
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if p(mid) != 0:
+        if _sign_at(p, mid) != 0:
             vm = variations(mid)
             work += [(mid, b, vm, vb), (a, mid, va, vm)]
             continue
         delta = (b - a) / 4
         while True:
             lo, hi = mid - delta, mid + delta
-            if p(lo) != 0 and p(hi) != 0:
+            if _sign_at(p, lo) != 0 and _sign_at(p, hi) != 0:
                 vlo, vhi = variations(lo), variations(hi)
                 if vlo - vhi == 1:
                     break
@@ -331,20 +346,20 @@ def _isolate_segments(p, variations, a, b, va, vb):
 
 
 def _settle_segment(p, a, b, lead_bound):
-    sa = _sign(p(a))
+    sa = _sign_at(p, a)
     target = min(Fraction(1, 4), Fraction(1, 2 * lead_bound))
     while b - a > target:
         mid = (a + b) / 2
-        v = p(mid)
+        v = _sign_at(p, mid)
         if v == 0:
             return mid, mid
-        if _sign(v) == sa:
+        if v == sa:
             a = mid
         else:
             b = mid
     for numerator in range(ceil(a * lead_bound), floor(b * lead_bound) + 1):
         x = Fraction(numerator, lead_bound)
-        if a < x < b and p(x) == 0:
+        if a < x < b and _sign_at(p, x) == 0:
             return x, x
     return a, b
 
@@ -355,10 +370,10 @@ def _separate(p, segments):
         shared = segments[i + 1][0]
         while a != b and b == shared:
             mid = (a + b) / 2
-            v = p(mid)
+            v = _sign_at(p, mid)
             if v == 0:
                 a = b = mid
-            elif _sign(v) == _sign(p(a)):
+            elif v == _sign_at(p, a):
                 a = mid
             else:
                 b = mid
@@ -399,18 +414,18 @@ def fraction_refine_root(iv, digits: int):
         return iv
     p = iv.poly
     a, b = iv.lo, iv.hi
-    if p(a) == 0:
+    if _sign_at(p, a) == 0:
         return IsolatingInterval(a, a, p)
-    if p(b) == 0:
+    if _sign_at(p, b) == 0:
         return IsolatingInterval(b, b, p)
     tol = Fraction(1, 10**digits)
-    sa = _sign(p(a))
+    sa = _sign_at(p, a)
     while b - a > tol:
         mid = (a + b) / 2
-        v = p(mid)
+        v = _sign_at(p, mid)
         if v == 0:
             return IsolatingInterval(mid, mid, p)
-        if _sign(v) == sa:
+        if v == sa:
             a = mid
         else:
             b = mid

@@ -106,6 +106,17 @@ class TestSequenceInput:
         code, out, err = invoke(capsys, ["classify", path])
         assert code == 2 and out == "" and "exponent" in err
 
+    @pytest.mark.parametrize("zero", ["\u0660", "\uff10"])
+    def test_exponent_in_other_decimal_digits_rejected(self, tmp_path, capsys, zero):
+        # 20000 in Arabic-Indic and in fullwidth digits, which Fraction would read.
+        literal = "1e" + "".join(chr(ord(zero) + int(c)) for c in "20000")
+        path = write_json(tmp_path, "huge.json", [literal, "1"])
+        code, out, err = invoke(capsys, ["classify", path])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"hankelmp: {path}: decimal exponent of {literal!r} exceeds 4300 in absolute value\n"
+        )
+
     def test_rationals_past_4300_digits_print(self, tmp_path, capsys):
         # D_1 = 1 - 10^4400 has 4401 digits, past the int-to-string limit.
         window = ["1", "1" + "0" * 2200, "1"]
@@ -289,6 +300,42 @@ class TestMoments:
                     f"above {MAX_ATOM_DEGREE}\n"
                 )
 
+    def test_degree_bound_checked_before_the_poly_is_built(self, tmp_path, capsys, monkeypatch):
+        # Putting 5000 coefficients 1/p over one denominator would take seconds.
+        def unbuilt(coeffs):
+            raise AssertionError("RationalPoly built before the degree check")
+
+        monkeypatch.setattr("hankelmp.cli.RationalPoly", unbuilt)
+        payload = {
+            "atoms": [{"interval": ["0", "1"], "poly": [f"1/{k + 2}" for k in range(5000)]}],
+            "weights": ["1"],
+        }
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, err = invoke(capsys, ["moments", path, "--count", "2"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"hankelmp: {path}: the defining poly has degree 4999, above {MAX_ATOM_DEGREE}\n"
+        )
+
+    def test_trailing_zero_coefficients_do_not_count_toward_the_degree(self, tmp_path, capsys):
+        poly = ["-2", "0", "1", "0", "0"]
+        payload = {"atoms": [{"interval": ["1", "2"], "poly": poly}], "weights": ["1"]}
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, _ = invoke(capsys, ["moments", path, "--count", "2", "--digits", "5"])
+        assert code == 0
+        s1 = json.loads(out)["moments"][1]
+        assert F(s1["lo"]) ** 2 <= 2 <= F(s1["hi"]) ** 2
+        from hankelmp.cli import _load_measure
+
+        assert _load_measure(path).atoms[0].poly.degree == 2
+
+    def test_zero_poly_rejected(self, tmp_path, capsys):
+        payload = {"atoms": [{"interval": ["1", "2"], "poly": ["0", "0/3"]}], "weights": ["1"]}
+        path = write_json(tmp_path, "m.json", payload)
+        code, out, err = invoke(capsys, ["moments", path, "--count", "2"])
+        assert (code, out) == (2, "")
+        assert err == f"hankelmp: {path}: the defining poly must be nonzero\n"
+
     def test_atom_enclosure_holding_zero_keeps_s0_exact(self, tmp_path, capsys):
         # The root 10^-400 is never separated from 0 by refinement, but
         # x^0 = 1 on the whole enclosure, so s_0 is the weight exactly.
@@ -384,6 +431,49 @@ class TestVerify:
         assert code == 0 and err == ""
         doc = json.loads(out)
         assert doc["ok"] is True and doc["failures"] == 0 and doc["trials"] == 1
+
+    def test_max_p_is_accepted_and_ignored_by_campaigns_without_p(self, capsys):
+        for campaign in ("roundtrip", "psd-theorem"):
+            plain = invoke(capsys, ["verify", campaign, "--trials", "3"])
+            assert invoke(capsys, ["verify", campaign, "--trials", "3", "--max-p", "5"]) == plain
+
+    def test_a_runner_behind_a_wrapper_gets_the_flags_given(self, capsys, monkeypatch):
+        from hankelmp import cli
+
+        (runner,) = cli._CAMPAIGNS["roundtrip"]
+        calls = []
+
+        def timed(*args, **kwargs):
+            calls.append(kwargs)
+            return runner(*args, **kwargs)
+
+        monkeypatch.setitem(cli._CAMPAIGNS, "roundtrip", (timed,))
+        code, out, _ = invoke(capsys, ["verify", "roundtrip", "--trials", "3", "--seed", "4"])
+        assert code == 0 and calls == [{"trials": 3, "seed": 4}]
+        assert json.loads(out)["trials"] == 3
+
+    def test_help_follows_the_runners_signatures(self, capsys, monkeypatch):
+        from hankelmp import cli
+
+        def verify_other(trials=7, seed=0, max_n=6, max_p=2):
+            raise AssertionError("not run")
+
+        monkeypatch.setitem(cli._CAMPAIGNS, "other", (verify_other,))
+        cli._build_parser.cache_clear()
+        try:
+            code, out, _ = invoke(capsys, ["verify", "--help"])
+        finally:
+            monkeypatch.undo()
+            cli._build_parser.cache_clear()
+        assert code == 0
+        help_text = " ".join(out.split())
+        assert "number of trials, 1..10000 (default 7 or 200 by campaign)" in help_text
+        assert "largest atom count, 1..32 (default 4 or 5 or 6 by campaign)" in help_text
+        assert "largest p of det1 and det2 and other, 1..16 (default 2 or 3 by campaign)" in (
+            help_text
+        )
+        code, out, _ = invoke(capsys, ["verify", "--help"])
+        assert "(default 3)" in out and "other" not in out
 
     def test_unknown_campaign(self, capsys):
         code, out, err = invoke(capsys, ["verify", "nonsense"])

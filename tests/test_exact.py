@@ -62,6 +62,19 @@ class TestRationalStrings:
         assert parse_rational(f"3e-{MAX_DECIMAL_EXPONENT}") == F(3, 10**MAX_DECIMAL_EXPONENT)
         assert parse_rational("1.5e1_0") == 15 * 10**9
 
+    @pytest.mark.parametrize("zero", ["\u0660", "\uff10"])  # Arabic-Indic and fullwidth digits
+    def test_exponent_bound_holds_for_any_decimal_digits(self, zero):
+        # Fraction reads an exponent in any Unicode decimal digits, so the bound must too.
+        def script(text):
+            return "".join(chr(ord(zero) + int(c)) for c in text)
+
+        assert parse_rational(f"1e{script('4300')}") == 10**MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"3e-{script('4300')}") == F(3, 10**MAX_DECIMAL_EXPONENT)
+        assert parse_rational(f"1e{script('0000001')}") == 10
+        for text in (f"1e{script('4301')}", f"1E-{script('4301')}", f"1e{script('500000')}"):
+            with pytest.raises(ValueError, match="exceeds 4300"):
+                parse_rational(text)
+
     def test_format_past_the_int_to_string_limit(self):
         x = F(-(10**5000) - 1, 3 * 10**4400)
         assert format_rational(x) == "-1" + "0" * 4999 + "1/3" + "0" * 4400

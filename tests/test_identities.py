@@ -5,15 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from hankelmp.errors import BadShape, InfeasibleSpec
-from hankelmp.hankel import det_sequence
+from hankelmp.errors import InfeasibleSpec
+from hankelmp.hankel import det_exact, det_sequence
 from hankelmp.identities import (
     MeasureGenSpec,
     SplitMix64,
+    _det1_rows,
     _det2_fill,
     _det2_rows,
-    det1_determinant,
-    det1_matrix,
     random_measure,
     verify_det1,
     verify_det2,
@@ -99,34 +98,35 @@ class TestRandomMeasure:
             assert all(d == 0 for d in dets[count:])
 
 
+def det1_sides(mu, cs, p, filler):
+    """The det1 matrix of mu, and its determinant by the library and by cofactors."""
+    moments = measure_moments(mu, cs[-1] + len(mu) + p)
+    rows = _det1_rows(moments, cs, len(mu) + p, filler)
+    return rows, det_exact(rows), det_cofactor(rows)
+
+
 class TestDet1:
     def test_equal_rows_trivial(self):
         mu = DiscreteMeasure((F(1),), (F(1),))
-        assert det1_matrix(mu, [0, 1], 1, []) == [[1, 1], [1, 1]]
-        assert det1_determinant(mu, [0, 1], 1, []) == 0
+        assert det1_sides(mu, [0, 1], 1, []) == ([[1, 1], [1, 1]], 0, 0)
 
     def test_a4_example_is_d2(self):
         mu = DiscreteMeasure((F(-2), F(2)), (F(1, 4), F(3, 4)))
-        assert det1_determinant(mu, [0, 1, 2], 1, []) == 0
+        rows, lib, oracle = det1_sides(mu, [0, 1, 2], 1, [])
+        assert rows == [[1, 1, 4], [1, 4, 4], [4, 4, 16]]
+        assert lib == oracle == 0
 
     def test_with_filler(self):
         mu = DiscreteMeasure((F(-1), F(1, 2), F(3)), (F(2), F(1, 3), F(1)))
-        filler = [[F(1), F(-2), F(3), F(0), F(7)]]
-        assert det1_determinant(mu, [0, 2, 3, 5], 2, filler) == 0
-        assert det1_determinant(mu, [0, 2, 3, 5], 2, [[F(0, 1)] * 5]) == 0
-
-    def test_bad_shapes(self):
-        mu = DiscreteMeasure((F(0), F(1)), (F(1), F(1)))
-        with pytest.raises(BadShape):
-            det1_determinant(mu, [0, 1], 1, [])  # needs n + 1 = 3 shifts
-        with pytest.raises(BadShape):
-            det1_determinant(mu, [0, 2, 2], 1, [])  # not strictly increasing
-        with pytest.raises(BadShape):
-            det1_determinant(mu, [-1, 0, 1], 1, [])  # negative shift
-        with pytest.raises(BadShape):
-            det1_determinant(mu, [0, 1, 2], 2, [[F(1)]])  # filler row too short
-        with pytest.raises(BadShape):
-            det1_determinant(mu, [0, 1, 2], 0, [])  # p must be >= 1
+        for filler in ([[F(1), F(-2), F(3), F(0), F(7)]], [[F(0)] * 5]):
+            rows, lib, oracle = det1_sides(mu, [0, 2, 3, 5], 2, filler)
+            assert rows[-1] == filler[0] and len(rows) == 5
+            assert lib == oracle == 0
+        # One moment row fewer and the filler doubled: no longer singular.
+        moments = measure_moments(mu, 10)
+        filler = [[F(1), F(-2), F(3), F(0), F(7)], [F(0), F(1), F(0), F(0), F(0)]]
+        rows = _det1_rows(moments, [0, 2, 3], 5, filler)
+        assert det_exact(rows) == det_cofactor(rows) != 0
 
 
 def factored(n, p, moments, xs):
@@ -255,6 +255,31 @@ class TestCampaigns:
             assert [matrix[i][anti - i] for i in range(n, order)] == xs
             assert F(failure["lhs"]) == det_cofactor(matrix)
             assert F(failure["rhs"]) == factored(n, p, s, xs) != det_cofactor(matrix)
+
+    def test_failing_det1_trial_reports_the_corrupted_instance(self, monkeypatch):
+        import hankelmp.identities as identities
+
+        def corrupted(mu, count):
+            # count = cs[-1] + n + p: the last moment ends the last moment row.
+            moments = measure_moments(mu, count)
+            return moments[:-1] + [moments[-1] + 1]
+
+        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        report = verify_det1(trials=4, seed=3)
+        assert len(report.failures) == 4
+        for failure in report.failures:
+            assert list(failure) == [
+                "trial", "n", "p", "measure", "cs", "filler", "matrix", "determinant"
+            ]
+            n, p, cs = failure["n"], failure["p"], failure["cs"]
+            mu = DiscreteMeasure(
+                tuple(F(a) for a in failure["measure"]["atoms"]),
+                tuple(F(w) for w in failure["measure"]["weights"]),
+            )
+            filler = [[F(c) for c in row] for row in failure["filler"]]
+            rows = _det1_rows(corrupted(mu, cs[-1] + n + p), cs, n + p, filler)
+            assert [[F(c) for c in row] for row in failure["matrix"]] == rows
+            assert F(failure["determinant"]) == det_cofactor(rows) != 0
 
     def test_reports_are_deterministic(self):
         a = verify_det2(trials=20, seed=77).to_dict()
