@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from hankelmp.cli import MAX_ATOM_DEGREE, _decimal_str, measure_to_doc, run
-from hankelmp.recovery import reconstruct
+from hankelmp.recovery import measure_moments, reconstruct
 from oracles import det_cofactor
 
 REMARK = ["1", "1", "1", "1", "0", "0", "0"]
@@ -474,6 +474,25 @@ class TestVerify:
         )
         code, out, _ = invoke(capsys, ["verify", "--help"])
         assert "(default 3)" in out and "other" not in out
+
+    @pytest.mark.parametrize("campaign, trials, seed", [("det1", 4, 3)])
+    def test_failing_campaign_exits_1_and_reports_every_trial(
+        self, capsys, monkeypatch, campaign, trials, seed
+    ):
+        import hankelmp.identities as identities
+
+        def corrupted(mu, count):
+            moments = measure_moments(mu, count)
+            return moments[:-1] + [moments[-1] + 1]
+
+        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        argv = ["verify", campaign, "--trials", str(trials), "--seed", str(seed)]
+        code, out, err = invoke(capsys, argv)
+        assert code == 1
+        assert err == f"verify {campaign}: {trials} failing trials\n"
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["failures"] == trials
+        assert [record["trial"] for record in doc["failing"]] == list(range(trials))
 
     def test_unknown_campaign(self, capsys):
         code, out, err = invoke(capsys, ["verify", "nonsense"])

@@ -398,6 +398,22 @@ class TestIntegerKernelsAgainstFractionBisection:
             for iv in ivs:
                 assert refine_root(iv, 80) == oracles.fraction_refine_root(iv, 80)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [-2, 40, -200, 0, 0, 1],  # x^5 - 2(10x - 1)^2
+            [-2, 64, -512, 0, 1],  # x^4 - 2(16x - 1)^2
+            [-2, 12, -18, 0, 0, 0, 0, 0, 1],  # x^8 - 2(3x - 1)^2
+        ],
+    )
+    def test_mignotte_neighbours_are_separated(self, coeffs):
+        # Two roots lie closer than the settle width, so their settled
+        # segments share an endpoint until ``_separate`` shrinks the left one.
+        poly = RationalPoly(coeffs)
+        ivs = sturm_isolate(sturm_chain(poly))
+        assert ivs == oracles.fraction_sturm_isolate(poly)
+        assert all(a.hi < b.lo for a, b in zip(ivs, ivs[1:]))
+
     def test_refine_from_non_dyadic_endpoints(self):
         iv = IsolatingInterval(F(4, 3), F(3, 2), RationalPoly([-2, 0, 1]))
         for digits in (1, 7, 30):

@@ -116,6 +116,11 @@ class TestHankelMatrix:
         with pytest.raises(OutOfWindow):
             hankel_matrix([1, 1, 4], -1)
 
+    def test_out_of_window_message(self):
+        with pytest.raises(OutOfWindow) as exc:
+            hankel_matrix([1, 1, 4], 2)
+        assert str(exc.value) == "H_2 needs s_0..s_4 but the window ends at s_2"
+
     def test_symmetry_enforced(self):
         with pytest.raises(NotSymmetric):
             SymMatrix([[1, 2], [3, 4]])
@@ -136,6 +141,13 @@ class TestDetExact:
 
     def test_zero_pivot_column(self):
         assert det_exact([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[1, 2, 3], [2, 1, 2]]])
+    def test_non_square_message(self, rows):
+        with pytest.raises(ValueError) as exc:
+            det_exact(rows)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "determinant needs a square matrix"
 
     def test_rational_entries(self):
         assert det_exact([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]) == F(1, 14) - F(1, 15)
@@ -162,6 +174,21 @@ class TestIsPsd:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             is_psd([[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("test", [is_psd, psd_witness])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 2, 3], [2, 1, 2]], "matrix is not square"),
+            ([[1, 2], [2]], "matrix is not square"),
+            ([[1, 2], [3, 4]], "entries (0,1) and (1,0) differ"),
+            ([[1, 2, 0], [2, 1, 5], [0, 4, 1]], "entries (1,2) and (2,1) differ"),
+        ],
+    )
+    def test_error_messages(self, test, rows, message):
+        with pytest.raises(NotSymmetric) as exc:
+            test(rows)
+        assert str(exc.value) == message
 
     def test_zero_matrix_is_psd(self):
         assert is_psd([[0, 0], [0, 0]]) is True

@@ -1,7 +1,9 @@
 """Tests for the RNG, the random-measure generator, and the determinant lemmas."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +207,18 @@ class TestCampaigns:
             s = [F(m) for m in failure["moments"]]
             v = [F(c) for c in witness["v"]]
             assert sum(v[i] * s[i + j] * v[j] for i in range(2) for j in range(2)) < 0
+
+    def test_failing_psd_report_is_unchanged(self, monkeypatch):
+        import hankelmp.identities as identities
+
+        def corrupted(mu, count):
+            moments = measure_moments(mu, count)
+            return moments[:2] + [-moments[2] - 1] + moments[3:]
+
+        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        recorded = Path(__file__).parent / "data" / "psd_theorem_forced_failure.json"
+        doc = verify_psd_theorem(trials=3, seed=14).to_dict()
+        assert json.dumps(doc, indent=1) + "\n" == recorded.read_text(encoding="utf-8")
 
     def test_det2_computes_the_moments_once_per_trial(self, monkeypatch):
         import hankelmp.identities as identities
