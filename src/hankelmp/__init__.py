@@ -36,7 +36,6 @@ from .hankel import (
     InvalidReason,
     MomentWindow,
     PositiveWindow,
-    SymMatrix,
     WindowAnalysis,
     analyze,
     classify,

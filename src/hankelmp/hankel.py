@@ -21,6 +21,9 @@ Sturm sequence for it.  Rows and polynomials are integer numerators over one
 positive denominator, the form of ``_common_denominator`` and of
 ``RationalPoly``, reduced once per row by a single gcd.
 
+Matrices are plain rows.  ``hankel_matrix`` gives H_n as a tuple of row
+tuples, each a slice of the window's moments, and ``det_exact``, ``is_psd``
+and ``psd_witness`` take any square iterable of rows of rationals.
 ``is_psd`` decides positive semi-definiteness by exact symmetric (LDL^T)
 elimination without pivoting, O(n^3) per matrix: a negative pivot, or a zero
 pivot whose row is not zero, means not PSD, and ``psd_witness`` then returns a
@@ -45,7 +48,6 @@ __all__ = [
     "InvalidReason",
     "MomentWindow",
     "PositiveWindow",
-    "SymMatrix",
     "WindowAnalysis",
     "analyze",
     "classify",
@@ -101,43 +103,19 @@ def _as_window(w) -> MomentWindow:
     return w if isinstance(w, MomentWindow) else MomentWindow(w)
 
 
-class SymMatrix:
-    """Symmetric square matrix with exact rational entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[Fraction | int | str]]):
-        rs = tuple(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row) for row in rows)
-        n = len(rs)
-        if any(len(row) != n for row in rs):
-            raise NotSymmetric("matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rs[i][j] != rs[j][i]:
-                    raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-        self.rows: tuple[tuple[Fraction, ...], ...] = rs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({[[str(c) for c in row] for row in self.rows]})"
-
-
-def hankel_matrix(w, n: int) -> SymMatrix:
-    """The (n+1) x (n+1) Hankel matrix with entry (i, j) = s_{i+j}."""
+def hankel_matrix(w, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The (n+1) x (n+1) Hankel matrix with entry (i, j) = s_{i+j}, as row tuples."""
     w = _as_window(w)
     if n < 0 or 2 * n > w.m:
         raise OutOfWindow(f"H_{n} needs s_0..s_{2*n} but the window ends at s_{w.m}")
-    return SymMatrix([[w[i + j] for j in range(n + 1)] for i in range(n + 1)])
+    return tuple(w.moments[i : i + n + 1] for i in range(n + 1))
 
 
-def _as_rows(matrix) -> list[list[Fraction]]:
-    if isinstance(matrix, SymMatrix):
-        return [list(row) for row in matrix.rows]
+def _as_rows(matrix, not_square: Exception) -> list[list[Fraction]]:
+    """Any square iterable of rows as ``Fraction`` rows; raises ``not_square`` otherwise."""
     rows = [[c if isinstance(c, Fraction) else Fraction(c) for c in row] for row in matrix]
     if any(len(row) != len(rows) for row in rows):
-        raise ValueError("determinant needs a square matrix")
+        raise not_square
     return rows
 
 
@@ -149,7 +127,7 @@ def det_exact(matrix) -> Fraction:
     repaired by a sign-tracked row swap, and a fully zero pivot column short
     circuits to zero.
     """
-    rows = _as_rows(matrix)
+    rows = _as_rows(matrix, ValueError("determinant needs a square matrix"))
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -188,15 +166,17 @@ def psd_witness(matrix) -> tuple[Fraction, ...] | None:
     v^T A v = d_k.  At a zero pivot with b = S[k][j] != 0 and c = S[j][j],
     v = L^-T (t e_k + e_j) with t = -(c + 1) / (2b) gives v^T A v =
     2tb + c = -1.  Here A = L (D + S) L^T with L unit lower triangular.
-    Raises ``NotSymmetric`` for a non-symmetric argument.
+    Raises ``NotSymmetric`` for a non-square or non-symmetric argument.
     """
-    if not isinstance(matrix, SymMatrix):
-        matrix = SymMatrix(matrix)
+    a = _as_rows(matrix, NotSymmetric("matrix is not square"))
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
     # Only the upper triangle is updated and read.  Row i is final once step i
     # has run, so row i of ``a`` then holds pivot d_i and the multipliers
     # L[m][i] = a[i][m] / d_i that the witness needs.
-    a = [list(row) for row in matrix.rows]
-    n = len(a)
     for k in range(n):
         row = a[k]
         d = row[k]
@@ -233,7 +213,7 @@ def is_psd(matrix) -> bool:
     not PSD when some a[k][j], j > k, is nonzero, and skips the step when that
     row is zero; d > 0 eliminates row and column k.  A matrix that passes every
     step is PSD.  ``psd_witness`` returns the vector that proves a "not PSD"
-    answer.  Raises ``NotSymmetric`` for a non-symmetric argument.
+    answer.  Raises ``NotSymmetric`` for a non-square or non-symmetric argument.
     """
     return psd_witness(matrix) is None
 

@@ -475,7 +475,7 @@ class TestVerify:
         code, out, _ = invoke(capsys, ["verify", "--help"])
         assert "(default 3)" in out and "other" not in out
 
-    @pytest.mark.parametrize("campaign, trials, seed", [("det1", 4, 3)])
+    @pytest.mark.parametrize("campaign, trials, seed", [("det1", 4, 3), ("roundtrip", 3, 1)])
     def test_failing_campaign_exits_1_and_reports_every_trial(
         self, capsys, monkeypatch, campaign, trials, seed
     ):

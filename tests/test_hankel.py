@@ -19,7 +19,6 @@ from hankelmp.hankel import (
     InvalidReason,
     MomentWindow,
     PositiveWindow,
-    SymMatrix,
     _monic_from_recurrence,
     _pass,
     analyze,
@@ -106,9 +105,16 @@ class TestWindow:
 
 class TestHankelMatrix:
     def test_examples(self):
-        assert hankel_matrix([1, 1, 4], 1).rows == ((1, 1), (1, 4))
-        assert hankel_matrix([1, 1, 1, 1, 0], 2).rows == ((1, 1, 1), (1, 1, 1), (1, 1, 0))
-        assert hankel_matrix([5], 0).rows == ((5,),)
+        assert hankel_matrix([1, 1, 4], 1) == ((1, 1), (1, 4))
+        assert hankel_matrix([1, 1, 1, 1, 0], 2) == ((1, 1, 1), (1, 1, 1), (1, 1, 0))
+        assert hankel_matrix([5], 0) == ((5,),)
+
+    def test_rows_are_slices_of_the_moments(self):
+        window = MomentWindow(REMARK)
+        h = hankel_matrix(window, 2)
+        assert type(h) is tuple and all(type(row) is tuple for row in h)
+        assert h == tuple(window.moments[i : i + 3] for i in range(3))
+        assert all(type(c) is F for row in h for c in row)
 
     def test_out_of_window(self):
         with pytest.raises(OutOfWindow):
@@ -120,12 +126,6 @@ class TestHankelMatrix:
         with pytest.raises(OutOfWindow) as exc:
             hankel_matrix([1, 1, 4], 2)
         assert str(exc.value) == "H_2 needs s_0..s_4 but the window ends at s_2"
-
-    def test_symmetry_enforced(self):
-        with pytest.raises(NotSymmetric):
-            SymMatrix([[1, 2], [3, 4]])
-        with pytest.raises(NotSymmetric):
-            SymMatrix([[1, 2, 3], [2, 1, 2]])
 
 
 class TestDetExact:
@@ -175,6 +175,13 @@ class TestIsPsd:
         with pytest.raises(NotSymmetric):
             is_psd([[1, 2], [3, 4]])
 
+    def test_symmetry_enforced(self):
+        for test in (is_psd, psd_witness):
+            with pytest.raises(NotSymmetric):
+                test([[1, 2], [3, 4]])
+            with pytest.raises(NotSymmetric):
+                test([[1, 2, 3], [2, 1, 2]])
+
     @pytest.mark.parametrize("test", [is_psd, psd_witness])
     @pytest.mark.parametrize(
         "rows, message",
@@ -214,7 +221,7 @@ class TestIsPsd:
         h = hankel_matrix([1, 1, 1, 1, 0], 2)
         v = psd_witness(h)
         assert v is not None
-        assert quadratic_form(h.rows, v) < 0
+        assert quadratic_form(h, v) < 0
 
     @given(gram_matrices())
     @settings(derandomize=True, max_examples=300, deadline=None)

@@ -295,6 +295,28 @@ class TestCampaigns:
             assert [[F(c) for c in row] for row in failure["matrix"]] == rows
             assert F(failure["determinant"]) == det_cofactor(rows) != 0
 
+    def test_inconsistent_roundtrip_trials_are_reported_not_raised(self, monkeypatch):
+        import hankelmp.identities as identities
+
+        def corrupted(mu, count):
+            # The last moment lies past every H_k of the window, so only its tail breaks.
+            moments = measure_moments(mu, count)
+            return moments[:-1] + [moments[-1] + 1]
+
+        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        report = verify_roundtrip(trials=3, seed=1)
+        assert len(report.failures) == 3
+        for failure in report.failures:
+            assert list(failure) == [
+                "trial", "n", "measure", "moments", "determinants", "reconstructed", "problems"
+            ]
+            n = failure["n"]
+            assert failure["reconstructed"] is None
+            assert failure["problems"] == [
+                f"classification Degenerate(n0={n}, window_consistent=False) "
+                f"instead of Degenerate({n}, True)"
+            ]
+
     def test_reports_are_deterministic(self):
         a = verify_det2(trials=20, seed=77).to_dict()
         b = verify_det2(trials=20, seed=77).to_dict()
