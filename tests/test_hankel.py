@@ -142,7 +142,9 @@ class TestDetExact:
     def test_zero_pivot_column(self):
         assert det_exact([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
 
-    @pytest.mark.parametrize("rows", [[[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[1, 2, 3], [2, 1, 2]]])
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[1, 2, 3], [2, 1, 2]]]
+    )
     def test_non_square_message(self, rows):
         with pytest.raises(ValueError) as exc:
             det_exact(rows)
