@@ -208,14 +208,19 @@ def _enclosure_doc(iv: RationalInterval) -> dict:
 def measure_to_doc(mu: DiscreteMeasure) -> dict:
     """Canonical MeasureDocument form of a measure."""
     atoms = []
+    # The atoms of a reconstructed measure share one kernel object, formatted
+    # once.  Keyed by identity: hashing a RationalPoly builds its coeffs.
+    polys: dict[int, list[str]] = {}
     for atom in mu.atoms:
         if isinstance(atom, Fraction):
             atoms.append({"exact": format_rational(atom)})
         else:
+            if id(atom.poly) not in polys:
+                polys[id(atom.poly)] = [format_rational(c) for c in atom.poly.coeffs]
             atoms.append(
                 {
                     "interval": [format_rational(atom.lo), format_rational(atom.hi)],
-                    "poly": [format_rational(c) for c in atom.poly.coeffs],
+                    "poly": polys[id(atom.poly)],
                     "decimal": _decimal_str(atom.midpoint()),
                 }
             )

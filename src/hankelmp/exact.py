@@ -77,6 +77,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an exact rational literal: {text!r}") from exc
 
 
+def _rational(value) -> Fraction:
+    """A library argument as a ``Fraction``; a string is read by ``parse_rational``."""
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: reduced ``p/q``, or a bare integer when q = 1.
 
@@ -106,7 +111,7 @@ class RationalPoly:
     __slots__ = ("numerators", "denominator", "primitive")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str] = ()):
-        self._set(*_common_denominator(Fraction(c) for c in coeffs))
+        self._set(*_common_denominator(map(_rational, coeffs)))
 
     @classmethod
     def _from_row(cls, nums: Sequence[int], den: int = 1) -> "RationalPoly":

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, OutOfWindow
-from .exact import RationalPoly, _common_denominator
+from .exact import RationalPoly, _common_denominator, _rational
 
 __all__ = [
     "Classification",
@@ -65,7 +65,7 @@ class MomentWindow:
     __slots__ = ("moments",)
 
     def __init__(self, moments: Iterable[Fraction | int | str]):
-        vals = tuple(s if isinstance(s, Fraction) else Fraction(s) for s in moments)
+        vals = tuple(s if isinstance(s, Fraction) else _rational(s) for s in moments)
         if not vals:
             raise ValueError("a moment window needs at least s_0")
         self.moments: tuple[Fraction, ...] = vals
@@ -113,7 +113,7 @@ def hankel_matrix(w, n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def _as_rows(matrix, not_square: Exception) -> list[list[Fraction]]:
     """Any square iterable of rows as ``Fraction`` rows; raises ``not_square`` otherwise."""
-    rows = [[c if isinstance(c, Fraction) else Fraction(c) for c in row] for row in matrix]
+    rows = [[c if isinstance(c, Fraction) else _rational(c) for c in row] for row in matrix]
     if any(len(row) != len(rows) for row in rows):
         raise not_square
     return rows
@@ -474,7 +474,12 @@ def _verdict(
 
 
 def _classified(w) -> tuple[MomentWindow, Classification, tuple[RationalPoly, ...] | None]:
-    """The window, its classification and p_0..p_{n0}: ``analyze`` up to the verdict."""
+    """The window, its classification and p_0..p_{n0}: ``analyze`` up to the verdict.
+
+    A ``WindowAnalysis`` already holds all three, so it is read without a pass.
+    """
+    if isinstance(w, WindowAnalysis):
+        return w.window, w.classification, w.orthogonal_polys
     w = _as_window(w)
     cls, polys, _ = _verdict(w, _pass(w.moments))
     return w, cls, polys

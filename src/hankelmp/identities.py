@@ -73,10 +73,13 @@ class SplitMix64:
 
     def rational(self, lo: Fraction, hi: Fraction, max_den: int) -> Fraction:
         """A rational p/q with q <= max_den inside [lo, hi]."""
+        lo_num, lo_den = lo.as_integer_ratio()
+        hi_num, hi_den = hi.as_integer_ratio()
         for _ in range(10_000):
             q = self.randint(1, max_den)
-            p_lo = math.ceil(lo * q)
-            p_hi = math.floor(hi * q)
+            # ceil(lo * q) and floor(hi * q), by integer division.
+            p_lo = -(-lo_num * q // lo_den)
+            p_hi = hi_num * q // hi_den
             if p_lo > p_hi:
                 continue
             return Fraction(self.randint(p_lo, p_hi), q)
@@ -115,9 +118,12 @@ class MeasureGenSpec:
 
 def _count_rationals(lo: Fraction, hi: Fraction, max_den: int, needed: int) -> int:
     """Count reduced rationals with denominator <= max_den in [lo, hi], capped."""
+    lo_num, lo_den = lo.as_integer_ratio()
+    hi_num, hi_den = hi.as_integer_ratio()
     total = 0
     for q in range(1, max_den + 1):
-        for p in range(math.ceil(lo * q), math.floor(hi * q) + 1):
+        # p from ceil(lo * q) to floor(hi * q), by integer division.
+        for p in range(-(-lo_num * q // lo_den), hi_num * q // hi_den + 1):
             if math.gcd(abs(p), q) == 1:
                 total += 1
                 if total >= needed:
@@ -329,7 +335,7 @@ def verify_roundtrip(trials: int = 200, seed: int = 0, max_n: int = 5) -> Campai
             # ``reconstruct`` would raise; the trial is recorded without it.
             problems.append(f"classification {cls!r} instead of Degenerate({n}, True)")
         else:
-            rec = reconstruct(window)
+            rec = reconstruct(analysis)
             if rec.atoms != mu.atoms or rec.weights != mu.weights:
                 problems.append("reconstruction differs from the source measure")
         if problems:

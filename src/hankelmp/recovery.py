@@ -17,7 +17,9 @@ up to s_{2*n0 - 1}, exactly when every atom is rational.  One routine,
 ``_moment_sums``, forms every sum w_j * x_j**k in the package: the residual
 check and ``measure_moments`` of exact and inexact measures all call it on
 atoms and weights as stored, reading an exact value v as the bounds (v, v),
-and it sums over integers on one common denominator.  The unique forward
+and it sums over integers on one common denominator.  When every bound is
+a point it takes one product per term; otherwise each term is the
+interval product of a weight and a power enclosure.  The unique forward
 extension of a degenerate window is always computed from the exact rational
 recurrence, never from the recovered (possibly irrational) atoms.
 """
@@ -117,14 +119,23 @@ def _moment_sums(atoms: Sequence[AtomValue], weights: Sequence[WeightValue], cou
     over one W, so every term of moment k shares the denominator W * X**k
     and nothing is reduced while summing.  This is the package's one moment
     sum: exact atoms and weights enter as (v, v) bounds, for which lo = hi is
-    the exact moment.
+    the exact moment.  When every atom and weight bound is a point, each
+    term w_j * x_j**k is kept as one integer and takes one product per k.
     """
     xs, xden = _common_denominator(x for a in atoms for x in _bounds(a))
     ws, wden = _common_denominator(w for v in weights for w in _bounds(v))
+    den = wden
+    if xs[::2] == xs[1::2] and ws[::2] == ws[1::2]:
+        x_pts, terms = xs[::2], ws[::2]
+        for _ in range(count):
+            total = sum(terms)
+            yield total, total, den
+            terms = list(map(mul, terms, x_pts))
+            den *= xden
+        return
     x_ints = list(zip(xs[::2], xs[1::2]))
     w_ints = list(zip(ws[::2], ws[1::2]))
     powers = [(1, 1)] * len(x_ints)
-    den = wden
     for k in range(count):
         lo_sum = hi_sum = 0
         for (w_lo, w_hi), (x_lo, x_hi), (p_lo, p_hi) in zip(w_ints, x_ints, powers):
@@ -253,7 +264,9 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     refined until the moment residuals up to s_{2*n0 - 1} are certified
     within 10**-digits and every weight is certified positive.  Raises
     ``ValueError`` for digits < 1 and ``PreconditionViolated`` unless the
-    window classifies as ``Degenerate`` with a consistent tail.
+    window classifies as ``Degenerate`` with a consistent tail.  ``w`` may
+    be a ``WindowAnalysis``, whose classification and polynomials are then
+    read without another recurrence pass.
     """
     if digits < 1:
         raise ValueError("digits must be a positive integer")
@@ -308,7 +321,8 @@ def extend(w, count: int) -> list[Fraction]:
     Uses the linear recurrence carried by the coefficients of the monic
     degree-n0 orthogonal polynomial; for n0 = 0 the continuation is zero.
     Raises ``PreconditionViolated`` unless the window classifies as
-    ``Degenerate`` with a consistent tail.
+    ``Degenerate`` with a consistent tail.  ``w`` may be a
+    ``WindowAnalysis``, read without another recurrence pass.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")

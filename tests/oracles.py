@@ -11,7 +11,7 @@ from itertools import combinations
 from math import ceil, floor, gcd
 from typing import NamedTuple
 
-from hankelmp.errors import NotSquareFree, ZeroPolynomial
+from hankelmp.errors import InfeasibleSpec, NotSquareFree, ZeroPolynomial
 from hankelmp.exact import IsolatingInterval, RationalPoly, cauchy_root_bound
 from hankelmp.recovery import RationalInterval
 
@@ -430,6 +430,21 @@ def fraction_refine_root(iv, digits: int):
         else:
             b = mid
     return IsolatingInterval(a, b, p)
+
+
+# --- Rational draws over Fraction: the reference for SplitMix64.rational -----
+
+
+def fraction_rational(rng, lo: Fraction, hi: Fraction, max_den: int) -> Fraction:
+    """``rng.rational(lo, hi, max_den)`` with ceil(lo * q) and floor(hi * q) over ``Fraction``."""
+    for _ in range(10_000):
+        q = rng.randint(1, max_den)
+        p_lo = ceil(lo * q)
+        p_hi = floor(hi * q)
+        if p_lo > p_hi:
+            continue
+        return Fraction(rng.randint(p_lo, p_hi), q)
+    raise InfeasibleSpec(f"no rational with denominator <= {max_den} in [{lo}, {hi}]")
 
 
 # --- Interval power sums: the reference for recovery._moment_sums ------------

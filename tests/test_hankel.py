@@ -102,6 +102,23 @@ class TestWindow:
     def test_accepts_strings(self):
         assert MomentWindow(["1/2", 3, F(1)]).moments == (F(1, 2), F(3), F(1))
 
+    # Each library entry point that reads strings, checked on the value it reads from one.
+    STRING_ENTRY_POINTS = {
+        "MomentWindow": lambda text: MomentWindow([text, 1, 1]).moments[0] == 10**4300,
+        "RationalPoly": lambda text: RationalPoly([text, 1]).coeffs[0] == 10**4300,
+        "det_exact": lambda text: det_exact([[text]]) == 10**4300,
+        "is_psd": lambda text: is_psd([[text]]),
+        "psd_witness": lambda text: psd_witness([[text]]) is None,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(STRING_ENTRY_POINTS))
+    def test_strings_keep_the_exponent_bound(self, entry):
+        # As parse_rational does for the CLI: 10**e is built in full.
+        read = self.STRING_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=r"decimal exponent of '1e4301' exceeds 4300"):
+            read("1e4301")
+        assert read("1e4300")
+
 
 class TestHankelMatrix:
     def test_examples(self):

@@ -3,15 +3,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as F
+from math import ceil, floor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankelmp.errors import InfeasibleSpec
 from hankelmp.hankel import det_exact, det_sequence
 from hankelmp.identities import (
     MeasureGenSpec,
     SplitMix64,
+    _count_rationals,
     _det1_rows,
     _det2_fill,
     _det2_rows,
@@ -22,7 +26,10 @@ from hankelmp.identities import (
     verify_roundtrip,
 )
 from hankelmp.recovery import DiscreteMeasure, measure_moments
-from oracles import det_cofactor
+from oracles import det_cofactor, fraction_rational
+
+
+bounds = st.fractions(min_value=-6, max_value=6, max_denominator=9)
 
 
 class TestSplitMix64:
@@ -47,6 +54,36 @@ class TestSplitMix64:
         for _ in range(200):
             x = rng.rational(F(-2), F(3), 7)
             assert -2 <= x <= 3 and x.denominator <= 7
+
+    @given(bounds, bounds, st.integers(1, 12), st.integers(0, 2**64 - 1))
+    @example(F(-7, 3), F(-1, 2), 5, 0)
+    @example(F(1, 3), F(1, 3), 2, 1)  # no rational with q <= 2: both raise
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_rational_matches_the_fraction_reference(self, a, b, max_den, seed):
+        lo, hi = min(a, b), max(a, b)
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+
+        def draws(rational):
+            out = []
+            try:
+                for _ in range(5):
+                    out.append(rational(lo, hi, max_den))
+            except InfeasibleSpec as exc:
+                out.append(str(exc))
+            return out
+
+        assert draws(rng.rational) == draws(lambda *args: fraction_rational(ref, *args))
+        assert rng.state == ref.state
+
+    @given(bounds, bounds, st.integers(1, 12), st.integers(1, 60))
+    @example(F(-7, 3), F(-1, 2), 6, 60)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_count_rationals_matches_a_fraction_count(self, a, b, max_den, needed):
+        lo, hi = min(a, b), max(a, b)
+        found = {
+            F(p, q) for q in range(1, max_den + 1) for p in range(ceil(lo * q), floor(hi * q) + 1)
+        }
+        assert _count_rationals(lo, hi, max_den, needed) == min(needed, len(found))
 
     def test_increasing_ints(self):
         rng = SplitMix64(7)
@@ -238,6 +275,20 @@ class TestCampaigns:
         assert verify_det2(trials=8, seed=3).passed
         assert len(calls) == 8
         assert len(det_calls) == 8
+
+    def test_roundtrip_runs_the_recurrence_pass_once_per_trial(self, monkeypatch):
+        import hankelmp.hankel as hankel
+
+        calls = []
+        original = hankel._pass
+
+        def counted(s):
+            calls.append(len(s))
+            return original(s)
+
+        monkeypatch.setattr(hankel, "_pass", counted)
+        assert verify_roundtrip(trials=6, seed=0).passed
+        assert len(calls) == 6
 
     def test_failing_det2_trial_reports_the_corrupted_instance(self, monkeypatch):
         import hankelmp.identities as identities

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from hankelmp.errors import PreconditionViolated
 from hankelmp.exact import IsolatingInterval, RationalPoly
-from hankelmp.hankel import Degenerate, MomentWindow, classify, det_sequence
+from hankelmp.hankel import Degenerate, MomentWindow, analyze, classify, det_sequence
 from hankelmp.recovery import (
     DiscreteMeasure,
     RationalInterval,
@@ -116,6 +117,16 @@ class TestDiscreteMeasure:
 
 
 nonneg = st.fractions(min_value=0, max_value=4, max_denominator=7)
+signed = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+widths = st.fractions(min_value=F(1, 7), max_value=2, max_denominator=7)
+
+
+@st.composite
+def exact_measures(draw):
+    """Distinct signed rational atoms with positive rational weights."""
+    atoms = sorted(draw(st.sets(signed, min_size=1, max_size=5)))
+    weights = [draw(st.fractions(min_value=F(1, 7), max_value=4, max_denominator=7)) for _ in atoms]
+    return DiscreteMeasure(tuple(atoms), tuple(weights))
 
 
 @st.composite
@@ -148,6 +159,16 @@ def as_interval(value) -> RationalInterval:
     return RationalInterval(value, value) if isinstance(value, F) else value
 
 
+def match_the_oracle(atoms, weights, count) -> list[RationalInterval]:
+    """Assert that _moment_sums equals the interval oracle for k < count; return the oracle."""
+    atom_ivs = [as_interval(a) for a in atoms]
+    weight_ivs = [as_interval(w) for w in weights]
+    oracle = [interval_power_sum(atom_ivs, weight_ivs, k) for k in range(count)]
+    sums = _moment_sums(atoms, weights, count)
+    assert [RationalInterval(F(lo, den), F(hi, den)) for lo, hi, den in sums] == oracle
+    return oracle
+
+
 class TestMeasureMoments:
     @given(
         st.lists(st.tuples(atom_intervals(), weight_intervals()), min_size=1, max_size=4),
@@ -155,14 +176,39 @@ class TestMeasureMoments:
     )
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_moment_sums_match_the_interval_oracle(self, terms, count):
-        atoms = [atom for atom, _ in terms]
-        weights = [weight for _, weight in terms]
-        sums = list(_moment_sums(atoms, weights, count))
-        assert len(sums) == count
-        atom_ivs = [as_interval(a) for a in atoms]
-        weight_ivs = [as_interval(w) for w in weights]
-        for k, (lo, hi, den) in enumerate(sums):
-            assert RationalInterval(F(lo, den), F(hi, den)) == interval_power_sum(atom_ivs, weight_ivs, k)
+        match_the_oracle([atom for atom, _ in terms], [weight for _, weight in terms], count)
+
+    @given(exact_measures(), st.integers(1, 10))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_exact_measures_match_the_oracle(self, mu, count):
+        oracle = match_the_oracle(mu.atoms, mu.weights, count)
+        assert all(iv.lo == iv.hi for iv in oracle)
+        assert measure_moments(mu, count) == [iv.lo for iv in oracle]
+
+    @given(
+        st.lists(st.tuples(signed, nonneg, st.booleans()), min_size=1, max_size=5),
+        st.integers(1, 10),
+    )
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_point_weight_intervals_match_the_oracle(self, terms, count):
+        # Every bound is a point, so _moment_sums takes its one-product branch.
+        atoms = [x for x, _, _ in terms]
+        weights = [RationalInterval(w, w) if boxed else w for _, w, boxed in terms]
+        assert all(iv.lo == iv.hi for iv in match_the_oracle(atoms, weights, count))
+
+    @given(
+        st.lists(st.tuples(signed, st.none() | widths, nonneg), max_size=4),
+        signed,
+        widths,
+        nonneg,
+        st.integers(1, 10),
+    )
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_mixed_exact_and_interval_atoms_match_the_oracle(self, terms, x, width, w, count):
+        # The last atom is a proper interval, so _moment_sums takes its interval branch.
+        atoms = [a if d is None else RationalInterval(a, a + d) for a, d, _ in terms]
+        atoms.append(RationalInterval(x, x + width))
+        match_the_oracle(atoms, [v for _, _, v in terms] + [w], count)
 
     def test_dirac_at_origin(self):
         assert measure_moments(DiscreteMeasure((F(0),), (F(1),)), 4) == [1, 0, 0, 0]
@@ -216,8 +262,23 @@ class TestReconstruct:
         ],
     )
     def test_precondition_violations(self, window):
-        with pytest.raises(PreconditionViolated):
-            reconstruct(window)
+        for run in (reconstruct, lambda w: extend(w, 4)):
+            with pytest.raises(PreconditionViolated) as refused:
+                run(window)
+            # The window's analysis is refused with the same message.
+            with pytest.raises(PreconditionViolated, match=f"^{re.escape(str(refused.value))}$"):
+                run(analyze(window))
+
+    def test_an_analysis_reconstructs_and_extends_as_its_window(self):
+        rng = random.Random(64)
+        windows = [[0, 0, 0], [1, 1, 4, 4, 16], [1, 0, 2, 0, 4, 0, 8]]
+        for _ in range(20):
+            mu = random_exact_measure(rng)
+            windows.append(measure_moments(mu, 2 * len(mu) + 3))
+        for window in windows:
+            analysis = analyze(window)
+            assert reconstruct(analysis) == reconstruct(window)
+            assert extend(analysis, 4) == extend(window, 4)
 
     def test_irrational_atoms_enclosed(self):
         rec = reconstruct([1, 0, 2, 0, 4], digits=40)
