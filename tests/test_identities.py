@@ -29,6 +29,15 @@ from hankelmp.recovery import DiscreteMeasure, measure_moments
 from oracles import det_cofactor, fraction_rational
 
 
+def _last_moment_plus_one(moments):
+    return moments[:-1] + [moments[-1] + 1]
+
+
+def _s2_negated(moments):
+    # s_2 < 0 puts a negative diagonal entry into H_1 and every later H_k.
+    return moments[:2] + [-moments[2] - 1] + moments[3:]
+
+
 bounds = st.fractions(min_value=-6, max_value=6, max_denominator=9)
 
 
@@ -245,17 +254,29 @@ class TestCampaigns:
             v = [F(c) for c in witness["v"]]
             assert sum(v[i] * s[i + j] * v[j] for i in range(2) for j in range(2)) < 0
 
-    def test_failing_psd_report_is_unchanged(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "runner, kwargs, corrupt, recorded",
+        [
+            pytest.param(verify_det1, {"trials": 4, "seed": 3}, _last_moment_plus_one,
+                         "det1_forced_failure.json", id="det1"),
+            pytest.param(verify_det2, {"trials": 4, "seed": 3}, _last_moment_plus_one,
+                         "det2_forced_failure.json", id="det2"),
+            pytest.param(verify_roundtrip, {"trials": 3, "seed": 1}, _last_moment_plus_one,
+                         "roundtrip_forced_failure.json", id="roundtrip"),
+            pytest.param(verify_psd_theorem, {"trials": 3, "seed": 14}, _s2_negated,
+                         "psd_theorem_forced_failure.json", id="psd-theorem"),
+        ],
+    )
+    def test_failing_report_is_unchanged(self, monkeypatch, runner, kwargs, corrupt, recorded):
+        # Pins every byte of a failing report: the record head, key order and values.
         import hankelmp.identities as identities
 
-        def corrupted(mu, count):
-            moments = measure_moments(mu, count)
-            return moments[:2] + [-moments[2] - 1] + moments[3:]
-
-        monkeypatch.setattr(identities, "measure_moments", corrupted)
-        recorded = Path(__file__).parent / "data" / "psd_theorem_forced_failure.json"
-        doc = verify_psd_theorem(trials=3, seed=14).to_dict()
-        assert json.dumps(doc, indent=1) + "\n" == recorded.read_text(encoding="utf-8")
+        monkeypatch.setattr(
+            identities, "measure_moments", lambda mu, count: corrupt(measure_moments(mu, count))
+        )
+        doc = runner(**kwargs).to_dict()
+        text = (Path(__file__).parent / "data" / recorded).read_text(encoding="utf-8")
+        assert json.dumps(doc, indent=1) + "\n" == text
 
     def test_det2_computes_the_moments_once_per_trial(self, monkeypatch):
         import hankelmp.identities as identities
