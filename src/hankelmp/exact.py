@@ -79,7 +79,10 @@ def parse_rational(text: str) -> Fraction:
 
 def _rational(value) -> Fraction:
     """A library argument as a ``Fraction``; a string is read by ``parse_rational``."""
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    try:
+        return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    except OverflowError as exc:  # an infinite float or Decimal; NaN raises ValueError
+        raise ValueError(f"not a finite rational: {value!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -507,8 +510,11 @@ def sturm_isolate(chain: Sequence[RationalPoly]) -> list[IsolatingInterval]:
     intervals sorted by lower endpoint, one per distinct real root.  Rational
     roots are detected exactly and returned as point intervals.  Raises
     ``ZeroPolynomial`` for p = 0 and ``NotSquareFree`` when the chain ends in
-    a non-constant, which for ``sturm_chain(p)`` is a multiple of gcd(p, p').
+    a non-constant, which for ``sturm_chain(p)`` is a multiple of gcd(p, p'),
+    and ``ValueError`` for an empty chain.
     """
+    if not chain:
+        raise ValueError("a Sturm sequence holds at least one polynomial")
     p = chain[0]
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")

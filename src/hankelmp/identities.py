@@ -1,20 +1,25 @@
-"""Randomized exact verification of the structured determinant identities.
+"""Seeded exact verification campaigns over moments of random discrete measures.
 
-Two facts are exercised over moments of random discrete measures: any square
-matrix whose first n+1 rows are shifted moment rows of an n-atom measure has
-determinant zero, and the almost-Hankel bordered determinant factors as
-(-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p}).  Both checks are exact;
-a single failing trial disproves the implementation (or the identity).
+``det1`` checks that a square matrix whose first n+1 rows are shifted moment
+rows of an n-atom measure has determinant zero; ``det2`` that the
+almost-Hankel bordered determinant factors as
+(-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p}); ``roundtrip`` that the
+measure comes back exactly from its moments; ``psd-theorem`` that every H_k
+of a degenerate window is PSD.  All checks are exact; a single failing trial
+disproves the implementation (or the identity).
 
-The random generator is SplitMix64: the same seed yields the same stream on
-every platform, so failing instances replay bit for bit.
+Every campaign runs on one driver, ``_campaign``: each trial draws n, then p
+(det1 and det2 only), then its measure, from one SplitMix64 stream seeded by
+the campaign's seed, and then makes its own draws; each failure record
+begins with ``trial``, ``n``, [``p``], ``measure``.  SplitMix64 yields the
+same stream on every platform, so failing instances replay bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InfeasibleSpec
 from .exact import format_rational
@@ -224,46 +229,53 @@ def _matrix_doc(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[format_rational(c) for c in row] for row in rows]
 
 
-def _campaign_measure(rng: SplitMix64, atom_count: int) -> DiscreteMeasure:
-    spec = MeasureGenSpec(
-        atom_count=atom_count,
-        atom_range=(Fraction(-4), Fraction(4)),
-        weight_range=(Fraction(1, 6), Fraction(5)),
-        denominator_bound=6,
-        seed=rng.next_u64(),
-    )
-    return random_measure(spec)
+def _campaign(name: str, trials: int, seed: int, max_n: int, max_p: int | None,
+              trial: Callable[..., dict | None]) -> CampaignReport:
+    """Run ``trials`` trials, each ``trial(rng, n, p, mu)`` after the shared draws.
+
+    p is None when ``max_p`` is.  A record that ``trial`` returns is a failure,
+    written after the head ``trial``, ``n``, [``p``], ``measure``.
+    """
+    rng = SplitMix64(seed)
+    params = {"maxN": max_n} if max_p is None else {"maxN": max_n, "maxP": max_p}
+    report = CampaignReport(name, trials, seed, params)
+    for index in range(trials):
+        n = rng.randint(1, max_n)
+        p = None if max_p is None else rng.randint(1, max_p)
+        mu = random_measure(MeasureGenSpec(
+            atom_count=n,
+            atom_range=(Fraction(-4), Fraction(4)),
+            weight_range=(Fraction(1, 6), Fraction(5)),
+            denominator_bound=6,
+            seed=rng.next_u64(),
+        ))
+        record = trial(rng, n, p, mu)
+        if record is not None:
+            head = {"trial": index, "n": n} if p is None else {"trial": index, "n": n, "p": p}
+            report.failures.append({**head, "measure": _measure_doc(mu), **record})
+    return report
+
+
+def _det1_trial(rng: SplitMix64, n: int, p: int, mu: DiscreteMeasure) -> dict | None:
+    cs = rng.increasing_ints(n + 1, 0, max(8, n))
+    filler = [
+        [rng.rational(Fraction(-5), Fraction(5), 8) for _ in range(n + p)] for _ in range(p - 1)
+    ]
+    matrix = _det1_rows(measure_moments(mu, cs[-1] + n + p), cs, n + p, filler)
+    value = det_exact(matrix)
+    if value == 0:
+        return None
+    return {
+        "cs": cs,
+        "filler": _matrix_doc(filler),
+        "matrix": _matrix_doc(matrix),
+        "determinant": format_rational(value),
+    }
 
 
 def verify_det1(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3) -> CampaignReport:
     """Random det1 instances; every determinant must vanish exactly."""
-    rng = SplitMix64(seed)
-    report = CampaignReport("det1", trials, seed, {"maxN": max_n, "maxP": max_p})
-    for trial in range(trials):
-        n = rng.randint(1, max_n)
-        p = rng.randint(1, max_p)
-        mu = _campaign_measure(rng, n)
-        cs = rng.increasing_ints(n + 1, 0, max(8, n))
-        filler = [
-            [rng.rational(Fraction(-5), Fraction(5), 8) for _ in range(n + p)]
-            for _ in range(p - 1)
-        ]
-        matrix = _det1_rows(measure_moments(mu, cs[-1] + n + p), cs, n + p, filler)
-        value = det_exact(matrix)
-        if value != 0:
-            report.failures.append(
-                {
-                    "trial": trial,
-                    "n": n,
-                    "p": p,
-                    "measure": _measure_doc(mu),
-                    "cs": cs,
-                    "filler": _matrix_doc(filler),
-                    "matrix": _matrix_doc(matrix),
-                    "determinant": format_rational(value),
-                }
-            )
-    return report
+    return _campaign("det1", trials, seed, max_n, max_p, _det1_trial)
 
 
 def _det2_fill(rng: SplitMix64, p: int) -> list[Fraction]:
@@ -271,119 +283,91 @@ def _det2_fill(rng: SplitMix64, p: int) -> list[Fraction]:
     return [rng.rational(Fraction(-5), Fraction(5), 8) for _ in range(p * (p + 1) // 2)]
 
 
+def _det2_trial(rng: SplitMix64, n: int, p: int, mu: DiscreteMeasure) -> dict | None:
+    xs = [rng.rational(Fraction(-6), Fraction(6), 8) for _ in range(p + 1)]
+    # One moment list and one D_{n-1} serve all three matrices: they share the measure.
+    moments = measure_moments(mu, 2 * n + p + 1)
+    d_prev = det_sequence(moments[: 2 * n - 1])[n - 1]
+    s_top = moments[2 * n + p]
+    matrix = _det2_rows(n, p, moments, xs, _det2_fill(rng, p))
+    lhs = det_exact(matrix)
+    rhs = (-1) ** (p * (p + 1) // 2) * d_prev * math.prod(x - s_top for x in xs)
+    problems = []
+    if lhs != rhs:
+        problems.append("factorization mismatch")
+    if det_exact(_det2_rows(n, p, moments, xs, _det2_fill(rng, p))) != lhs:
+        problems.append("determinant depends on the free fill entries")
+    # With every x_j = s_{2n+p} the factored value is zero.
+    if det_exact(_det2_rows(n, p, moments, [s_top] * (p + 1), _det2_fill(rng, p))) != 0:
+        problems.append("forced collision x_j = s_{2n+p} did not vanish")
+    if not problems:
+        return None
+    return {
+        "xs": [format_rational(x) for x in xs],
+        "matrix": _matrix_doc(matrix),
+        "lhs": format_rational(lhs),
+        "rhs": format_rational(rhs),
+        "problems": problems,
+    }
+
+
 def verify_det2(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3) -> CampaignReport:
     """Random det2 instances: factorization, fill independence, forced collisions."""
-    rng = SplitMix64(seed)
-    report = CampaignReport("det2", trials, seed, {"maxN": max_n, "maxP": max_p})
-    for trial in range(trials):
-        n = rng.randint(1, max_n)
-        p = rng.randint(1, max_p)
-        mu = _campaign_measure(rng, n)
-        xs = [rng.rational(Fraction(-6), Fraction(6), 8) for _ in range(p + 1)]
-        # One moment list and one D_{n-1} serve all three matrices: they share the measure.
-        moments = measure_moments(mu, 2 * n + p + 1)
-        d_prev = det_sequence(moments[: 2 * n - 1])[n - 1]
-        s_top = moments[2 * n + p]
-        matrix = _det2_rows(n, p, moments, xs, _det2_fill(rng, p))
-        lhs = det_exact(matrix)
-        rhs = (-1) ** (p * (p + 1) // 2) * d_prev * math.prod(x - s_top for x in xs)
-        problems = []
-        if lhs != rhs:
-            problems.append("factorization mismatch")
-        if det_exact(_det2_rows(n, p, moments, xs, _det2_fill(rng, p))) != lhs:
-            problems.append("determinant depends on the free fill entries")
-        # With every x_j = s_{2n+p} the factored value is zero.
-        if det_exact(_det2_rows(n, p, moments, [s_top] * (p + 1), _det2_fill(rng, p))) != 0:
-            problems.append("forced collision x_j = s_{2n+p} did not vanish")
-        if problems:
-            report.failures.append(
-                {
-                    "trial": trial,
-                    "n": n,
-                    "p": p,
-                    "measure": _measure_doc(mu),
-                    "xs": [format_rational(x) for x in xs],
-                    "matrix": _matrix_doc(matrix),
-                    "lhs": format_rational(lhs),
-                    "rhs": format_rational(rhs),
-                    "problems": problems,
-                }
-            )
-    return report
+    return _campaign("det2", trials, seed, max_n, max_p, _det2_trial)
 
 
-def _degenerate_pattern_ok(dets: Sequence[Fraction], n: int) -> bool:
-    return all(d > 0 for d in dets[:n]) and all(d == 0 for d in dets[n:])
+def _roundtrip_trial(rng: SplitMix64, n: int, p: None, mu: DiscreteMeasure) -> dict | None:
+    moments = measure_moments(mu, 2 * n + 5)
+    analysis = analyze(MomentWindow(moments))
+    dets, cls = analysis.determinants, analysis.classification
+    rec = None
+    problems = []
+    if not (all(d > 0 for d in dets[:n]) and all(d == 0 for d in dets[n:])):
+        problems.append("determinant sign pattern broken")
+    if cls != Degenerate(n, True):
+        # ``reconstruct`` would raise; the trial is recorded without it.
+        problems.append(f"classification {cls!r} instead of Degenerate({n}, True)")
+    else:
+        rec = reconstruct(analysis)
+        if rec.atoms != mu.atoms or rec.weights != mu.weights:
+            problems.append("reconstruction differs from the source measure")
+    if not problems:
+        return None
+    return {
+        "moments": [format_rational(s) for s in moments],
+        "determinants": [format_rational(d) for d in dets],
+        "reconstructed": _measure_doc(rec) if rec is not None and rec.is_exact else None,
+        "problems": problems,
+    }
 
 
 def verify_roundtrip(trials: int = 200, seed: int = 0, max_n: int = 5) -> CampaignReport:
     """Measure -> moments -> classify -> reconstruct must return exactly."""
-    rng = SplitMix64(seed)
-    report = CampaignReport("roundtrip", trials, seed, {"maxN": max_n})
-    for trial in range(trials):
-        n = rng.randint(1, max_n)
-        mu = _campaign_measure(rng, n)
-        moments = measure_moments(mu, 2 * n + 5)
-        window = MomentWindow(moments)
-        analysis = analyze(window)
-        dets, cls = analysis.determinants, analysis.classification
-        rec = None
-        problems = []
-        if not _degenerate_pattern_ok(dets, n):
-            problems.append("determinant sign pattern broken")
-        if cls != Degenerate(n, True):
-            # ``reconstruct`` would raise; the trial is recorded without it.
-            problems.append(f"classification {cls!r} instead of Degenerate({n}, True)")
-        else:
-            rec = reconstruct(analysis)
-            if rec.atoms != mu.atoms or rec.weights != mu.weights:
-                problems.append("reconstruction differs from the source measure")
-        if problems:
-            report.failures.append(
-                {
-                    "trial": trial,
-                    "n": n,
-                    "measure": _measure_doc(mu),
-                    "moments": [format_rational(s) for s in moments],
-                    "determinants": [format_rational(d) for d in dets],
-                    "reconstructed": (
-                        _measure_doc(rec) if rec is not None and rec.is_exact else None
-                    ),
-                    "problems": problems,
-                }
-            )
-    return report
+    return _campaign("roundtrip", trials, seed, max_n, None, _roundtrip_trial)
+
+
+def _psd_theorem_trial(rng: SplitMix64, n: int, p: None, mu: DiscreteMeasure) -> dict | None:
+    moments = measure_moments(mu, 2 * n + 5)
+    window = MomentWindow(moments)
+    cls = classify(window)
+    problems = []
+    if cls != Degenerate(n, True):
+        problems.append(f"classification {cls!r} instead of Degenerate({n}, True)")
+    # Each H_k is a leading principal submatrix of H_N: one elimination clears all.
+    bad = [] if is_psd(hankel_matrix(window, window.horizon)) else [
+        k for k in range(window.horizon + 1) if not is_psd(hankel_matrix(window, k))
+    ]
+    if bad:
+        problems.append(f"H_k not PSD for k in {bad}")
+    if not problems:
+        return None
+    failure = {"moments": [format_rational(s) for s in moments], "problems": problems}
+    if bad:
+        v = psd_witness(hankel_matrix(window, bad[0]))
+        failure["witness"] = {"k": bad[0], "v": [format_rational(c) for c in v]}
+    return failure
 
 
 def verify_psd_theorem(trials: int = 200, seed: int = 0, max_n: int = 5) -> CampaignReport:
     """Every Hankel matrix of a degenerate moment window must test PSD."""
-    rng = SplitMix64(seed)
-    report = CampaignReport("psd-theorem", trials, seed, {"maxN": max_n})
-    for trial in range(trials):
-        n = rng.randint(1, max_n)
-        mu = _campaign_measure(rng, n)
-        moments = measure_moments(mu, 2 * n + 5)
-        window = MomentWindow(moments)
-        cls = classify(window)
-        problems = []
-        if cls != Degenerate(n, True):
-            problems.append(f"classification {cls!r} instead of Degenerate({n}, True)")
-        # Each H_k is a leading principal submatrix of H_N: one elimination clears all.
-        bad = [] if is_psd(hankel_matrix(window, window.horizon)) else [
-            k for k in range(window.horizon + 1) if not is_psd(hankel_matrix(window, k))
-        ]
-        if bad:
-            problems.append(f"H_k not PSD for k in {bad}")
-        if problems:
-            failure = {
-                "trial": trial,
-                "n": n,
-                "measure": _measure_doc(mu),
-                "moments": [format_rational(s) for s in moments],
-                "problems": problems,
-            }
-            if bad:
-                v = psd_witness(hankel_matrix(window, bad[0]))
-                failure["witness"] = {"k": bad[0], "v": [format_rational(c) for c in v]}
-            report.failures.append(failure)
-    return report
+    return _campaign("psd-theorem", trials, seed, max_n, None, _psd_theorem_trial)

@@ -36,6 +36,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .exact import (
+    MAX_DECIMAL_EXPONENT,
     IsolatingInterval,
     RationalInterval,
     RationalPoly,
@@ -158,12 +159,13 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
 
     Exact rationals when the measure is exact; otherwise rational enclosures
     of width at most 10**-digits, obtained by refining the atom intervals as
-    far as needed.  Raises ``ValueError`` for count < 1 or digits < 1.
+    far as needed.  Raises ``ValueError`` for count < 1 or for digits
+    outside 1..MAX_DECIMAL_EXPONENT.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if digits < 1:
-        raise ValueError("digits must be a positive integer")
+    if not 1 <= digits <= MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"digits must be an integer in 1..{MAX_DECIMAL_EXPONENT}")
     if mu.is_exact:
         return [Fraction(lo, den) for lo, _, den in _moment_sums(mu.atoms, mu.weights, count)]
     scale = 10**digits
@@ -263,13 +265,14 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     irrational atom, all weights are returned as enclosures on a dyadic grid,
     refined until the moment residuals up to s_{2*n0 - 1} are certified
     within 10**-digits and every weight is certified positive.  Raises
-    ``ValueError`` for digits < 1 and ``PreconditionViolated`` unless the
-    window classifies as ``Degenerate`` with a consistent tail.  ``w`` may
-    be a ``WindowAnalysis``, whose classification and polynomials are then
-    read without another recurrence pass.
+    ``ValueError`` for digits outside 1..MAX_DECIMAL_EXPONENT and
+    ``PreconditionViolated`` unless the window classifies as ``Degenerate``
+    with a consistent tail.  ``w`` may be a ``WindowAnalysis``, whose
+    classification and polynomials are then read without another recurrence
+    pass.
     """
-    if digits < 1:
-        raise ValueError("digits must be a positive integer")
+    if not 1 <= digits <= MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"digits must be an integer in 1..{MAX_DECIMAL_EXPONENT}")
     w, cls, polys = _classified(w)
     if polys is None:
         raise PreconditionViolated(f"reconstruct needs a consistent degenerate window, got {cls}")

@@ -194,6 +194,10 @@ class TestSturmIsolation:
         with pytest.raises(NotSquareFree):
             sturm_isolate(sturm_chain(poly_from_roots([1, 1, 2])))
 
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError, match="at least one polynomial"):
+            sturm_isolate([])
+
     def test_planted_rational_roots(self):
         rng = random.Random(20240809)
         for _ in range(120):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import accumulate
 from operator import mul
@@ -118,6 +119,13 @@ class TestWindow:
         with pytest.raises(ValueError, match=r"decimal exponent of '1e4301' exceeds 4300"):
             read("1e4301")
         assert read("1e4300")
+
+    @pytest.mark.parametrize("entry", sorted(STRING_ENTRY_POINTS))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, Decimal("Infinity")])
+    def test_non_finite_numbers_are_value_errors(self, entry, value):
+        # Fraction() raises OverflowError on an infinity; the library says ValueError.
+        with pytest.raises(ValueError, match=r"not a finite rational|NaN"):
+            self.STRING_ENTRY_POINTS[entry](value)
 
 
 class TestHankelMatrix:

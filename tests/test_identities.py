@@ -239,12 +239,9 @@ class TestCampaigns:
     def test_failing_psd_trial_carries_a_witness(self, monkeypatch):
         import hankelmp.identities as identities
 
-        def corrupted(mu, count):
-            # s_2 < 0 puts a negative diagonal entry into H_1 and every later H_k.
-            moments = measure_moments(mu, count)
-            return moments[:2] + [-moments[2] - 1] + moments[3:]
-
-        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        monkeypatch.setattr(
+            identities, "measure_moments", lambda mu, count: _s2_negated(measure_moments(mu, count))
+        )
         report = verify_psd_theorem(trials=3, seed=14)
         assert len(report.failures) == 3
         for failure in report.failures:

@@ -104,3 +104,28 @@ def test_every_exported_name_has_a_caller_or_is_documented():
             if attr not in used and f"`{attr}" not in readme:
                 unused.append(f"{name}.{attr}")
     assert unused == [], f"exported but never referenced in src/hankelmp nor named in README.md: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private functions, classes and assigned names, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_module_name_is_read():
+    # A helper whose last caller was inlined or deleted must go with it.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(hankelmp.__file__).parent.glob("*.py")
+    }
+    used = set().union(*(_references(tree, imports=True) for tree in trees.values()))
+    defined = [(stem, name) for stem, tree in trees.items() for name in _private_definitions(tree)]
+    assert len(defined) > 50
+    unread = [f"{stem}.{name}" for stem, name in defined if name not in used]
+    assert unread == [], f"private names that nothing in src/hankelmp reads: {unread}"

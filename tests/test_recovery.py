@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelmp.errors import PreconditionViolated
-from hankelmp.exact import IsolatingInterval, RationalPoly
+from hankelmp.exact import MAX_DECIMAL_EXPONENT, IsolatingInterval, RationalPoly
 from hankelmp.hankel import Degenerate, MomentWindow, analyze, classify, det_sequence
 from hankelmp.recovery import (
     DiscreteMeasure,
@@ -450,6 +450,21 @@ class TestWeights:
         mu = DiscreteMeasure((F(-2), F(2)), (F(1, 4), F(3, 4)))
         with pytest.raises(ValueError, match="digits"):
             measure_moments(mu, 3, digits=digits)
+
+    def test_digits_above_the_decimal_exponent_bound_rejected(self):
+        # 10**digits is built in full, so an unbounded digit count is an unbounded
+        # allocation; the check runs before any power of ten, so it returns at once.
+        window = [1, 0, F(1, 3), 0, F(1, 9)]
+        with pytest.raises(ValueError, match="digits must be an integer in 1..4300"):
+            reconstruct(window, digits=MAX_DECIMAL_EXPONENT + 1)
+        rec = reconstruct(window, digits=MAX_DECIMAL_EXPONENT)
+        assert not rec.is_exact
+        with pytest.raises(ValueError, match="digits must be an integer in 1..4300"):
+            measure_moments(rec, 5, digits=10**7)
+        with pytest.raises(ValueError, match="digits must be an integer in 1..4300"):
+            measure_moments(rec, 5, digits=MAX_DECIMAL_EXPONENT + 1)
+        moments = measure_moments(rec, 5, digits=MAX_DECIMAL_EXPONENT)
+        assert all(m.lo <= s <= m.hi for m, s in zip(moments, window))
 
 
 class TestExtend:
