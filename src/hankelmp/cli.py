@@ -291,25 +291,26 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-# Each campaign's runner, alone in a 1-tuple because bench/spans.py replaces
-# entry[0] with a timing wrapper.  A flag the user gives is passed when the
-# runner takes it, so the runner's signature holds every default.
+# Each campaign is (runner, parameters), the parameters read once from the
+# runner's signature, which holds every default: a flag the user gives is
+# passed when the runner takes it.  A wrapper put in entry[0], such as the
+# benchmark's timing wrapper, hides the signature, so it keeps entry[1:].
 _CAMPAIGNS = {
-    "det1": (verify_det1,),
-    "det2": (verify_det2,),
-    "roundtrip": (verify_roundtrip,),
-    "psd-theorem": (verify_psd_theorem,),
+    name: (runner, inspect.signature(runner).parameters)
+    for name, runner in [
+        ("det1", verify_det1),
+        ("det2", verify_det2),
+        ("roundtrip", verify_roundtrip),
+        ("psd-theorem", verify_psd_theorem),
+    ]
 }
 
 
 def _cmd_verify(args) -> int:
-    (runner,) = _CAMPAIGNS[args.campaign]
-    params = inspect.signature(runner).parameters
-    # A runner that takes **kwargs, such as a timing wrapper, is given every flag.
-    takes_all = any(param.kind is param.VAR_KEYWORD for param in params.values())
+    runner, params = _CAMPAIGNS[args.campaign]
     flags = {"trials": args.trials, "seed": args.seed, "max_n": args.max_n, "max_p": args.max_p}
     report = runner(**{key: value for key, value in flags.items()
-                       if value is not None and (takes_all or key in params)})
+                       if value is not None and key in params})
     _emit(report.to_dict())
     if report.passed:
         return 0
@@ -319,8 +320,7 @@ def _cmd_verify(args) -> int:
 
 def _campaign_defaults(param: str) -> tuple[str, str]:
     """The campaigns whose runner takes ``param``, and its default, for help texts."""
-    params = {name: inspect.signature(runner).parameters
-              for name, (runner,) in sorted(_CAMPAIGNS.items())}
+    params = {name: parameters for name, (_, parameters) in sorted(_CAMPAIGNS.items())}
     takers = [name for name, names in params.items() if param in names]
     values = sorted({params[name][param].default for name in takers})
     default = " or ".join(map(str, values)) + (" by campaign" if len(values) > 1 else "")

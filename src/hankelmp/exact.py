@@ -144,10 +144,6 @@ class RationalPoly:
     def degree(self) -> int:
         return len(self.numerators) - 1
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        value = _value_at(_at_denominator(self.numerators, x.denominator), x.numerator, 0)
-        return Fraction(value, self.denominator * x.denominator ** max(self.degree, 0))
-
     def derivative(self) -> "RationalPoly":
         return RationalPoly._from_row(
             [j * c for j, c in enumerate(self.numerators)][1:], self.denominator
@@ -478,7 +474,12 @@ def _settle_segment(
 def _separate(
     cs: Sequence[int], segments: list[tuple[Fraction, Fraction]]
 ) -> list[tuple[Fraction, Fraction]]:
-    """Shrink left neighbours until no two closed intervals share an endpoint."""
+    """Shrink left neighbours until no two closed intervals share an endpoint.
+
+    Only settled non-point intervals are bisected.  ``_settle_segment`` has
+    tested every r/L inside them, L = lc(cs), so by the rational root theorem
+    their root is irrational and no midpoint is a root.
+    """
     for i in range(len(segments) - 1):
         a, b = segments[i]
         if a == b or b != segments[i + 1][0]:
@@ -488,11 +489,7 @@ def _separate(
         sa, k = _sign_at(hs, a, 0), 0
         while True:
             mid, k = a + b, k + 1
-            s = _sign_at(hs, mid, k)
-            if s == 0:
-                a = b = mid
-                break
-            if s != sa:
+            if _sign_at(hs, mid, k) != sa:
                 a, b = a << 1, mid
                 break
             a, b = mid, b << 1

@@ -430,25 +430,24 @@ def _verdict(
 ) -> tuple[Classification, tuple[RationalPoly, ...] | None, list[Fraction]]:
     """The classification, p_0..p_{n0} and the D_j read, taking ``steps`` only to the verdict.
 
-    A window with s_0 = 0 reads no step.  It is the zero measure, with kernel
-    p_0 = 1, when every moment is zero, and otherwise ``Invalid`` with
-    ``first_violation`` at the first nonzero moment.  Otherwise the first D_k <= 0 decides.  D_k < 0
-    gives ``Invalid`` with a negative determinant at k.  At D_k = 0 the window
-    is degenerate at n0 = k when its tail obeys the recurrence of p_{n0},
-    i.e. <p_{n0}, x^l> = 0 for every l up to m - n0, which is the row of that
-    step.  Every later D_j is then zero: for n0 <= j <= N and t <= j - n0
-    the coefficient vector c of x^t p_{n0} is nonzero, and (H_j c)_i =
-    <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.  Otherwise the
-    same step ends with the first later nonzero D_j, whose sign tells
-    ``ZeroThenPositive`` from a negative determinant, or with none, which
-    leaves the window degenerate with an inconsistent tail.  No D_k <= 0
+    A window with s_0 = 0 and a nonzero moment reads no step: it is
+    ``Invalid`` with ``first_violation`` at the first nonzero moment.
+    Otherwise the first D_k <= 0 decides; an all-zero window reads one step,
+    with D_0 = 0 and a zero row, and is the zero measure, Degenerate(0, True)
+    with p_0 = 1.  D_k < 0 gives ``Invalid`` with a negative determinant at
+    k.  At D_k = 0 the window is degenerate at n0 = k when its tail obeys the
+    recurrence of p_{n0}, i.e. <p_{n0}, x^l> = 0 for every l up to m - n0,
+    which is the row of that step.  Every later D_j is then zero: for n0 <= j
+    <= N and t <= j - n0 the coefficient vector c of x^t p_{n0} is nonzero,
+    and (H_j c)_i = <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.
+    Otherwise the same step ends with the first later nonzero D_j, whose sign
+    tells ``ZeroThenPositive`` from a negative determinant, or with none,
+    which leaves the window degenerate with an inconsistent tail.  No D_k <= 0
     gives ``PositiveWindow``.  Only a consistent degenerate window gets
     p_0..p_{n0}, built from the recurrence coefficients of its steps.
     """
-    if w[0] == 0:
-        first_nonzero = next((j for j, s in enumerate(w) if s != 0), None)
-        if first_nonzero is None:
-            return Degenerate(0, True), _monic_from_recurrence([], []), []
+    if w[0] == 0 and any(w):
+        first_nonzero = next(j for j, s in enumerate(w) if s)
         return Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL), None, []
     dets: list[Fraction] = []
     alphas: list[Fraction] = []

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface and its file formats."""
 from __future__ import annotations
 
+import inspect
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -440,17 +445,22 @@ class TestVerify:
     def test_a_runner_behind_a_wrapper_gets_the_flags_given(self, capsys, monkeypatch):
         from hankelmp import cli
 
-        (runner,) = cli._CAMPAIGNS["roundtrip"]
-        calls = []
+        def wrapped(runner, calls):
+            def timed(*args, **kwargs):
+                calls.append(kwargs)
+                return runner(*args, **kwargs)
 
-        def timed(*args, **kwargs):
-            calls.append(kwargs)
-            return runner(*args, **kwargs)
+            return timed
 
-        monkeypatch.setitem(cli._CAMPAIGNS, "roundtrip", (timed,))
-        code, out, _ = invoke(capsys, ["verify", "roundtrip", "--trials", "3", "--seed", "4"])
-        assert code == 0 and calls == [{"trials": 3, "seed": 4}]
-        assert json.loads(out)["trials"] == 3
+        for campaign in ("roundtrip", "psd-theorem"):
+            argv = ["verify", campaign, "--trials", "3", "--seed", "4", "--max-p", "5"]
+            plain = invoke(capsys, argv)
+            entry, calls = cli._CAMPAIGNS[campaign], []
+            # A timing wrapper replaces the runner and keeps the rest of the entry.
+            monkeypatch.setitem(cli._CAMPAIGNS, campaign, (wrapped(entry[0], calls),) + entry[1:])
+            assert invoke(capsys, argv) == plain
+            assert plain[0] == 0 and calls == [{"trials": 3, "seed": 4}]
+            assert json.loads(plain[1])["trials"] == 3
 
     def test_help_follows_the_runners_signatures(self, capsys, monkeypatch):
         from hankelmp import cli
@@ -458,7 +468,8 @@ class TestVerify:
         def verify_other(trials=7, seed=0, max_n=6, max_p=2):
             raise AssertionError("not run")
 
-        monkeypatch.setitem(cli._CAMPAIGNS, "other", (verify_other,))
+        entry = (verify_other, inspect.signature(verify_other).parameters)
+        monkeypatch.setitem(cli._CAMPAIGNS, "other", entry)
         cli._build_parser.cache_clear()
         try:
             code, out, _ = invoke(capsys, ["verify", "--help"])
@@ -592,6 +603,21 @@ class TestUsage:
         path = write_json(tmp_path, "a4.json", A4)
         code, out, err = invoke(capsys, ["classify", path])
         assert (code, out, err) == (1, "", "hankelmp: internal invariant failed\n")
+
+    def test_python_dash_m_prints_what_run_prints(self, tmp_path, capsys):
+        import hankelmp
+
+        path = write_json(tmp_path, "a4.json", A4)
+        src = str(Path(hankelmp.__file__).parents[1])
+        pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        done = subprocess.run(
+            [sys.executable, "-m", "hankelmp", "classify", path],
+            capture_output=True, text=True, env=env, timeout=60, check=False,
+        )
+        expected = invoke(capsys, ["classify", path])
+        assert (done.returncode, done.stdout, done.stderr) == expected
+        assert expected[0] == 0 and json.loads(expected[1])["n0"] == 2
 
     def test_parser_is_built_once(self, tmp_path, capsys):
         from hankelmp.cli import _build_parser

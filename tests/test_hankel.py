@@ -103,6 +103,12 @@ class TestWindow:
     def test_accepts_strings(self):
         assert MomentWindow(["1/2", 3, F(1)]).moments == (F(1, 2), F(3), F(1))
 
+    def test_equality_hash_and_repr(self):
+        window = MomentWindow(["1/2", 3, F(1)])
+        assert window == MomentWindow([F(1, 2), 3, 1]) and hash(window) == hash(window.moments)
+        assert window != MomentWindow([F(1, 2), 3]) and window != window.moments
+        assert repr(window) == "MomentWindow(['1/2', '3', '1'])"
+
     # Each library entry point that reads strings, checked on the value it reads from one.
     STRING_ENTRY_POINTS = {
         "MomentWindow": lambda text: MomentWindow([text, 1, 1]).moments[0] == 10**4300,
@@ -158,6 +164,7 @@ class TestDetExact:
         assert det_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
         assert det_exact([[1, 1], [1, 4]]) == 3
         assert det_exact(hankel_matrix(REMARK, 3)) == 1
+        assert det_exact([]) == 1
 
     def test_sign_tracking_via_permutations(self):
         assert det_exact([[0, 1], [1, 0]]) == -1
@@ -289,6 +296,9 @@ class TestClassify:
     def test_zero_s0(self):
         assert classify([0]) == Degenerate(0, True)
         assert classify([0, 0, 0]) == Degenerate(0, True)
+        zero = analyze([0] * 9)
+        assert zero.classification == Degenerate(0, True) and zero.determinants == (0,) * 5
+        assert zero.orthogonal_polys == (RationalPoly([1]),)
         assert classify([0, 0, 1]) == Invalid(2, InvalidReason.ZERO_S0_NONZERO_TAIL)
         assert classify([0, 1, 0]) == Invalid(1, InvalidReason.ZERO_S0_NONZERO_TAIL)
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelmp.errors import InfeasibleSpec
-from hankelmp.hankel import det_exact, det_sequence
+from hankelmp.hankel import analyze, det_exact, det_sequence
 from hankelmp.identities import (
     MeasureGenSpec,
     SplitMix64,
@@ -25,7 +25,7 @@ from hankelmp.identities import (
     verify_psd_theorem,
     verify_roundtrip,
 )
-from hankelmp.recovery import DiscreteMeasure, measure_moments
+from hankelmp.recovery import DiscreteMeasure, measure_moments, reconstruct
 from oracles import det_cofactor, fraction_rational
 
 
@@ -101,6 +101,12 @@ class TestSplitMix64:
             assert len(xs) == 4 and xs == sorted(set(xs))
             assert xs[0] >= 0 and xs[-1] <= 8
 
+    def test_empty_ranges_rejected(self):
+        with pytest.raises(ValueError, match="empty integer range"):
+            SplitMix64(0).randint(2, 1)
+        with pytest.raises(ValueError, match="range too small"):
+            SplitMix64(0).increasing_ints(4, 0, 2)
+
 
 class TestRandomMeasure:
     SPEC = MeasureGenSpec(3, (F(0), F(1)), (F(1, 2), F(2)), 10, 42)
@@ -132,6 +138,10 @@ class TestRandomMeasure:
             MeasureGenSpec(0, (F(0), F(1)), (F(1), F(2)), 5, 0)
         with pytest.raises(ValueError):
             MeasureGenSpec(1, (F(0), F(1)), (F(0), F(2)), 5, 0)
+        with pytest.raises(ValueError, match="denominator_bound"):
+            MeasureGenSpec(1, (F(0), F(1)), (F(1), F(2)), 0, 0)
+        with pytest.raises(ValueError, match="empty atom range"):
+            MeasureGenSpec(1, (F(1), F(0)), (F(1), F(2)), 5, 0)
 
     def test_generator_soundness_lemma_deg_pattern(self):
         rng = SplitMix64(2024)
@@ -385,6 +395,59 @@ class TestCampaigns:
                 f"classification Degenerate(n0={n}, window_consistent=False) "
                 f"instead of Degenerate({n}, True)"
             ]
+
+    def test_det2_trial_whose_fill_changes_the_determinant_is_reported(self, monkeypatch):
+        import hankelmp.identities as identities
+
+        calls = []
+
+        def off_on_the_second_call(rows):
+            calls.append(rows)
+            return det_exact(rows) + (1 if len(calls) == 2 else 0)
+
+        monkeypatch.setattr(identities, "det_exact", off_on_the_second_call)
+        report = verify_det2(trials=3, seed=3)
+        assert len(report.failures) == 1
+        (failure,) = report.failures
+        assert list(failure)[:4] == ["trial", "n", "p", "measure"] and failure["trial"] == 0
+        assert failure["problems"] == ["determinant depends on the free fill entries"]
+        assert failure["lhs"] == failure["rhs"]
+
+    def test_roundtrip_trial_with_a_broken_sign_pattern_is_reported(self, monkeypatch):
+        import dataclasses
+
+        import hankelmp.identities as identities
+
+        def first_sign_flipped(window):
+            analysis = analyze(window)
+            dets = (-analysis.determinants[0],) + analysis.determinants[1:]
+            return dataclasses.replace(analysis, determinants=dets)
+
+        monkeypatch.setattr(identities, "analyze", first_sign_flipped)
+        report = verify_roundtrip(trials=3, seed=1)
+        assert len(report.failures) == 3
+        for index, failure in enumerate(report.failures):
+            assert list(failure)[:3] == ["trial", "n", "measure"] and failure["trial"] == index
+            assert failure["problems"] == ["determinant sign pattern broken"]
+            assert F(failure["determinants"][0]) < 0
+            assert failure["reconstructed"] == failure["measure"]
+
+    def test_roundtrip_trial_whose_reconstruction_differs_is_reported(self, monkeypatch):
+        import hankelmp.identities as identities
+
+        def first_weight_changed(analysis):
+            mu = reconstruct(analysis)
+            return DiscreteMeasure(mu.atoms, (mu.weights[0] + 1,) + mu.weights[1:])
+
+        monkeypatch.setattr(identities, "reconstruct", first_weight_changed)
+        report = verify_roundtrip(trials=3, seed=1)
+        assert len(report.failures) == 3
+        for index, failure in enumerate(report.failures):
+            assert list(failure)[:3] == ["trial", "n", "measure"] and failure["trial"] == index
+            assert failure["problems"] == ["reconstruction differs from the source measure"]
+            source, rebuilt = failure["measure"], failure["reconstructed"]
+            assert rebuilt["atoms"] == source["atoms"]
+            assert F(rebuilt["weights"][0]) == F(source["weights"][0]) + 1
 
     def test_reports_are_deterministic(self):
         a = verify_det2(trials=20, seed=77).to_dict()

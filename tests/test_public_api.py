@@ -129,3 +129,49 @@ def test_every_private_module_name_is_read():
     assert len(defined) > 50
     unread = [f"{stem}.{name}" for stem, name in defined if name not in used]
     assert unread == [], f"private names that nothing in src/hankelmp reads: {unread}"
+
+
+def _public_members(cls: type) -> list[str]:
+    """The methods and properties that ``cls`` defines itself, underscored names aside."""
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))
+    ]
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller_or_is_documented():
+    src = Path(hankelmp.__file__).parent
+    used = set().union(
+        *(_references(ast.parse(path.read_text(encoding="utf-8")), imports=False)
+          for path in src.glob("*.py"))
+    )
+    readme = (src.parents[1] / "README.md").read_text(encoding="utf-8")
+    members = []
+    for name in MODULES:
+        module = importlib.import_module(f"hankelmp.{name}")
+        for attr in module.__all__:
+            cls = getattr(module, attr)
+            # A class exported by two modules is checked once, in its own.
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                members += [(f"{name}.{attr}", member) for member in _public_members(cls)]
+    assert len(members) > 10
+    unused = [
+        f"{owner}.{member}"
+        for owner, member in members
+        if member not in used and f"`{member}" not in readme and f".{member}" not in readme
+    ]
+    assert unused == [], f"public methods never read in src/hankelmp nor named in README.md: {unused}"
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    readme = (Path(hankelmp.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 7
+    for text, comment in zip(printed, comments):
+        # A comment may go on after the value, as in "x^2 - 4, whose roots are the atoms".
+        assert comment == text or comment.startswith(text + ", ")
