@@ -19,7 +19,16 @@ check and ``measure_moments`` of exact and inexact measures all call it on
 atoms and weights as stored, reading an exact value v as the bounds (v, v),
 and it sums over integers on one common denominator.  When every bound is
 a point it takes one product per term; otherwise each term is the
-interval product of a weight and a power enclosure.  The unique forward
+interval product of a weight and a power enclosure.  The residual check of
+interval weights passes it the weights' P: every bound is then rounded
+outward onto the 2**-P grid, and so is each power enclosure after every
+multiplication, so entries stay O(P + k * log2 max|x_j|) bits instead of
+growing by one endpoint size per power.  Outward rounding only widens an
+enclosure, so a sum on the grid contains the exact one, and a residual that
+passes on the grid passes exactly.  ``measure_moments`` prints its
+enclosures and keeps them exact.  An interval product whose factors have
+known signs is formed from two end products, which are the same integers
+the min and max of the four corner products give.  The unique forward
 extension of a degenerate window is always computed from the exact rational
 recurrence, never from the recovered (possibly irrational) atoms.
 """
@@ -109,7 +118,30 @@ class DiscreteMeasure:
         return len(self.atoms)
 
 
-def _moment_sums(atoms: Sequence[AtomValue], weights: Sequence[WeightValue], count: int):
+def _product(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """(lo, hi) of {x * y : a_lo <= x <= a_hi, b_lo <= y <= b_hi}.
+
+    When either factor has a known sign, the bounds are two end products;
+    only when both hold 0 inside does it compare the four corner products.
+    """
+    if b_lo < 0 < b_hi:
+        if a_lo < 0 < a_hi:
+            return min(a_lo * b_hi, a_hi * b_lo), max(a_lo * b_lo, a_hi * b_hi)
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+    if b_lo >= 0:
+        return a_lo * (b_hi if a_lo < 0 else b_lo), a_hi * (b_lo if a_hi < 0 else b_hi)
+    return a_hi * (b_hi if a_hi < 0 else b_lo), a_lo * (b_lo if a_lo < 0 else b_hi)
+
+
+def _on_grid(value: AtomValue | WeightValue, bits: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo / 2**bits <= ``_bounds(value)`` <= hi / 2**bits, tight."""
+    lo, hi = _bounds(value)
+    return (lo.numerator << bits) // lo.denominator, -((-hi.numerator << bits) // hi.denominator)
+
+
+def _moment_sums(
+    atoms: Sequence[AtomValue], weights: Sequence[WeightValue], count: int, bits: int | None = None
+):
     """Enclosures of sum_j w_j * x_j**k for k < count, as integers (lo, hi, den).
 
     lo/den and hi/den bound the sum over x_j within ``_bounds(atoms[j])`` and
@@ -122,7 +154,28 @@ def _moment_sums(atoms: Sequence[AtomValue], weights: Sequence[WeightValue], cou
     sum: exact atoms and weights enter as (v, v) bounds, for which lo = hi is
     the exact moment.  When every atom and weight bound is a point, each
     term w_j * x_j**k is kept as one integer and takes one product per k.
+
+    With ``bits``, every bound is first rounded outward onto the grid
+    2**-bits, the power enclosure of x_j**(k+1) is the interval product of
+    that of x_j**k and the atom's, rounded outward onto the same grid, and
+    den is 2**(2 * bits) for every k.  Each step only widens an enclosure
+    of the exact value, so the result contains the enclosure without
+    ``bits``, while its integers stay O(bits + k * log2 max|x_j|) bits long.
     """
+    if bits is not None:
+        x_ints = [_on_grid(a, bits) for a in atoms]
+        w_ints = [_on_grid(w, bits) for w in weights]
+        powers = [(1 << bits, 1 << bits)] * len(x_ints)
+        for _ in range(count):
+            lo_sum = hi_sum = 0
+            for w, p in zip(w_ints, powers):
+                lo, hi = _product(*w, *p)
+                lo_sum += lo
+                hi_sum += hi
+            yield lo_sum, hi_sum, 1 << 2 * bits
+            powers = [_product(*p, *x) for p, x in zip(powers, x_ints)]
+            powers = [(lo >> bits, -(-hi >> bits)) for lo, hi in powers]
+        return
     xs, xden = _common_denominator(x for a in atoms for x in _bounds(a))
     ws, wden = _common_denominator(w for v in weights for w in _bounds(v))
     den = wden
@@ -146,9 +199,9 @@ def _moment_sums(atoms: Sequence[AtomValue], weights: Sequence[WeightValue], cou
                 a, b = p_hi, p_lo
             else:
                 a, b = 0, max(p_lo, p_hi)
-            products = (w_lo * a, w_lo * b, w_hi * a, w_hi * b)
-            lo_sum += min(products)
-            hi_sum += max(products)
+            lo, hi = _product(w_lo, w_hi, a, b)
+            lo_sum += lo
+            hi_sum += hi
         yield lo_sum, hi_sum, den
         powers = [(p_lo * x_lo, p_hi * x_hi) for (p_lo, p_hi), (x_lo, x_hi) in zip(powers, x_ints)]
         den *= xden
@@ -211,8 +264,8 @@ def _enclose(cs: Sequence[int], a: int, b: int, den: int) -> tuple[int, int]:
     dp = 1
     for c in reversed(cs[:-1]):
         dp *= den
-        products = (lo * a, lo * b, hi * a, hi * b)
-        lo, hi = min(products) + c * dp, max(products) + c * dp
+        lo, hi = _product(lo, hi, a, b)
+        lo, hi = lo + c * dp, hi + c * dp
     return lo, hi
 
 
@@ -245,13 +298,21 @@ def _residuals_certified(
     moments: Sequence[Fraction],
     upto: int,
     tol: Fraction,
+    bits: int | None = None,
 ) -> bool:
-    """True when sum_j w_j x_j**k is within tol of s_k for every k < upto."""
-    for (lo, hi, den), s in zip(_moment_sums(atoms, weights, upto), moments[:upto]):
-        floor, ceiling = s - tol, s + tol
-        if lo * floor.denominator < floor.numerator * den:
-            return False
-        if hi * ceiling.denominator > ceiling.numerator * den:
+    """True when sum_j w_j x_j**k is within tol of s_k for every k < upto.
+
+    Each enclosure of ``_moment_sums`` is compared with s_k - tol and
+    s_k + tol in integers, with the moments and tol over their one common
+    denominator.  With ``bits`` the enclosures lie on the 2**-bits grid and
+    contain the exact ones, so a pass here implies a pass without ``bits``.
+    Raises ``ValueError`` when ``moments`` holds fewer than ``upto`` values.
+    """
+    if len(moments) < upto:
+        raise ValueError(f"the residuals up to s_{upto - 1} need {upto} moments, got {len(moments)}")
+    (*s_ints, t), sden = _common_denominator([*moments[:upto], tol])
+    for (lo, hi, den), s in zip(_moment_sums(atoms, weights, upto, bits), s_ints):
+        if lo * sden < (s - t) * den or hi * sden > (s + t) * den:
             return False
     return True
 
@@ -312,7 +373,7 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
         if (
             weight_ivs is not None
             and all(iv.lo > 0 for iv in weight_ivs)
-            and _residuals_certified(refined, weight_ivs, moments, 2 * n0, tol)
+            and _residuals_certified(refined, weight_ivs, moments, 2 * n0, tol, bits)
         ):
             return DiscreteMeasure(tuple(refined), tuple(weight_ivs))
     raise InconsistentWindow("weight enclosures failed residual certification")

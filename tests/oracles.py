@@ -476,6 +476,16 @@ def interval_power_sum(atom_ivs, weight_ivs, k: int) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
+def interval_horner(cs, iv: RationalInterval) -> RationalInterval:
+    """Interval Horner enclosure of sum_j cs[j] * x**j over iv, lowest first,
+    each step one four-product ``interval_mul`` over ``Fraction``."""
+    acc = RationalInterval(Fraction(cs[-1]), Fraction(cs[-1]))
+    for c in reversed(cs[:-1]):
+        step = interval_mul(acc, iv)
+        acc = RationalInterval(step.lo + c, step.hi + c)
+    return acc
+
+
 # --- The recurrence pass over Fraction: the reference for hankel's integer rows
 
 

@@ -1,6 +1,7 @@
 """Tests for measure moments, measure recovery, and the unique extension."""
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from hankelmp.hankel import Degenerate, MomentWindow, analyze, classify, det_seq
 from hankelmp.recovery import (
     DiscreteMeasure,
     RationalInterval,
+    _enclose,
     _moment_sums,
     _residuals_certified,
     extend,
@@ -23,6 +25,7 @@ from hankelmp.recovery import (
 )
 from oracles import (
     hilbert_window,
+    interval_horner,
     interval_mul,
     interval_power,
     interval_power_sum,
@@ -116,16 +119,33 @@ class TestDiscreteMeasure:
         assert DiscreteMeasure((atom,), (weight,)).weights == (weight,)
 
 
-nonneg = st.fractions(min_value=0, max_value=4, max_denominator=7)
-signed = st.fractions(min_value=-4, max_value=4, max_denominator=7)
-widths = st.fractions(min_value=F(1, 7), max_value=2, max_denominator=7)
+def rationals(lo, hi, max_den: int):
+    """The rationals in [lo, hi] with denominator at most max_den.
+
+    These are the values of ``st.fractions(lo, hi, max_denominator=max_den)``,
+    drawn as one pair of integers (denominator, numerator offset) instead of
+    through a strategy that ``st.fractions`` builds and validates on each draw.
+    Needs hi - lo >= 1, so that every denominator has a numerator in range.
+    """
+
+    def build(pair):
+        den, offset = pair
+        n_lo, n_hi = math.ceil(lo * den), math.floor(hi * den)
+        return F(n_lo + offset % (n_hi - n_lo + 1), den)
+
+    return st.tuples(st.integers(1, max_den), st.integers(0, math.floor((hi - lo) * max_den))).map(build)
+
+
+nonneg = rationals(0, 4, 7)
+signed = rationals(-4, 4, 7)
+widths = rationals(F(1, 7), 2, 7)
 
 
 @st.composite
 def exact_measures(draw):
     """Distinct signed rational atoms with positive rational weights."""
     atoms = sorted(draw(st.sets(signed, min_size=1, max_size=5)))
-    weights = [draw(st.fractions(min_value=F(1, 7), max_value=4, max_denominator=7)) for _ in atoms]
+    weights = [draw(rationals(F(1, 7), 4, 7)) for _ in atoms]
     return DiscreteMeasure(tuple(atoms), tuple(weights))
 
 
@@ -235,6 +255,69 @@ class TestMeasureMoments:
             assert isinstance(values[k], RationalInterval)
             assert values[k].hi - values[k].lo <= F(1, 10**25)
             assert holds(values[k], F(expected))
+
+
+# atom_intervals() plus intervals with an endpoint at 0 and intervals that hold 0 inside.
+grid_atoms = (
+    atom_intervals()
+    | st.builds(lambda b: RationalInterval(F(0), b), nonneg)
+    | st.builds(lambda a: RationalInterval(-a, F(0)), nonneg)
+    | st.builds(lambda a, b: RationalInterval(-a - F(1, 7), b + F(1, 7)), nonneg, nonneg)
+)
+grid_terms = st.lists(st.tuples(grid_atoms, weight_intervals()), min_size=1, max_size=4)
+
+
+class TestGridMomentSums:
+    @given(grid_terms, st.integers(1, 10), st.integers(1, 64))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_grid_sums_contain_the_oracle_in_bounded_integers(self, terms, count, bits):
+        atoms = [as_interval(a) for a, _ in terms]
+        weights = [as_interval(w) for _, w in terms]
+        sums = list(_moment_sums([a for a, _ in terms], [w for _, w in terms], count, bits))
+        assert len(sums) == count
+        # Grid atoms lie within m of 0 and grid weights below wmax, and each
+        # rounded power of an atom is at most 2 * m**k, so the numerators over
+        # 2**(2 * bits) grow by one bit length of m per power, not by bits.
+        m = math.ceil(max(max(-a.lo, a.hi) for a in atoms)) + 1
+        wmax = math.ceil(max(w.hi for w in weights)) + 1
+        for k, (lo, hi, den) in enumerate(sums):
+            oracle = interval_power_sum(atoms, weights, k)
+            assert den == 1 << 2 * bits
+            assert F(lo, den) <= oracle.lo and oracle.hi <= F(hi, den)
+            size = 2 * bits + k * m.bit_length() + (len(terms) * wmax).bit_length() + 2
+            assert max(abs(lo), abs(hi)).bit_length() <= size
+
+    @given(
+        grid_terms,
+        st.integers(1, 8),
+        st.integers(1, 40),
+        st.lists(rationals(-1, 1, 16), min_size=8, max_size=8),
+        rationals(0, 2, 16),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_grid_certificate_never_passes_where_the_exact_one_fails(
+        self, terms, count, bits, offsets, slack
+    ):
+        atoms, weights = [a for a, _ in terms], [w for _, w in terms]
+        exact = list(_moment_sums(atoms, weights, count))
+        half = max(F(hi - lo, 2 * den) for lo, hi, den in exact)
+        moments = [F(lo + hi, 2 * den) + o * half for (lo, hi, den), o in zip(exact, offsets)]
+        tol = half * slack
+        if _residuals_certified(atoms, weights, moments, count, tol, bits):
+            assert _residuals_certified(atoms, weights, moments, count, tol)
+        # The least tol at which the grid certifies: both certificates pass there.
+        grid_tol = max(
+            max(s - F(lo, den), F(hi, den) - s)
+            for (lo, hi, den), s in zip(_moment_sums(atoms, weights, count, bits), moments)
+        )
+        assert _residuals_certified(atoms, weights, moments, count, grid_tol, bits)
+        assert _residuals_certified(atoms, weights, moments, count, grid_tol)
+
+    @pytest.mark.parametrize("bits", [None, 64])
+    def test_short_moment_list_is_refused(self, bits):
+        rec = reconstruct([1, 0, 2, 0, 4], digits=10)
+        with pytest.raises(ValueError, match="^the residuals up to s_3 need 4 moments, got 3$"):
+            _residuals_certified(rec.atoms, rec.weights, [1, 0, 2], 4, F(1, 10**10), bits)
 
 
 class TestReconstruct:
@@ -410,9 +493,33 @@ class TestWeights:
             else:
                 assert encloses_root(weight, target[0], target[1], 30)
 
+    @given(
+        st.lists(st.integers(-60, 60), min_size=1, max_size=7),
+        st.integers(1, 12),
+        st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+        st.sampled_from(["straddle", "zero-lo", "zero-hi", "positive", "negative"]),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_enclose_matches_four_product_horner(self, cs, den, ends, kind):
+        u, v = ends
+        a, b = {
+            "straddle": (-u - 1, v + 1),
+            "zero-lo": (0, v),
+            "zero-hi": (-u, 0),
+            "positive": (u + 1, v + 1),
+            "negative": (-v - 1, -u - 1),
+        }[kind]
+        lo, hi = _enclose(cs, a, b, den)
+        oracle = interval_horner(cs, RationalInterval(F(a, den), F(b, den)))
+        scale = den ** (len(cs) - 1)
+        assert (F(lo, scale), F(hi, scale)) == (oracle.lo, oracle.hi)
+
     def test_nudged_weight_fails_the_residual_certificate(self):
         digits = 30
         tol = F(1, 10**digits)
+        # The weight grid of reconstruct's first pad round, pad 10, on which
+        # these windows certify.
+        bits = (10 ** (digits + 10)).bit_length() + 8
         for window in ([1, 0, 2, 0, 4], hilbert_window(3), hilbert_window(4)):
             rec = reconstruct(window, digits=digits)
             n0 = len(rec)
@@ -421,13 +528,15 @@ class TestWeights:
                 for a in rec.atoms
             ]
             weights = list(rec.weights)
-            assert _residuals_certified(atom_ivs, weights, window, 2 * n0, tol)
+            for grid in (None, bits):
+                assert _residuals_certified(atom_ivs, weights, window, 2 * n0, tol, grid)
             shift = F(1, 10 ** (digits - 1))
             for j in range(n0):
                 for sign in (1, -1):
                     nudged = list(weights)
                     nudged[j] = RationalInterval(weights[j].lo + sign * shift, weights[j].hi + sign * shift)
-                    assert not _residuals_certified(atom_ivs, nudged, window, 2 * n0, tol)
+                    for grid in (None, bits):
+                        assert not _residuals_certified(atom_ivs, nudged, window, 2 * n0, tol, grid)
 
     def test_nudged_exact_measure_fails_the_exact_residual_check(self):
         # reconstruct checks an all-rational measure with point intervals and tol 0.
