@@ -1,19 +1,21 @@
 """Tests for Hankel matrices, exact determinants, the PSD test, and classify."""
 from __future__ import annotations
 
+import json
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import accumulate
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelmp.errors import NotSymmetric, OutOfWindow
-from hankelmp.exact import RationalPoly
+from hankelmp.exact import RationalPoly, format_rational
 from hankelmp.hankel import (
     Degenerate,
     Invalid,
@@ -256,6 +258,21 @@ class TestIsPsd:
         v = psd_witness(h)
         assert v is not None
         assert quadratic_form(h, v) < 0
+
+    def test_recorded_witnesses_are_unchanged(self):
+        # Pins every byte of psd_witness on each branch of the elimination:
+        # negative pivots early and late, zero pivots with nonzero rows, zero
+        # rows skipped, and Hankel matrices of order up to 12 with large
+        # denominators, PSD or perturbed.
+        text = (Path(__file__).parent / "data" / "psd_witnesses.json").read_text(encoding="utf-8")
+        doc = []
+        for entry in json.loads(text):
+            v = psd_witness(entry["matrix"])
+            if v is not None:
+                assert quadratic_form(entry["matrix"], v) < 0
+            witness = None if v is None else [format_rational(c) for c in v]
+            doc.append({**entry, "witness": witness})
+        assert json.dumps(doc, indent=1) + "\n" == text
 
     @given(gram_matrices())
     @settings(derandomize=True, max_examples=300, deadline=None)
