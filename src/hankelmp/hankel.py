@@ -24,11 +24,16 @@ positive denominator, the form of ``_common_denominator`` and of
 Matrices are plain rows.  ``hankel_matrix`` gives H_n as a tuple of row
 tuples, each a slice of the window's moments, and ``det_exact``, ``is_psd``
 and ``psd_witness`` take any square iterable of rows of rationals.
-``is_psd`` decides positive semi-definiteness by exact symmetric (LDL^T)
-elimination without pivoting, O(n^3) per matrix: a negative pivot, or a zero
-pivot whose row is not zero, means not PSD, and ``psd_witness`` then returns a
-rational vector v with v^T A v < 0.  Nonnegative determinants alone do not
-imply PSD, so the test does not read them.
+``is_psd`` decides positive semi-definiteness by one fraction-free integer
+elimination, symmetric and without pivoting, O(n^3) operations per matrix.
+The matrix is first scaled by the congruence D A D, d_i the lcm of row i's
+denominators, and divided by the gcd g of its entries.  For a Hankel matrix
+of moments s_k = N_k / (V L^k) that division removes the common factor
+V L^(2n-2), and what is eliminated is the integer Hankel matrix of the N_k
+over their gcd.  A negative pivot, or a zero pivot whose row is not zero,
+means not PSD, and ``psd_witness`` then reads a rational vector v with
+v^T A v < 0 off the same integer rows.  Nonnegative determinants alone do
+not imply PSD, so the test does not read them.
 """
 from __future__ import annotations
 
@@ -161,11 +166,18 @@ def det_exact(matrix) -> Fraction:
 def psd_witness(matrix) -> tuple[Fraction, ...] | None:
     """None for a positive semi-definite matrix, else a rational v with v^T A v < 0.
 
-    Runs exact symmetric elimination without pivoting; see ``is_psd`` for the
-    rule.  At a negative pivot d_k of the Schur complement S, v = L^-T e_k gives
-    v^T A v = d_k.  At a zero pivot with b = S[k][j] != 0 and c = S[j][j],
-    v = L^-T (t e_k + e_j) with t = -(c + 1) / (2b) gives v^T A v =
-    2tb + c = -1.  Here A = L (D + S) L^T with L unit lower triangular.
+    The witness is read off the integer rows that the elimination of
+    ``is_psd`` leaves, on the failing path only; no second elimination runs.
+    Write A = L (P + S) L^T with L unit lower triangular, P the finished
+    pivots and S the Schur complement at the failing step k.  A negative
+    pivot S[k][k] gives v = L^-T e_k, and v^T A v = S[k][k].  A zero pivot
+    with b = S[k][j] != 0, j the first such index, and c = S[j][j] gives
+    v = L^-T (t e_k + e_j) with t = -(c + 1) / (2b), and v^T A v = 2tb + c =
+    -1.  With d the row scales, g the content and prev the last nonzero
+    pivot, row i, frozen at its own step, gives L[j][i] = (d_i / d_j)
+    m[i][j] / m[i][i], and S[i][j] = g m[i][j] / (prev d_i d_j).  So v = D y,
+    where y_i = -sum_{j > i} m[i][j] y_j / m[i][i] back-substitutes over the
+    pivoted rows from y_k = 1 / d_k, or from y_k = t / d_k and y_j = 1 / d_j.
     Raises ``NotSymmetric`` for a non-square or non-symmetric argument.
     """
     a = _as_rows(matrix, NotSymmetric("matrix is not square"))
@@ -174,46 +186,86 @@ def psd_witness(matrix) -> tuple[Fraction, ...] | None:
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-    # Only the upper triangle is updated and read.  Row i is final once step i
-    # has run, so row i of ``a`` then holds pivot d_i and the multipliers
-    # L[m][i] = a[i][m] / d_i that the witness needs.
+    m, scales, g = _scaled(a)
+    failure = _eliminate(m)
+    if failure is None:
+        return None
+    k, prev = failure
+    row = m[k]
+    y = [Fraction(0)] * n
+    if row[k] < 0:
+        y[k] = Fraction(1, scales[k])
+    else:
+        # A PSD matrix with a zero diagonal entry has a zero row there.
+        j = next(j for j in range(k + 1, n) if row[j])
+        b = Fraction(g * row[j], prev * scales[k] * scales[j])
+        c = Fraction(g * m[j][j], prev * scales[j] ** 2)
+        y[k], y[j] = -(c + 1) / (2 * b * scales[k]), Fraction(1, scales[j])
+    for i in range(k - 1, -1, -1):
+        if m[i][i]:
+            y[i] = -sum((m[i][j] * y[j] for j in range(i + 1, n)), Fraction(0)) / m[i][i]
+    return tuple(d * v for d, v in zip(scales, y))
+
+
+def _scaled(a: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
+    """(M, d, g) with M = D A D / g an integer matrix, upper triangle only.
+
+    d_i is the lcm of row i's denominators and g the gcd of every entry of
+    D A D, 0 for a zero matrix.  For a Hankel matrix of moments s_k =
+    N_k / (V L^k), D A D carries the factor V L^(2n-2) of order n, and M is
+    the integer Hankel matrix of the N_k over their gcd.  Entries below the
+    diagonal are 0 and never read.
+    """
+    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+    m = [
+        [0] * i + [x.numerator * (d // x.denominator) * e for x, e in zip(row[i:], scales[i:])]
+        for i, (row, d) in enumerate(zip(a, scales))
+    ]
+    g = math.gcd(*(x for row in m for x in row))
+    if g > 1:
+        m = [[x // g for x in row] for row in m]
+    return m, scales, g
+
+
+def _eliminate(m: list[list[int]]) -> tuple[int, int] | None:
+    """Fraction-free symmetric elimination of ``m`` without pivoting, in place.
+
+    Only the upper triangle is read and updated.  At a positive pivot p,
+    each entry past step k becomes (m[i][j] p - m[k][i] m[k][j]) // prev, an
+    exact division (Bareiss, *Math. Comp.* 22, 1968), and prev becomes p; so
+    m[i][j] = prev S[i][j] for the Schur complement S of the scaled matrix,
+    and row k stays as it was at its own step.  A zero pivot with a zero row
+    is skipped and leaves prev as it is.  Returns None when every step
+    passes, else (k, prev) at the first negative pivot or zero pivot with a
+    nonzero row.
+    """
+    n = len(m)
+    prev = 1
     for k in range(n):
-        row = a[k]
-        d = row[k]
-        if d > 0:
+        row = m[k]
+        p = row[k]
+        if p > 0:
             for i in range(k + 1, n):
-                if row[i]:
-                    f = row[i] / d
-                    a[i][i:] = [x - f * y for x, y in zip(a[i][i:], row[i:])]
-            continue
-        if d < 0:
-            return _back_substitute(a, {k: Fraction(1)})
-        j = next((j for j in range(k + 1, n) if row[j]), None)
-        if j is not None:
-            # A PSD matrix with a zero diagonal entry has a zero row there.
-            return _back_substitute(a, {k: -(a[j][j] + 1) / (2 * row[j]), j: Fraction(1)})
+                f = row[i]
+                m[i][i:] = [(x * p - f * y) // prev for x, y in zip(m[i][i:], row[i:])]
+            prev = p
+        elif p < 0 or any(row[k + 1 :]):
+            return k, prev
     return None
-
-
-def _back_substitute(a: list[list[Fraction]], u: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    """v = L^-T u for u supported past every finished step, L read off ``a``."""
-    n = len(a)
-    v = [u.get(i, Fraction(0)) for i in range(n)]
-    for i in range(min(u) - 1, -1, -1):
-        if a[i][i]:
-            v[i] = -sum((a[i][m] * v[m] for m in range(i + 1, n)), Fraction(0)) / a[i][i]
-    return tuple(v)
 
 
 def is_psd(matrix) -> bool:
     """Exact positive semi-definiteness test for a symmetric matrix.
 
-    Symmetric elimination without pivoting reads the pivot d = a[k][k] of the
-    current Schur complement at each step k: d < 0 means not PSD; d = 0 means
-    not PSD when some a[k][j], j > k, is nonzero, and skips the step when that
-    row is zero; d > 0 eliminates row and column k.  A matrix that passes every
-    step is PSD.  ``psd_witness`` returns the vector that proves a "not PSD"
-    answer.  Raises ``NotSymmetric`` for a non-square or non-symmetric argument.
+    Fraction-free symmetric elimination without pivoting (``_eliminate``),
+    on the integer matrix D A D / g of ``_scaled``, reads at each step k the
+    pivot p = m[k][k], a positive multiple of the Schur complement's entry
+    S[k][k]: p < 0 means not PSD; p = 0 means not PSD when some m[k][j],
+    j > k, is nonzero, and skips the step when that row is zero; p > 0
+    eliminates row and column k.  A matrix that passes every step, the empty
+    and the zero matrix included, is PSD.  ``psd_witness`` returns the vector
+    that proves a "not PSD" answer.  Raises ``NotSymmetric`` for a non-square
+    or non-symmetric argument.
     """
     return psd_witness(matrix) is None
 

@@ -56,6 +56,44 @@ def psd_all_principal_minors(rows) -> bool:
     return True
 
 
+def fraction_psd_witness(rows) -> tuple[Fraction, ...] | None:
+    """``hankel.psd_witness`` by symmetric elimination over ``Fraction``.
+
+    The LDL^T form without pivoting: at a positive pivot d of the Schur
+    complement S, row and column k are eliminated; a zero pivot with a zero
+    row is skipped.  A negative pivot gives v = L^-T e_k, and a zero pivot
+    with b = S[k][j] != 0, j the first such index, and c = S[j][j] gives
+    v = L^-T (t e_k + e_j) with t = -(c + 1) / (2b).  None if every step
+    passes.  Only the upper triangle is updated; row i is final after step
+    i and holds d_i and the multipliers L[m][i] = a[i][m] / d_i.
+    """
+    a = [[Fraction(c) for c in row] for row in rows]
+    n = len(a)
+
+    def back_substitute(u: dict[int, Fraction]) -> tuple[Fraction, ...]:
+        v = [u.get(i, Fraction(0)) for i in range(n)]
+        for i in range(min(u) - 1, -1, -1):
+            if a[i][i]:
+                v[i] = -sum((a[i][m] * v[m] for m in range(i + 1, n)), Fraction(0)) / a[i][i]
+        return tuple(v)
+
+    for k in range(n):
+        row = a[k]
+        d = row[k]
+        if d > 0:
+            for i in range(k + 1, n):
+                if row[i]:
+                    f = row[i] / d
+                    a[i][i:] = [x - f * y for x, y in zip(a[i][i:], row[i:])]
+            continue
+        if d < 0:
+            return back_substitute({k: Fraction(1)})
+        j = next((j for j in range(k + 1, n) if row[j]), None)
+        if j is not None:
+            return back_substitute({k: -(a[j][j] + 1) / (2 * row[j]), j: Fraction(1)})
+    return None
+
+
 def principal_minor_sums(rows) -> list[Fraction]:
     """[e_1, ..., e_n] where e_k is the sum of all k x k principal minors.
 

@@ -24,6 +24,7 @@ from hankelmp.hankel import (
     PositiveWindow,
     _monic_from_recurrence,
     _pass,
+    _scaled,
     analyze,
     classify,
     det_exact,
@@ -38,11 +39,13 @@ from oracles import (
     fraction_chebyshev,
     fraction_continuation,
     fraction_monic_polys,
+    fraction_psd_witness,
     moment_inner_product,
     orthogonal_poly,
     principal_minor_sums,
     psd_all_principal_minors,
 )
+from strategies import rationals
 
 REMARK = [1, 1, 1, 1, 0, 0, 0]
 EXAMPLE_A4 = [1, 1, 4, 4, 16]
@@ -78,13 +81,50 @@ def gram_matrices(draw, max_order=5):
     rows, and one of a diagonal entry can make a pivot negative.
     """
     n = draw(st.integers(1, max_order))
-    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    entries = rationals(-3, 3, 3)
     b = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(draw(st.integers(0, n)))]
     rows = [[sum((r[i] * r[j] for r in b), F(0)) for j in range(n)] for i in range(n)]
     if draw(st.booleans()):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(i, n - 1))
-        delta = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
+        delta = draw(rationals(-2, 2, 4).filter(bool))
+        rows[i][j] += delta
+        if i != j:
+            rows[j][i] += delta
+    return rows
+
+
+@st.composite
+def measures(draw, max_atoms=5):
+    count = draw(st.integers(1, max_atoms))
+    atoms = draw(st.lists(rationals(-3, 3, 4), min_size=count, max_size=count, unique=True))
+    weights = draw(st.lists(rationals(F(1, 4), 3, 4), min_size=count, max_size=count))
+    return sorted(atoms), weights
+
+
+def moments_of(measure, count):
+    atoms, weights = measure
+    return [sum(w * a**k for a, w in zip(atoms, weights)) for k in range(count)]
+
+
+@st.composite
+def perturbed_hankels(draw, max_order=10):
+    """H_N of a measure of up to 5 atoms, order N + 1 <= 10, perturbed or not.
+
+    Orders past the atom count give zero rows; a moved moment keeps the
+    matrix Hankel, and a moved entry pair past the rank makes late
+    negative pivots or zero pivots with nonzero rows.
+    """
+    n = draw(st.integers(0, max_order - 1))
+    window = moments_of(draw(measures()), 2 * n + 1)
+    kind = draw(st.sampled_from(["none", "moment", "entry"]))
+    if kind == "moment":
+        window[draw(st.integers(0, 2 * n))] += draw(rationals(-2, 2, 4).filter(bool))
+    rows = [list(row) for row in hankel_matrix(window, n)]
+    if kind == "entry":
+        i = draw(st.integers(0, n))
+        j = draw(st.integers(i, n))
+        delta = draw(rationals(-2, 2, 4).filter(bool))
         rows[i][j] += delta
         if i != j:
             rows[j][i] += delta
@@ -288,6 +328,13 @@ class TestIsPsd:
         if v is not None:
             assert quadratic_form(rows, v) < 0
 
+    @given(st.one_of(gram_matrices(), perturbed_hankels()))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @example([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 2], [1, 1, 2, 1]])
+    @example([[0, 0, 0], [0, 2, 1], [0, 1, F(-1, 2)]])
+    def test_witness_matches_the_fraction_elimination(self, rows):
+        assert psd_witness(rows) == fraction_psd_witness(rows)
+
 
 class TestClassify:
     def test_spec_examples(self):
@@ -376,35 +423,12 @@ class TestClassify:
 
 # --- Hypothesis properties of the recurrence pass -----------------------------
 
-small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+small_rationals = rationals(-4, 4, 3)
 # Windows of length <= 12, so horizons N <= 5.
 raw_windows = st.lists(small_rationals, min_size=1, max_size=12)
 
 
-@st.composite
-def measures(draw, max_atoms=5):
-    count = draw(st.integers(1, max_atoms))
-    atoms = draw(
-        st.lists(
-            st.fractions(min_value=-3, max_value=3, max_denominator=4),
-            min_size=count, max_size=count, unique=True,
-        )
-    )
-    weights = draw(
-        st.lists(
-            st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4),
-            min_size=count, max_size=count,
-        )
-    )
-    return sorted(atoms), weights
-
-
-def moments_of(measure, count):
-    atoms, weights = measure
-    return [sum(w * a**k for a, w in zip(atoms, weights)) for k in range(count)]
-
-
-nudges = st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8)
+nudges = rationals(F(1, 8), 2, 8)
 
 VERDICTS = ("positive", "consistent", "inconsistent", "negative", "zero_then_positive", "zero_s0")
 
@@ -610,8 +634,8 @@ class TestRecurrencePass:
 
     @given(
         raw_windows,
-        st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5),
-        st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5),
+        rationals(F(1, 5), 5, 5),
+        rationals(F(1, 5), 5, 5),
     )
     @settings(derandomize=True, max_examples=100, deadline=None)
     @example([1, 1, 4, 4, 16], F(3), F(1, 2))
@@ -795,6 +819,16 @@ class TestDeepWindows:
                 assert moment_inner_product(p, x_j, window) == (dets[k + 1] / dets[k] if j == k else 0)
         if not perturbed:
             assert analysis.orthogonal_polys == polys
+
+    def test_scaled_psd_entries_are_no_larger_than_the_integer_window(self):
+        # D A D / g of H_N is the integer Hankel matrix of c * a^k * s_k over
+        # its gcd; without the division by g every entry carries c * a^(2N).
+        window, a, c = deep_window(random.Random(0), 20, False)
+        h = hankel_matrix(window, 20)
+        bound = max((c * a**k * s).numerator.bit_length() for k, s in enumerate(window[:41]))
+        m, _, g = _scaled(h)
+        assert max(abs(x).bit_length() for row in m for x in row) <= bound
+        assert max(abs(x * g).bit_length() for row in m for x in row) > bound
 
 
 @pytest.fixture(scope="module")

@@ -318,6 +318,22 @@ class TestCampaigns:
         assert verify_roundtrip(trials=6, seed=0).passed
         assert len(calls) == 6
 
+    def test_passing_psd_trial_runs_one_integer_elimination(self, monkeypatch):
+        # H_N holds every H_k as a leading block, so a passing trial tests it
+        # alone, and is_psd builds no witness.
+        import hankelmp.hankel as hankel
+
+        calls = []
+        original = hankel._eliminate
+
+        def counted(m):
+            calls.append(len(m))
+            return original(m)
+
+        monkeypatch.setattr(hankel, "_eliminate", counted)
+        assert verify_psd_theorem(trials=6, seed=14).passed
+        assert len(calls) == 6
+
     def test_failing_det2_trial_reports_the_corrupted_instance(self, monkeypatch):
         import hankelmp.identities as identities
 
