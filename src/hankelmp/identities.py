@@ -4,7 +4,8 @@
 rows of an n-atom measure has determinant zero; ``det2`` that the
 almost-Hankel bordered determinant factors as
 (-1)^(p(p+1)/2) * D_{n-1} * prod_j (x_j - s_{2n+p}); ``roundtrip`` that the
-measure comes back exactly from its moments; ``psd-theorem`` that every H_k
+measure comes back exactly from its moments, and that ``extend`` of the
+window gives its next moments exactly; ``psd-theorem`` that every H_k
 of a degenerate window is PSD.  All checks are exact; a single failing trial
 disproves the implementation (or the identity).
 
@@ -34,7 +35,7 @@ from .hankel import (
     is_psd,
     psd_witness,
 )
-from .recovery import DiscreteMeasure, measure_moments, reconstruct
+from .recovery import DiscreteMeasure, extend, measure_moments, reconstruct
 
 __all__ = [
     "CampaignReport",
@@ -316,8 +317,13 @@ def verify_det2(trials: int = 200, seed: int = 0, max_n: int = 4, max_p: int = 3
     return _campaign("det2", trials, seed, max_n, max_p, _det2_trial)
 
 
+# Moments past the roundtrip window that ``extend`` of it must give exactly.
+_EXTENSION = 4
+
+
 def _roundtrip_trial(rng: SplitMix64, n: int, p: None, mu: DiscreteMeasure) -> dict | None:
-    moments = measure_moments(mu, 2 * n + 5)
+    moments = measure_moments(mu, 2 * n + 5 + _EXTENSION)
+    moments, beyond = moments[:-_EXTENSION], moments[-_EXTENSION:]
     analysis = analyze(MomentWindow(moments))
     dets, cls = analysis.determinants, analysis.classification
     rec = None
@@ -331,6 +337,8 @@ def _roundtrip_trial(rng: SplitMix64, n: int, p: None, mu: DiscreteMeasure) -> d
         rec = reconstruct(analysis)
         if rec.atoms != mu.atoms or rec.weights != mu.weights:
             problems.append("reconstruction differs from the source measure")
+        if extend(analysis, _EXTENSION) != beyond:
+            problems.append("extension differs from the source measure's moments")
     if not problems:
         return None
     return {
@@ -342,7 +350,11 @@ def _roundtrip_trial(rng: SplitMix64, n: int, p: None, mu: DiscreteMeasure) -> d
 
 
 def verify_roundtrip(trials: int = 200, seed: int = 0, max_n: int = 5) -> CampaignReport:
-    """Measure -> moments -> classify -> reconstruct must return exactly."""
+    """Measure -> moments -> classify -> reconstruct must return exactly.
+
+    ``extend`` of the window must also equal the measure's next 4 moments,
+    taken from the same ``measure_moments`` call.
+    """
     return _campaign("roundtrip", trials, seed, max_n, None, _roundtrip_trial)
 
 

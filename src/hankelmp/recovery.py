@@ -16,21 +16,21 @@ with the refinement.  An independent residual check certifies every moment
 up to s_{2*n0 - 1}, exactly when every atom is rational.  One routine,
 ``_moment_sums``, forms every sum w_j * x_j**k in the package: the residual
 check and ``measure_moments`` of exact and inexact measures all call it on
-atoms and weights as stored, reading an exact value v as the bounds (v, v),
-and it sums over integers on one common denominator.  When every bound is
-a point it takes one product per term; otherwise each term is the
-interval product of a weight and a power enclosure.  The residual check of
-interval weights passes it the weights' P: every bound is then rounded
-outward onto the 2**-P grid, and so is each power enclosure after every
-multiplication, so entries stay O(P + k * log2 max|x_j|) bits instead of
-growing by one endpoint size per power.  Outward rounding only widens an
+atoms and weights as stored, reading an exact value v as the bounds (v, v).
+When every bound is a point it sums one product per term over integers on
+one common denominator, and the sums are exact.  Otherwise every bound is
+rounded outward onto the 2**-P grid, and so is each power enclosure after
+every multiplication, so entries stay O(P + k * log2 max|x_j|) bits instead
+of growing by one endpoint size per power.  Outward rounding only widens an
 enclosure, so a sum on the grid contains the exact one, and a residual that
-passes on the grid passes exactly.  ``measure_moments`` prints its
-enclosures and keeps them exact.  An interval product whose factors have
-known signs is formed from two end products, which are the same integers
-the min and max of the four corner products give.  The unique forward
-extension of a degenerate window is always computed from the exact rational
-recurrence, never from the recovered (possibly irrational) atoms.
+passes on the grid passes exactly.  ``reconstruct`` and ``measure_moments``
+share one refinement loop, ``_refinements``: each round refines the atoms
+to 10**-(digits + pad) and sets P from the pad.  An interval product whose
+factors have known signs is formed from two end products, which are the
+same integers the min and max of the four corner products give.  The
+unique forward extension of a degenerate window is always computed from
+the exact rational recurrence, never from the recovered (possibly
+irrational) atoms.
 """
 from __future__ import annotations
 
@@ -133,9 +133,8 @@ def _product(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
     return a_hi * (b_hi if a_hi < 0 else b_lo), a_lo * (b_lo if a_lo < 0 else b_hi)
 
 
-def _on_grid(value: AtomValue | WeightValue, bits: int) -> tuple[int, int]:
-    """Integers (lo, hi) with lo / 2**bits <= ``_bounds(value)`` <= hi / 2**bits, tight."""
-    lo, hi = _bounds(value)
+def _on_grid(lo: Fraction, hi: Fraction, bits: int) -> tuple[int, int]:
+    """Integers (a, b) with a / 2**bits <= lo <= hi <= b / 2**bits, tight."""
     return (lo.numerator << bits) // lo.denominator, -((-hi.numerator << bits) // hi.denominator)
 
 
@@ -145,75 +144,66 @@ def _moment_sums(
     """Enclosures of sum_j w_j * x_j**k for k < count, as integers (lo, hi, den).
 
     lo/den and hi/den bound the sum over x_j within ``_bounds(atoms[j])`` and
-    w_j within ``_bounds(weights[j])``.  They are the endpoints of plain
-    interval arithmetic: the tight enclosure of x**k over the atom interval
-    (1 for k = 0), times the weight interval, summed over j.  All atom
-    endpoints are written over one denominator X and all weight endpoints
-    over one W, so every term of moment k shares the denominator W * X**k
-    and nothing is reduced while summing.  This is the package's one moment
-    sum: exact atoms and weights enter as (v, v) bounds, for which lo = hi is
-    the exact moment.  When every atom and weight bound is a point, each
-    term w_j * x_j**k is kept as one integer and takes one product per k.
-
-    With ``bits``, every bound is first rounded outward onto the grid
-    2**-bits, the power enclosure of x_j**(k+1) is the interval product of
-    that of x_j**k and the atom's, rounded outward onto the same grid, and
-    den is 2**(2 * bits) for every k.  Each step only widens an enclosure
-    of the exact value, so the result contains the enclosure without
-    ``bits``, while its integers stay O(bits + k * log2 max|x_j|) bits long.
+    w_j within ``_bounds(weights[j])``.  This is the package's one moment
+    sum, and it has two branches, chosen from the bounds alone.  When every
+    atom and weight bound is a point, the atoms are written over one
+    denominator X and the weights over one W, each term w_j * x_j**k is kept
+    as one integer over W * X**k and takes one product per k, and lo = hi is
+    the exact moment.  Otherwise ``bits`` is required: every bound is
+    rounded outward onto the grid 2**-bits, the power enclosure of
+    x_j**(k+1) is the interval product of that of x_j**k and the atom's,
+    rounded outward onto the same grid, and den is 2**(2 * bits) for every
+    k.  Each step only widens an enclosure of the exact value, so the result
+    contains the exact sum's enclosure, while its integers stay
+    O(bits + k * log2 max|x_j|) bits long.
     """
-    if bits is not None:
-        x_ints = [_on_grid(a, bits) for a in atoms]
-        w_ints = [_on_grid(w, bits) for w in weights]
-        powers = [(1 << bits, 1 << bits)] * len(x_ints)
-        for _ in range(count):
-            lo_sum = hi_sum = 0
-            for w, p in zip(w_ints, powers):
-                lo, hi = _product(*w, *p)
-                lo_sum += lo
-                hi_sum += hi
-            yield lo_sum, hi_sum, 1 << 2 * bits
-            powers = [_product(*p, *x) for p, x in zip(powers, x_ints)]
-            powers = [(lo >> bits, -(-hi >> bits)) for lo, hi in powers]
-        return
-    xs, xden = _common_denominator(x for a in atoms for x in _bounds(a))
-    ws, wden = _common_denominator(w for v in weights for w in _bounds(v))
-    den = wden
-    if xs[::2] == xs[1::2] and ws[::2] == ws[1::2]:
-        x_pts, terms = xs[::2], ws[::2]
+    x_bounds = [_bounds(a) for a in atoms]
+    w_bounds = [_bounds(w) for w in weights]
+    if all(lo == hi for lo, hi in x_bounds + w_bounds):
+        x_pts, xden = _common_denominator(lo for lo, _ in x_bounds)
+        terms, den = _common_denominator(lo for lo, _ in w_bounds)
         for _ in range(count):
             total = sum(terms)
             yield total, total, den
             terms = list(map(mul, terms, x_pts))
             den *= xden
         return
-    x_ints = list(zip(xs[::2], xs[1::2]))
-    w_ints = list(zip(ws[::2], ws[1::2]))
-    powers = [(1, 1)] * len(x_ints)
-    for k in range(count):
+    x_ints = [_on_grid(lo, hi, bits) for lo, hi in x_bounds]
+    w_ints = [_on_grid(lo, hi, bits) for lo, hi in w_bounds]
+    powers = [(1 << bits, 1 << bits)] * len(x_ints)
+    for _ in range(count):
         lo_sum = hi_sum = 0
-        for (w_lo, w_hi), (x_lo, x_hi), (p_lo, p_hi) in zip(w_ints, x_ints, powers):
-            if k == 0 or k % 2 == 1 or x_lo >= 0:
-                a, b = p_lo, p_hi
-            elif x_hi <= 0:
-                a, b = p_hi, p_lo
-            else:
-                a, b = 0, max(p_lo, p_hi)
-            lo, hi = _product(w_lo, w_hi, a, b)
+        for w, p in zip(w_ints, powers):
+            lo, hi = _product(*w, *p)
             lo_sum += lo
             hi_sum += hi
-        yield lo_sum, hi_sum, den
-        powers = [(p_lo * x_lo, p_hi * x_hi) for (p_lo, p_hi), (x_lo, x_hi) in zip(powers, x_ints)]
-        den *= xden
+        yield lo_sum, hi_sum, 1 << 2 * bits
+        powers = [_product(*p, *x) for p, x in zip(powers, x_ints)]
+        powers = [(lo >> bits, -(-hi >> bits)) for lo, hi in powers]
+
+
+def _refinements(atoms: Sequence[AtomValue], digits: int):
+    """Each round's atoms, refined to width 10**-(digits + pad), and its grid bits.
+
+    The pads are 10, 20, 40, 80 and 160, and the grid step 2**-bits is
+    below 10**-(digits + pad) / 256.  A round refines the last round's
+    intervals: refinement cells nest, so this gives the intervals that
+    refining the given atoms would give.  Exact atoms pass unchanged.
+    """
+    for pad in (10, 20, 40, 80, 160):
+        atoms = [a if isinstance(a, Fraction) else refine_root(a, digits + pad) for a in atoms]
+        yield atoms, (10 ** (digits + pad)).bit_length() + 8
 
 
 def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     """Moments s_0..s_{count-1} of the measure.
 
     Exact rationals when the measure is exact; otherwise rational enclosures
-    of width at most 10**-digits, obtained by refining the atom intervals as
-    far as needed.  Raises ``ValueError`` for count < 1 or for digits
-    outside 1..MAX_DECIMAL_EXPONENT.
+    of width at most 10**-digits on a 2**-P grid, taken from the first round
+    of ``_refinements`` whose enclosures are that narrow.  Raises
+    ``ValueError`` for count < 1 or for digits outside
+    1..MAX_DECIMAL_EXPONENT, and ``PrecisionUnattainable`` when no round is
+    narrow enough.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -222,14 +212,8 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     if mu.is_exact:
         return [Fraction(lo, den) for lo, _, den in _moment_sums(mu.atoms, mu.weights, count)]
     scale = 10**digits
-    atoms = mu.atoms
-    # Each retry refines the last retry's intervals: refinement cells nest, so
-    # this gives the intervals that refining the stored atoms would give.
-    for pad in (5, 10, 20, 40, 80):
-        atoms = [
-            refine_root(a, digits + pad) if isinstance(a, IsolatingInterval) else a for a in atoms
-        ]
-        sums = list(_moment_sums(atoms, mu.weights, count))
+    for atoms, bits in _refinements(mu.atoms, digits):
+        sums = list(_moment_sums(atoms, mu.weights, count, bits))
         if all((hi - lo) * scale <= den for lo, hi, den in sums):
             return [RationalInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in sums]
     raise PrecisionUnattainable(
@@ -304,9 +288,10 @@ def _residuals_certified(
 
     Each enclosure of ``_moment_sums`` is compared with s_k - tol and
     s_k + tol in integers, with the moments and tol over their one common
-    denominator.  With ``bits`` the enclosures lie on the 2**-bits grid and
-    contain the exact ones, so a pass here implies a pass without ``bits``.
-    Raises ``ValueError`` when ``moments`` holds fewer than ``upto`` values.
+    denominator.  ``bits`` is needed unless every bound is a point; the
+    enclosures then lie on the 2**-bits grid and contain the exact interval
+    sums, so a pass here implies a pass on the exact sums.  Raises
+    ``ValueError`` when ``moments`` holds fewer than ``upto`` values.
     """
     if len(moments) < upto:
         raise ValueError(f"the residuals up to s_{upto - 1} need {upto} moments, got {len(moments)}")
@@ -363,12 +348,7 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
             raise InconsistentWindow(f"an exact residual up to s_{2 * n0 - 1} is nonzero")
         return DiscreteMeasure(tuple(atoms), tuple(weights))
     tol = Fraction(1, 10**digits)
-    refined = roots
-    for pad in (10, 20, 40, 80, 160):
-        # As in measure_moments, a retry refines the last retry's intervals.
-        refined = [refine_root(r, digits + pad) for r in refined]
-        # Grid step 2**-bits is below 10**-(digits + pad) / 256.
-        bits = (10 ** (digits + pad)).bit_length() + 8
+    for refined, bits in _refinements(roots, digits):
         weight_ivs = _interval_weights(refined, numer, deriv, bits)
         if (
             weight_ivs is not None
@@ -398,5 +378,8 @@ def extend(w, count: int) -> list[Fraction]:
     cs, n0, den = kernel.numerators[:-1], kernel.degree, kernel.denominator
     values = list(w)
     for _ in range(count):
-        values.append(-sum(map(mul, cs, values[len(values) - n0 :]), Fraction(0)) / den)
+        # One common denominator d of the last n0 values, so one gcd per step.
+        # The slice keeps n0 = 0 empty, where values[-0:] would take them all.
+        last, d = _common_denominator(values[len(values) - n0 :])
+        values.append(Fraction(-sum(map(mul, cs, last)), den * d))
     return values[len(w) :]

@@ -24,11 +24,10 @@ from hankelmp.exact import (
     sturm_isolate,
 )
 import oracles
+import strategies
 from oracles import eval_power_sum, fraction_sturm_chain, poly_from_roots, poly_gcd, poly_mul
 
-rationals = st.fractions(
-    min_value=-50, max_value=50, max_denominator=20
-)
+rationals = strategies.rationals(-50, 50, 20)
 
 
 class TestRationalStrings:
@@ -271,7 +270,7 @@ def square_free_integer_polys(draw):
     closer than 2**-200.
     """
     factors = []
-    small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    small = strategies.rationals(-20, 20, 12)
     for r in draw(st.lists(small, max_size=3, unique=True)):
         factors.append(RationalPoly([-r, 1]))
     if draw(st.booleans()):
@@ -295,7 +294,7 @@ def square_free_integer_polys(draw):
 
 
 factor_polys = st.lists(
-    st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=1, max_size=3
+    strategies.rationals(-9, 9, 6), min_size=1, max_size=3
 ).map(RationalPoly).filter(lambda p: not p.is_zero)
 
 
@@ -338,7 +337,7 @@ def interval_atoms(draw):
     near roots, or other multiples of u, in either order or equal.
     """
     unit = draw(st.sampled_from([F(1), F(1, 10**300), F(10**300)]))
-    small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    small = strategies.rationals(-5, 5, 6)
     roots = draw(st.lists(small, max_size=3, unique=True))
     poly = RationalPoly([draw(st.sampled_from([F(1), F(-7, 3), F(10**300), -F(1, 10**300)]))])
     for r in roots:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hankelmp.errors import InfeasibleSpec
 from hankelmp.hankel import analyze, det_exact, det_sequence
 from hankelmp.identities import (
+    _EXTENSION,
     MeasureGenSpec,
     SplitMix64,
     _count_rationals,
@@ -27,10 +28,17 @@ from hankelmp.identities import (
 )
 from hankelmp.recovery import DiscreteMeasure, measure_moments, reconstruct
 from oracles import det_cofactor, fraction_rational
+from strategies import rationals
 
 
 def _last_moment_plus_one(moments):
     return moments[:-1] + [moments[-1] + 1]
+
+
+def _last_window_moment_plus_one(moments):
+    # A roundtrip trial takes _EXTENSION moments past its window s_0..s_{2n+4}.
+    k = _EXTENSION + 1
+    return moments[:-k] + [moments[-k] + 1] + moments[-k + 1 :]
 
 
 def _s2_negated(moments):
@@ -38,7 +46,7 @@ def _s2_negated(moments):
     return moments[:2] + [-moments[2] - 1] + moments[3:]
 
 
-bounds = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+bounds = rationals(-6, 6, 9)
 
 
 class TestSplitMix64:
@@ -268,7 +276,7 @@ class TestCampaigns:
                          "det1_forced_failure.json", id="det1"),
             pytest.param(verify_det2, {"trials": 4, "seed": 3}, _last_moment_plus_one,
                          "det2_forced_failure.json", id="det2"),
-            pytest.param(verify_roundtrip, {"trials": 3, "seed": 1}, _last_moment_plus_one,
+            pytest.param(verify_roundtrip, {"trials": 3, "seed": 1}, _last_window_moment_plus_one,
                          "roundtrip_forced_failure.json", id="roundtrip"),
             pytest.param(verify_psd_theorem, {"trials": 3, "seed": 14}, _s2_negated,
                          "psd_theorem_forced_failure.json", id="psd-theorem"),
@@ -394,9 +402,8 @@ class TestCampaigns:
         import hankelmp.identities as identities
 
         def corrupted(mu, count):
-            # The last moment lies past every H_k of the window, so only its tail breaks.
-            moments = measure_moments(mu, count)
-            return moments[:-1] + [moments[-1] + 1]
+            # The window's last moment lies past every H_k, so only its tail breaks.
+            return _last_window_moment_plus_one(measure_moments(mu, count))
 
         monkeypatch.setattr(identities, "measure_moments", corrupted)
         report = verify_roundtrip(trials=3, seed=1)
@@ -464,6 +471,29 @@ class TestCampaigns:
             source, rebuilt = failure["measure"], failure["reconstructed"]
             assert rebuilt["atoms"] == source["atoms"]
             assert F(rebuilt["weights"][0]) == F(source["weights"][0]) + 1
+
+    def test_roundtrip_trial_whose_extension_differs_is_reported(self, monkeypatch):
+        import dataclasses
+
+        import hankelmp.identities as identities
+        from hankelmp.exact import RationalPoly
+        from hankelmp.recovery import extend
+
+        def kernel_coefficient_off(analysis, count):
+            # The kernel's constant coefficient plus one drives the recurrence.
+            *polys, kernel = analysis.orthogonal_polys
+            cs = kernel.coeffs
+            off = RationalPoly([cs[0] + 1, *cs[1:]])
+            return extend(dataclasses.replace(analysis, orthogonal_polys=(*polys, off)), count)
+
+        monkeypatch.setattr(identities, "extend", kernel_coefficient_off)
+        report = verify_roundtrip(trials=3, seed=1)
+        assert len(report.failures) == 3
+        for index, failure in enumerate(report.failures):
+            assert list(failure)[:3] == ["trial", "n", "measure"] and failure["trial"] == index
+            assert failure["problems"] == ["extension differs from the source measure's moments"]
+            assert failure["reconstructed"] == failure["measure"]
+            assert len(failure["moments"]) == 2 * failure["n"] + 5
 
     def test_reports_are_deterministic(self):
         a = verify_det2(trials=20, seed=77).to_dict()

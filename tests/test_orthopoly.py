@@ -14,6 +14,7 @@ from hankelmp.hankel import Degenerate, MomentWindow, analyze, classify, det_seq
 from hankelmp.recovery import DiscreteMeasure, measure_moments
 import oracles
 from oracles import moment_inner_product
+from strategies import rationals
 
 A4 = MomentWindow([1, 1, 4, 4, 16])
 
@@ -158,11 +159,11 @@ def consistent_degenerate_windows(draw):
     kind = draw(st.sampled_from(["rational", "gauss-legendre", "demo"]))
     if kind == "rational":
         atoms = draw(
-            st.lists(st.fractions(-6, 6, max_denominator=6), min_size=1, max_size=8, unique=True)
+            st.lists(rationals(-6, 6, 6), min_size=1, max_size=8, unique=True)
         )
         weights = draw(
             st.lists(
-                st.fractions(F(1, 6), 6, max_denominator=6),
+                rationals(F(1, 6), 6, 6),
                 min_size=len(atoms),
                 max_size=len(atoms),
             )
@@ -172,7 +173,7 @@ def consistent_degenerate_windows(draw):
     if kind == "gauss-legendre":
         return oracles.hilbert_window(draw(st.integers(1, 6)))
     a = draw(
-        st.fractions(F(1), 50, max_denominator=9).filter(
+        rationals(1, 50, 9).filter(
             lambda v: v > 1 and not _is_rational_square(v)
         )
     )

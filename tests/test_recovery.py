@@ -163,25 +163,24 @@ def as_interval(value) -> RationalInterval:
     return RationalInterval(value, value) if isinstance(value, F) else value
 
 
+def oracle_sums(atoms, weights, count) -> list[RationalInterval]:
+    """The exact interval enclosures of sum_j w_j * x_j**k for k < count."""
+    atom_ivs, weight_ivs = [as_interval(a) for a in atoms], [as_interval(w) for w in weights]
+    return [interval_power_sum(atom_ivs, weight_ivs, k) for k in range(count)]
+
+
 def match_the_oracle(atoms, weights, count) -> list[RationalInterval]:
-    """Assert that _moment_sums equals the interval oracle for k < count; return the oracle."""
-    atom_ivs = [as_interval(a) for a in atoms]
-    weight_ivs = [as_interval(w) for w in weights]
-    oracle = [interval_power_sum(atom_ivs, weight_ivs, k) for k in range(count)]
+    """Assert that _moment_sums equals the interval oracle for k < count; return the oracle.
+
+    Every bound must be a point, so that the sums are exact.
+    """
+    oracle = oracle_sums(atoms, weights, count)
     sums = _moment_sums(atoms, weights, count)
     assert [RationalInterval(F(lo, den), F(hi, den)) for lo, hi, den in sums] == oracle
     return oracle
 
 
 class TestMeasureMoments:
-    @given(
-        st.lists(st.tuples(atom_intervals(), weight_intervals()), min_size=1, max_size=4),
-        st.integers(1, 8),
-    )
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    def test_moment_sums_match_the_interval_oracle(self, terms, count):
-        match_the_oracle([atom for atom, _ in terms], [weight for _, weight in terms], count)
-
     @given(exact_measures(), st.integers(1, 10))
     @settings(derandomize=True, max_examples=100, deadline=None)
     def test_exact_measures_match_the_oracle(self, mu, count):
@@ -199,20 +198,6 @@ class TestMeasureMoments:
         atoms = [x for x, _, _ in terms]
         weights = [RationalInterval(w, w) if boxed else w for _, w, boxed in terms]
         assert all(iv.lo == iv.hi for iv in match_the_oracle(atoms, weights, count))
-
-    @given(
-        st.lists(st.tuples(signed, st.none() | widths, nonneg), max_size=4),
-        signed,
-        widths,
-        nonneg,
-        st.integers(1, 10),
-    )
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    def test_mixed_exact_and_interval_atoms_match_the_oracle(self, terms, x, width, w, count):
-        # The last atom is a proper interval, so _moment_sums takes its interval branch.
-        atoms = [a if d is None else RationalInterval(a, a + d) for a, d, _ in terms]
-        atoms.append(RationalInterval(x, x + width))
-        match_the_oracle(atoms, [v for _, _, v in terms] + [w], count)
 
     def test_dirac_at_origin(self):
         assert measure_moments(DiscreteMeasure((F(0),), (F(1),)), 4) == [1, 0, 0, 0]
@@ -240,6 +225,22 @@ class TestMeasureMoments:
             assert values[k].hi - values[k].lo <= F(1, 10**25)
             assert holds(values[k], F(expected))
 
+    def test_interval_moment_endpoints_stay_on_the_grid(self):
+        # Atoms sqrt(1/3) and 2**(1/3) < 2: each endpoint of an enclosure of s_k
+        # has O(P + k) bits, with P the grid bits of the last refinement round;
+        # exact interval sums would grow by one atom endpoint's size per power.
+        sqrt = IsolatingInterval(F(0), F(1), RationalPoly([F(-1, 3), 0, 1]))
+        cbrt = IsolatingInterval(F(5, 4), F(2), RationalPoly([-2, 0, 0, 1]))
+        mu = DiscreteMeasure((sqrt, cbrt), (F(1), F(2, 3)))
+        digits, count = 20, 200
+        bits = (10 ** (digits + 160)).bit_length() + 8
+        moments = measure_moments(mu, count, digits)
+        assert len(moments) == count
+        for k, m in enumerate(moments):
+            assert m.hi - m.lo <= F(1, 10**digits)
+            size = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in (m.lo, m.hi))
+            assert size <= 2 * bits + k + 2
+
 
 # atom_intervals() plus intervals with an endpoint at 0 and intervals that hold 0 inside.
 grid_atoms = (
@@ -251,23 +252,43 @@ grid_atoms = (
 grid_terms = st.lists(st.tuples(grid_atoms, weight_intervals()), min_size=1, max_size=4)
 
 
+@st.composite
+def mixed_terms(draw):
+    """Up to 4 bare or interval atoms, then one proper interval, all with bare weights."""
+    head = draw(st.lists(st.tuples(signed, st.none() | widths, nonneg), max_size=4))
+    x, width, w = draw(signed), draw(widths), draw(nonneg)
+    terms = [(a if d is None else RationalInterval(a, a + d), v) for a, d, v in head]
+    return terms + [(RationalInterval(x, x + width), w)]
+
+
+def exact_certified(atoms, weights, moments, count, tol) -> bool:
+    """The residual certificate read from the exact enclosures of ``oracle_sums``."""
+    return all(
+        s - tol <= iv.lo and iv.hi <= s + tol
+        for iv, s in zip(oracle_sums(atoms, weights, count), moments)
+    )
+
+
 class TestGridMomentSums:
-    @given(grid_terms, st.integers(1, 10), st.integers(1, 64))
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(grid_terms | mixed_terms(), st.integers(1, 10), st.integers(1, 64))
+    @settings(derandomize=True, max_examples=500, deadline=None)
     def test_grid_sums_contain_the_oracle_in_bounded_integers(self, terms, count, bits):
-        atoms = [as_interval(a) for a, _ in terms]
-        weights = [as_interval(w) for _, w in terms]
-        sums = list(_moment_sums([a for a, _ in terms], [w for _, w in terms], count, bits))
+        atoms, weights = [a for a, _ in terms], [w for _, w in terms]
+        sums = list(_moment_sums(atoms, weights, count, bits))
+        oracle = oracle_sums(atoms, weights, count)
         assert len(sums) == count
+        if all(iv.lo == iv.hi for iv in map(as_interval, atoms + weights)):
+            # Every bound is a point: the one-product branch, exact and off the grid.
+            assert [RationalInterval(F(lo, den), F(hi, den)) for lo, hi, den in sums] == oracle
+            return
         # Grid atoms lie within m of 0 and grid weights below wmax, and each
         # rounded power of an atom is at most 2 * m**k, so the numerators over
         # 2**(2 * bits) grow by one bit length of m per power, not by bits.
-        m = math.ceil(max(max(-a.lo, a.hi) for a in atoms)) + 1
-        wmax = math.ceil(max(w.hi for w in weights)) + 1
-        for k, (lo, hi, den) in enumerate(sums):
-            oracle = interval_power_sum(atoms, weights, k)
+        m = math.ceil(max(max(-a.lo, a.hi) for a in map(as_interval, atoms))) + 1
+        wmax = math.ceil(max(as_interval(w).hi for w in weights)) + 1
+        for k, ((lo, hi, den), iv) in enumerate(zip(sums, oracle)):
             assert den == 1 << 2 * bits
-            assert F(lo, den) <= oracle.lo and oracle.hi <= F(hi, den)
+            assert F(lo, den) <= iv.lo and iv.hi <= F(hi, den)
             size = 2 * bits + k * m.bit_length() + (len(terms) * wmax).bit_length() + 2
             assert max(abs(lo), abs(hi)).bit_length() <= size
 
@@ -283,19 +304,19 @@ class TestGridMomentSums:
         self, terms, count, bits, offsets, slack
     ):
         atoms, weights = [a for a, _ in terms], [w for _, w in terms]
-        exact = list(_moment_sums(atoms, weights, count))
-        half = max(F(hi - lo, 2 * den) for lo, hi, den in exact)
-        moments = [F(lo + hi, 2 * den) + o * half for (lo, hi, den), o in zip(exact, offsets)]
+        exact = oracle_sums(atoms, weights, count)
+        half = max((iv.hi - iv.lo) / 2 for iv in exact)
+        moments = [(iv.lo + iv.hi) / 2 + o * half for iv, o in zip(exact, offsets)]
         tol = half * slack
         if _residuals_certified(atoms, weights, moments, count, tol, bits):
-            assert _residuals_certified(atoms, weights, moments, count, tol)
+            assert exact_certified(atoms, weights, moments, count, tol)
         # The least tol at which the grid certifies: both certificates pass there.
         grid_tol = max(
             max(s - F(lo, den), F(hi, den) - s)
             for (lo, hi, den), s in zip(_moment_sums(atoms, weights, count, bits), moments)
         )
         assert _residuals_certified(atoms, weights, moments, count, grid_tol, bits)
-        assert _residuals_certified(atoms, weights, moments, count, grid_tol)
+        assert exact_certified(atoms, weights, moments, count, grid_tol)
 
     @pytest.mark.parametrize("bits", [None, 64])
     def test_short_moment_list_is_refused(self, bits):
@@ -393,8 +414,8 @@ class TestReconstruct:
                 assert rec.weights == mu.weights
 
 
-small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-positive_weights = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+small_rationals = rationals(-9, 9, 9)
+positive_weights = rationals(F(1, 9), 9, 9)
 
 
 @st.composite
@@ -512,15 +533,13 @@ class TestWeights:
                 for a in rec.atoms
             ]
             weights = list(rec.weights)
-            for grid in (None, bits):
-                assert _residuals_certified(atom_ivs, weights, window, 2 * n0, tol, grid)
+            assert _residuals_certified(atom_ivs, weights, window, 2 * n0, tol, bits)
             shift = F(1, 10 ** (digits - 1))
             for j in range(n0):
                 for sign in (1, -1):
                     nudged = list(weights)
                     nudged[j] = RationalInterval(weights[j].lo + sign * shift, weights[j].hi + sign * shift)
-                    for grid in (None, bits):
-                        assert not _residuals_certified(atom_ivs, nudged, window, 2 * n0, tol, grid)
+                    assert not _residuals_certified(atom_ivs, nudged, window, 2 * n0, tol, bits)
 
     def test_nudged_exact_measure_fails_the_exact_residual_check(self):
         # reconstruct checks an all-rational measure with point intervals and tol 0.
@@ -568,6 +587,21 @@ class TestExtend:
 
     def test_zero_measure_extension(self):
         assert extend([0, 0], 4) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n0", [0, 20])
+    def test_matches_the_plain_fraction_recurrence(self, n0):
+        # Atoms (2j - 19)/7 with weights (j + 1)/11; n0 = 0 is the zero window.
+        mu = DiscreteMeasure(
+            tuple(F(2 * j - 19, 7) for j in range(n0)), tuple(F(j + 1, 11) for j in range(n0))
+        )
+        window = measure_moments(mu, 2 * n0 + 3)
+        # s_m = -sum_j c_j s_{m - n0 + j} over the monic kernel's Fraction coefficients.
+        cs = analyze(window).kernel.coeffs[:-1]
+        values = list(window)
+        for _ in range(30):
+            values.append(-sum((c * v for c, v in zip(cs, values[len(values) - n0 :])), F(0)))
+        assert extend(window, 30) == values[len(window) :]
+        assert values == measure_moments(mu, len(values))
 
     def test_zero_count(self):
         assert extend([1, 3, 9], 0) == []
