@@ -19,7 +19,11 @@ consistent degenerate window its recurrence coefficients build p_0..p_{n0}:
 p_{n0} is the kernel whose roots are the atoms, and p_{n0}, ..., p_0 is a
 Sturm sequence for it.  Rows and polynomials are integer numerators over one
 positive denominator, the form of ``_common_denominator`` and of
-``RationalPoly``, reduced once per row by a single gcd.
+``RationalPoly``, reduced once per row by a single gcd.  The three-term step
+forms the next row from the two before it with three integer multipliers,
+divided by their gcd first, so the pass makes no ``Fraction`` but the
+determinants; the recurrence coefficients become ``Fraction`` values only
+where the polynomials of a consistent degenerate window are built.
 
 Matrices are plain rows.  ``hankel_matrix`` gives H_n as a tuple of row
 tuples, each a slice of the window's moments, and ``det_exact``, ``is_psd``
@@ -313,12 +317,17 @@ _Row = tuple[list[int], int]
 
 
 class _Step(NamedTuple):
-    """One step of ``_pass``, at a regular index k."""
+    """One step of ``_pass``, at a regular index k.
+
+    ``alpha`` and ``beta`` are (numerator, denominator) integer pairs, not
+    reduced, with a positive denominator: p_k = (x - alpha) p_{k-1} - beta
+    p_{k-2} after a three-term step; None at k = 0 and after a block step.
+    """
 
     dets: list[Fraction]  # D_k..D_{k+d}: d zeros, then D_{k+d} != 0; or D_k..D_N, all 0
     row: _Row  # sigma_k(l) = <p_k, x^l> for l = 0..m-k
-    alpha: Fraction | None  # p_k = (x - alpha) p_{k-1} - beta p_{k-2} after a
-    beta: Fraction | None  # three-term step; None at k = 0 and after a block step
+    alpha: tuple[int, int] | None
+    beta: tuple[int, int] | None
 
 
 def _three_term(
@@ -389,26 +398,33 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
     algorithm's three-term step (Gautschi, *Orthogonal Polynomials:
     Computation and Approximation*, 2004, Sec. 2.1), with alpha_k =
     sigma_k(k+1) / sigma_k(k) - sigma_prev(k) / sigma_prev(k-1) and beta_k =
-    sigma_k(k) / sigma_prev(k-1), negative pivots included.  For d >= 1 the
-    zero run is a defective block of the subresultant structure theorem
-    (Basu, Pollack & Roy, *Algorithms in Real Algebraic Geometry*, Ch. 8),
-    and ``_block_step`` steps over it, as look-ahead Lanczos does (Gutknecht,
-    SIAM J. Matrix Anal. Appl. 13, 1992).  The pass ends after D_N, or at a
-    row that is zero from sigma_k(k) to sigma_k(N), which leaves D_k..D_N
-    zero.  Each step is yielded before the next row is formed, so a reader
-    that stops at a step pays for no later row.  Every row is integer
-    numerators over one positive denominator, reduced once by a single gcd;
-    a reduced row's denominator is the lcm of its entries' reduced
+    sigma_k(k) / sigma_prev(k-1), negative pivots included.  It runs in
+    integers: with row k as r / rden and row k-1 as q / qden, b =
+    r_k q_{k-1}, a = r_{k+1} q_{k-1} - q_k r_k and e = r_k^2 (b = r_0 and
+    e = 0 at k = 0) give alpha_k = a / b, beta_k = e qden / (b rden) and
+
+        sigma_{k+1}(l) = (b r_{l+1} - a r_l - e q_l) / (b rden),
+
+    where qden cancels.  b, a and e are divided by their gcd before the
+    row is formed.  For d >= 1 the zero run is a defective block of the
+    subresultant structure theorem (Basu, Pollack & Roy, *Algorithms in
+    Real Algebraic Geometry*, Ch. 8), and ``_block_step`` steps over it, as
+    look-ahead Lanczos does (Gutknecht, SIAM J. Matrix Anal. Appl. 13,
+    1992).  The pass ends after D_N, or at a row that is zero from
+    sigma_k(k) to sigma_k(N), which leaves D_k..D_N zero.  Each step is
+    yielded before the next row is formed, so a reader that stops at a step
+    pays for no later row.  Every row is integer numerators over one
+    positive denominator, reduced once by a single gcd; a reduced row is
+    unique, and its denominator is the lcm of its entries' reduced
     denominators, so the entries stay the size of the determinants.  Only
-    the O(N) determinants and recurrence coefficients are ``Fraction``
-    values.  O(N^2) operations in all.
+    the O(N) determinants are ``Fraction`` values; alpha_k and beta_k are
+    integer pairs.  O(N^2) operations in all.
     """
     m = len(s) - 1
     horizon = m // 2
     (q, qden), (r, rden) = ([0] * (m + 1), 1), _common_denominator(s)
-    # det is D_{k-1}, and lead is sigma_prev(k-1), the first nonzero entry of
-    # the previous regular row.
-    zero, det, lead, alpha, beta = Fraction(0), Fraction(1), None, None, None
+    # det is D_{k-1}.
+    zero, det, alpha, beta = Fraction(0), Fraction(1), None, None
     k = 0
     while True:
         d = 0
@@ -427,30 +443,41 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
             alpha = beta = None
         else:
             if k == 0:
-                alpha, beta = Fraction(r[1], r[0]), zero
+                b, a, e = r[0], r[1], 0
             else:
-                alpha = Fraction(r[k + 1], r[k]) - Fraction(q[k], q[k - 1])
-                beta = c / lead
+                b, a, e = r[k] * q[k - 1], r[k + 1] * q[k - 1] - q[k] * r[k], r[k] * r[k]
+            g = math.gcd(b, a, e) if b > 0 else -math.gcd(b, a, e)
+            b, a, e = b // g, a // g, e // g
+            den = b * rden
+            alpha, beta = (a, b), (e * qden, den)
             # Entries l <= k of the new row vanish by orthogonality and are never read.
-            shifted, cur, prev = r[k + 2 : m - k + 1], r[k + 1 : m - k], q[k + 1 : m - k]
-            nums, den = _three_term(shifted, cur, rden, prev, qden, alpha, beta)
-        (q, qden), (r, rden), lead = (r, rden), ([0] * (k + d + 1) + nums, den), c
+            nums = [
+                b * x - a * y - e * z
+                for x, y, z in zip(r[k + 2 : m - k + 1], r[k + 1 : m - k], q[k + 1 : m - k])
+            ]
+            g = math.gcd(den, *nums)
+            if g > 1:
+                den, nums = den // g, [v // g for v in nums]
+        (q, qden), (r, rden) = (r, rden), ([0] * (k + d + 1) + nums, den)
         k += d + 1
 
 
 def _monic_from_recurrence(
-    alphas: Sequence[Fraction], betas: Sequence[Fraction]
+    alphas: Sequence[tuple[int, int]], betas: Sequence[tuple[int, int]]
 ) -> tuple[RationalPoly, ...]:
     """p_0..p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}.
 
-    Each p_k is built as integer coefficients over one denominator by
-    ``_three_term``, the form a ``RationalPoly`` stores, and kept as it is.
+    alpha_k and beta_k are the integer pairs of ``_Step``.  Each p_k is built
+    as integer coefficients over one denominator by ``_three_term``, the
+    form a ``RationalPoly`` stores, and kept as it is.
     """
     (prev, prev_den), (cur, den) = ([], 1), ([1], 1)
     rows = [(cur, den)]
     for alpha, beta in zip(alphas, betas):
         padded = prev + [0] * (len(cur) + 1 - len(prev))
-        nxt = _three_term([0] + cur, cur + [0], den, padded, prev_den, alpha, beta)
+        nxt = _three_term(
+            [0] + cur, cur + [0], den, padded, prev_den, Fraction(*alpha), Fraction(*beta)
+        )
         (prev, prev_den), (cur, den) = (cur, den), nxt
         rows.append(nxt)
     return tuple(RationalPoly._from_row(nums, d) for nums, d in rows)
@@ -502,8 +529,8 @@ def _verdict(
         first_nonzero = next(j for j, s in enumerate(w) if s)
         return Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL), None, []
     dets: list[Fraction] = []
-    alphas: list[Fraction] = []
-    betas: list[Fraction] = []
+    alphas: list[tuple[int, int]] = []
+    betas: list[tuple[int, int]] = []
     for step in steps:
         k = len(dets)
         dets += step.dets

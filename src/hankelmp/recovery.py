@@ -34,6 +34,7 @@ irrational) atoms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -182,17 +183,26 @@ def _moment_sums(
         powers = [(lo >> bits, -(-hi >> bits)) for lo, hi in powers]
 
 
-def _refinements(atoms: Sequence[AtomValue], digits: int):
+def _refinements(atoms: Sequence[AtomValue], digits: int, reach: int = 0):
     """Each round's atoms, refined to width 10**-(digits + pad), and its grid bits.
 
-    The pads are 10, 20, 40, 80 and 160, and the grid step 2**-bits is
-    below 10**-(digits + pad) / 256.  A round refines the last round's
-    intervals: refinement cells nest, so this gives the intervals that
-    refining the given atoms would give.  Exact atoms pass unchanged.
+    The pads are 10, 20, 40, 80 and 160, and they go on doubling while the
+    last is below reach + 10.  The grid step 2**-bits is below
+    10**-(digits + pad) / 256.  A round refines the last round's intervals:
+    refinement cells nest, so this gives the intervals that refining the
+    given atoms would give.  Exact atoms pass unchanged.
     """
-    for pad in (10, 20, 40, 80, 160):
+    pad = 10
+    while True:
         atoms = [a if isinstance(a, Fraction) else refine_root(a, digits + pad) for a in atoms]
         yield atoms, (10 ** (digits + pad)).bit_length() + 8
+        if pad >= max(160, reach + 10):
+            return
+        pad *= 2
+
+
+def _log10(x: Fraction) -> float:
+    return math.log10(x.numerator) - math.log10(x.denominator)
 
 
 def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
@@ -200,10 +210,15 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
 
     Exact rationals when the measure is exact; otherwise rational enclosures
     of width at most 10**-digits on a 2**-P grid, taken from the first round
-    of ``_refinements`` whose enclosures are that narrow.  Raises
-    ``ValueError`` for count < 1 or for digits outside
-    1..MAX_DECIMAL_EXPONENT, and ``PrecisionUnattainable`` when no round is
-    narrow enough.
+    of ``_refinements`` whose enclosures are that narrow.  In s_{count-1}
+    the atoms' widths are multiplied by up to about count * sum_j w_j *
+    X**(count - 1), X = max(1, max |x_j|), so the pads go on past 160 until
+    they exceed the digits of that factor by 10.  Raises ``ValueError`` for
+    count < 1 or for digits outside 1..MAX_DECIMAL_EXPONENT, and
+    ``PrecisionUnattainable`` when no round is narrow enough.  Its message
+    names the stored weight enclosures when the last round's atoms, taken
+    as points, still give a moment that is too wide, and the refinement
+    rounds otherwise.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -212,12 +227,21 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     if mu.is_exact:
         return [Fraction(lo, den) for lo, _, den in _moment_sums(mu.atoms, mu.weights, count)]
     scale = 10**digits
-    for atoms, bits in _refinements(mu.atoms, digits):
+    x_bounds = [_bounds(a) for a in mu.atoms]
+    top = max(-x_bounds[0][0], x_bounds[-1][1], Fraction(1))
+    total = max(sum(_bounds(w)[1] for w in mu.weights), Fraction(1))
+    reach = math.ceil(math.log10(count) + _log10(total) + (count - 1) * _log10(top))
+    for atoms, bits in _refinements(mu.atoms, digits, reach):
         sums = list(_moment_sums(atoms, mu.weights, count, bits))
         if all((hi - lo) * scale <= den for lo, hi, den in sums):
             return [RationalInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in sums]
+    points = [_bounds(a)[0] for a in atoms]
+    if any((hi - lo) * scale > den for lo, hi, den in _moment_sums(points, mu.weights, count, bits)):
+        raise PrecisionUnattainable(
+            f"stored weight enclosures are too wide for 10^-{digits} moments"
+        )
     raise PrecisionUnattainable(
-        f"stored weight enclosures are too wide for 10^-{digits} moments"
+        f"atom refinement rounds ran out before the moments reached 10^-{digits}"
     )
 
 

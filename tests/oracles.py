@@ -159,10 +159,11 @@ def moment_inner_product(p, q, moments) -> Fraction:
 def hilbert_window(n0: int) -> list[Fraction]:
     """Moments 1/(k+1) of Lebesgue measure on [0, 1] for k < 2*n0, then s_{2n0}
     from the degree-n0 orthogonal polynomial, so the window is the moment
-    sequence of the n0-point Gauss-Legendre rule on [0, 1]."""
+    sequence of the n0-point Gauss-Legendre rule on [0, 1].  The monic
+    polynomial's low coefficients c solve H_{n0-1} c = -(s_n0, .., s_{2n0-1})."""
     s = [Fraction(1, k + 1) for k in range(2 * n0)]
-    p = orthogonal_poly(s, n0)
-    return s + [-sum(p[j] * s[n0 + j] for j in range(n0)) / p[n0]]
+    c = solve_exact([s[i : i + n0] for i in range(n0)], [-v for v in s[n0:]])
+    return s + [-sum(c[j] * s[n0 + j] for j in range(n0))]
 
 
 def solve_exact(rows, rhs) -> list[Fraction] | None:

@@ -23,6 +23,7 @@ from hankelmp.exact import (
     sturm_chain,
     sturm_isolate,
 )
+from hankelmp.hankel import analyze
 import oracles
 import strategies
 from oracles import eval_power_sum, fraction_sturm_chain, poly_from_roots, poly_gcd, poly_mul
@@ -496,6 +497,24 @@ class TestQuadraticRefinement:
         assert len(calls) < 200
         assert refined.hi - refined.lo <= F(1, 10**4300)
         assert refined.lo**2 < 2 < refined.hi**2
+
+    @pytest.mark.parametrize("digits, bound", [(50, 18), (500, 24), (4300, 30)])
+    def test_evaluations_grow_with_log_digits_on_gauss_legendre_atoms(self, monkeypatch, digits, bound):
+        # The 8 atoms of the Gauss-Legendre window take 15.25, 21.25 and 27.25
+        # evaluations each at 50, 500 and 4300 digits: a few more per doubling
+        # of the digits, where bisection takes 3.3 more per digit.
+        roots = sturm_isolate(analyze(oracles.hilbert_window(8)).orthogonal_polys[::-1])
+        calls, value_at = [], exact._value_at
+
+        def counting(hs, n, k):
+            calls.append(k)
+            return value_at(hs, n, k)
+
+        monkeypatch.setattr(exact, "_value_at", counting)
+        for iv in roots:
+            refined = refine_root(iv, digits)
+            assert refined.hi - refined.lo <= F(1, 10**digits)
+        assert len(roots) == 8 and len(calls) / 8 <= bound
 
     def test_same_sign_endpoints_rejected(self):
         with pytest.raises(ValueError, match="sign"):

@@ -1,6 +1,7 @@
 """Tests for measure moments, measure recovery, and the unique extension."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelmp.errors import PreconditionViolated
+from hankelmp.errors import PrecisionUnattainable, PreconditionViolated
 from hankelmp.exact import MAX_DECIMAL_EXPONENT, IsolatingInterval, RationalPoly
 from hankelmp.hankel import Degenerate, MomentWindow, analyze, classify, det_sequence
 from hankelmp.recovery import (
@@ -265,6 +266,33 @@ class TestMeasureMoments:
         with pytest.raises(ValueError):
             measure_moments(DiscreteMeasure((), ()), 0)
 
+    @pytest.mark.parametrize("count", [2000, 3000])
+    def test_large_powers_refine_past_pad_160(self, count):
+        # s_k = 2**(k/3) reaches 10**200 at k = 1999, so the atom's width must
+        # fall past 10**-(50 + 200), beyond the pad of 160 that suffices for
+        # reconstruct.
+        cbrt = IsolatingInterval(F(5, 4), F(2), RationalPoly([-2, 0, 0, 1]))
+        moments = measure_moments(DiscreteMeasure((cbrt,), (F(1),)), count, 50)
+        assert len(moments) == count
+        for k, m in enumerate(moments):
+            assert m.hi - m.lo <= F(1, 10**50)
+            assert 0 < m.lo and m.lo**3 <= 2**k <= m.hi**3
+
+    def test_precision_failures_name_their_cause(self, monkeypatch):
+        import hankelmp.recovery as recovery
+
+        cbrt = IsolatingInterval(F(5, 4), F(2), RationalPoly([-2, 0, 0, 1]))
+        wide = DiscreteMeasure((cbrt,), (RationalInterval(F(1, 2), F(1, 2) + F(1, 10**40)),))
+        with pytest.raises(PrecisionUnattainable, match="stored weight enclosures are too wide"):
+            measure_moments(wide, 3, 50)
+        # With the rounds cut to the first, pad 10, the atom is the limit.
+        real = recovery._refinements
+        monkeypatch.setattr(
+            recovery, "_refinements", lambda *args: itertools.islice(real(*args), 1)
+        )
+        with pytest.raises(PrecisionUnattainable, match="refinement rounds ran out"):
+            measure_moments(DiscreteMeasure((cbrt,), (F(1),)), 100, 50)
+
     def test_interval_measure_widths(self):
         rec = reconstruct([1, 0, 2, 0, 4], digits=30)
         values = measure_moments(rec, 6, digits=25)
@@ -374,6 +402,22 @@ class TestReconstruct:
         assert reconstruct([1, 0, 0]).atoms == (F(0),)
         rec = reconstruct([1, 1, 1])
         assert rec.atoms == (F(1),) and rec.weights == (F(1),)
+
+    @pytest.mark.parametrize("n0, rounds", [(20, 2), (30, 3)])
+    def test_pad_rounds_on_gauss_legendre_windows(self, monkeypatch, n0, rounds):
+        import hankelmp.recovery as recovery
+
+        real, taken = recovery._refinements, []
+
+        def counted(*args):
+            for round_ in real(*args):
+                taken.append(round_)
+                yield round_
+
+        monkeypatch.setattr(recovery, "_refinements", counted)
+        rec = reconstruct(hilbert_window(n0), digits=50)
+        assert len(rec) == n0 and not rec.is_exact
+        assert len(taken) <= rounds
 
     def test_zero_measure(self):
         rec = reconstruct([0, 0, 0])
