@@ -22,7 +22,6 @@ from .exact import (
     IsolatingInterval,
     RationalInterval,
     RationalPoly,
-    cauchy_root_bound,
     format_rational,
     parse_rational,
     refine_root,

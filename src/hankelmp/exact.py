@@ -8,10 +8,13 @@ primitive integer form, on which every kernel runs; its ``coeffs`` are
 ``fractions.Fraction`` values made for printing and for readers only.
 The sign of a polynomial at x = n/d is the sign of sum_j c_j n^j d^(deg-j)
 over its primitive form (homogeneous Horner).
-Isolation bisects, and refinement takes quadratic interval refinement steps
-on the same grid; both keep integer numerators over one denominator D * 2**k,
-so no step reduces a fraction, and the endpoints are the same rationals that
-bisection over ``Fraction`` would give.  ``sturm_isolate`` takes a Sturm
+Isolation bisects the dyadic grid n / 2**k from [-2**t, 2**t], a power of
+two past every root read off the coefficients' bit lengths, and refinement
+takes quadratic interval refinement steps on the same grid; both keep
+integer numerators over one denominator 2**k, so no step reduces a
+fraction, no value carries a power of the leading coefficient, and the
+endpoints are the same rationals that bisection over ``Fraction`` would
+give.  ``sturm_isolate`` takes a Sturm
 sequence for a square-free polynomial and isolates its real roots into
 pairwise disjoint ``IsolatingInterval`` objects, each a ``RationalInterval``
 (a closed interval with rational endpoints) that carries its polynomial.
@@ -39,7 +42,6 @@ __all__ = [
     "IsolatingInterval",
     "RationalInterval",
     "RationalPoly",
-    "cauchy_root_bound",
     "format_rational",
     "parse_rational",
     "refine_root",
@@ -263,7 +265,7 @@ def sturm_chain(p: RationalPoly) -> list[RationalPoly]:
 
 
 def _variations(chain: Sequence[Sequence[int]], n: int, k: int) -> int:
-    """Sign changes, zeros ignored, of ``_at_denominator`` chain members at n / (den * 2**k)."""
+    """Sign changes, zeros ignored, of ``_value_at`` chain members at n / (den * 2**k)."""
     count, last = 0, 0
     for hs in chain:
         s = _sign_at(hs, n, k)
@@ -297,12 +299,18 @@ def _check_isolating(p: RationalPoly, lo: Fraction, hi: Fraction) -> None:
         raise ValueError(f"[lo, hi] holds {roots} roots of its poly, not one")
 
 
-def cauchy_root_bound(p: RationalPoly) -> Fraction:
-    """Strict bound B with every real root of ``p`` inside (-B, B)."""
-    if p.degree < 1:
-        raise ZeroPolynomial("root bound needs degree >= 1")
-    cs = p.primitive
-    return 1 + Fraction(max(map(abs, cs[:-1])), abs(cs[-1]))
+def _root_bound_exponent(cs: Sequence[int]) -> int:
+    """t >= 0 with every root of sum_j cs[j] x**j, deg >= 1, inside (-2**t, 2**t).
+
+    Fujiwara's bound (Tohoku Math. J. 10, 1916) puts every root at |x| <= 2 *
+    max_{i<n} |c_i / c_n|**(1/(n-i)).  With b_i the bit length of |c_i|,
+    |c_i / c_n| < 2**(b_i - b_n + 1), so each term is below 2**e_i for
+    e_i = ceil((b_i - b_n + 1) / (n - i)), and t = 1 + max e_i bounds every
+    root strictly.  So p(+-2**t) != 0.
+    """
+    n, top = len(cs) - 1, abs(cs[-1]).bit_length()
+    exponents = (-((top - 1 - abs(c).bit_length()) // (n - i)) for i, c in enumerate(cs[:-1]) if c)
+    return max(0, 1 + max(exponents, default=-1))
 
 
 @dataclass(frozen=True)
@@ -344,10 +352,10 @@ def _isolate_segments(
 ) -> list[tuple[int, int, int]]:
     """Bisect (a, b) into segments holding one root each, in increasing order.
 
-    ``chain`` is the Sturm chain as ``_at_denominator`` coefficients over one
-    denominator D, and a, b are numerators over D.  A segment (a, b, k) has
-    endpoints a / (D * 2**k) and b / (D * 2**k); a bisection doubles both
-    numerators and takes a + b as the midpoint one level deeper.  Each pending
+    ``chain`` is the Sturm chain as primitive integer coefficients, highest
+    degree first, and a, b are integers.  A segment (a, b, k) has endpoints
+    a / 2**k and b / 2**k; a bisection doubles both numerators and takes
+    a + b as the midpoint one level deeper.  Each pending
     segment satisfies p(a) != 0, p(b) != 0 and has va - vb roots in (a, b).
     A last-in, first-out worklist visits them in the same left-to-right order
     as recursive bisection, but close roots need deep bisection, so no call
@@ -450,12 +458,12 @@ def _refine(
 
 
 def _settle_segment(
-    cs: Sequence[int], hs: Sequence[int], den: int, a: int, b: int, k: int
+    cs: Sequence[int], hs: Sequence[int], a: int, b: int, k: int
 ) -> tuple[Fraction, Fraction]:
     """Shrink a single-root segment; collapse it if the root is rational.
 
-    ``cs`` is the primitive integer form of p, ``hs`` the same over ``den``,
-    and the segment is [a, b] / (den * 2**k).  Any rational root of ``cs`` has
+    ``cs`` is the primitive integer form of p, ``hs`` the same highest
+    degree first, and the segment is [a, b] / 2**k.  Any rational root of ``cs`` has
     a denominator dividing the leading coefficient L, so once the segment is
     no wider than min(1/4, 1/(2L)) it contains at most one candidate r/L,
     which is tested exactly.  ``_refine`` narrows it to that width in
@@ -463,37 +471,39 @@ def _settle_segment(
     segment that bisection would give.
     """
     lead = abs(cs[-1])
-    a, b, k = _refine(hs, den, a, b, k, max(4, 2 * lead))
-    scale = den << k
-    for r in range(-((-a * lead) // scale), (b * lead) // scale + 1):
-        if a * lead < r * scale < b * lead and _value_at(_at_denominator(cs, lead), r, 0) == 0:
+    a, b, k = _refine(hs, 1, a, b, k, max(4, 2 * lead))
+    for r in range(-((-a * lead) >> k), ((b * lead) >> k) + 1):
+        if a * lead < r << k < b * lead and _value_at(_at_denominator(cs, lead), r, 0) == 0:
             return Fraction(r, lead), Fraction(r, lead)
-    return Fraction(a, scale), Fraction(b, scale)
+    return Fraction(a, 1 << k), Fraction(b, 1 << k)
 
 
 def _separate(
-    cs: Sequence[int], segments: list[tuple[Fraction, Fraction]]
+    hs: Sequence[int], segments: list[tuple[Fraction, Fraction]]
 ) -> list[tuple[Fraction, Fraction]]:
     """Shrink left neighbours until no two closed intervals share an endpoint.
 
-    Only settled non-point intervals are bisected.  ``_settle_segment`` has
-    tested every r/L inside them, L = lc(cs), so by the rational root theorem
-    their root is irrational and no midpoint is a root.
+    ``hs`` is the primitive form of p, highest degree first.  Only settled
+    non-point intervals are bisected; they are cells of the dyadic grid, so
+    their endpoints have one power-of-two denominator 2**k.
+    ``_settle_segment`` has tested every r/L inside them, L = lc(p), so by
+    the rational root theorem their root is irrational and no midpoint is a
+    root.
     """
     for i in range(len(segments) - 1):
         a, b = segments[i]
         if a == b or b != segments[i + 1][0]:
             continue
         (a, b), den = _common_denominator((a, b))
-        hs = _at_denominator(cs, den)
-        sa, k = _sign_at(hs, a, 0), 0
+        k = den.bit_length() - 1
+        sa = _sign_at(hs, a, k)
         while True:
             mid, k = a + b, k + 1
             if _sign_at(hs, mid, k) != sa:
                 a, b = a << 1, mid
                 break
             a, b = mid, b << 1
-        segments[i] = (Fraction(a, den << k), Fraction(b, den << k))
+        segments[i] = (Fraction(a, 1 << k), Fraction(b, 1 << k))
     return segments
 
 
@@ -505,7 +515,9 @@ def sturm_isolate(chain: Sequence[RationalPoly]) -> list[IsolatingInterval]:
     and p(b) nonzero: ``sturm_chain(p)`` for any p, or p_n, ..., p_0 from the
     recurrence of orthogonal polynomials.  Returns pairwise disjoint closed
     intervals sorted by lower endpoint, one per distinct real root.  Rational
-    roots are detected exactly and returned as point intervals.  Raises
+    roots are detected exactly and returned as point intervals.  Bisection
+    starts at [-2**t, 2**t] with t from ``_root_bound_exponent``, so every
+    other interval has a power-of-two denominator.  Raises
     ``ZeroPolynomial`` for p = 0 and ``NotSquareFree`` when the chain ends in
     a non-constant, which for ``sturm_chain(p)`` is a multiple of gcd(p, p'),
     and ``ValueError`` for an empty chain.
@@ -520,25 +532,23 @@ def sturm_isolate(chain: Sequence[RationalPoly]) -> list[IsolatingInterval]:
     if chain[-1].degree > 0:
         raise NotSquareFree(f"{p} has a repeated factor {chain[-1]}")
 
-    bound = cauchy_root_bound(p)
-    den = bound.denominator
-    hchain = [_at_denominator(q.primitive, den) for q in chain]
-    segments = _isolate_segments(hchain, -bound.numerator, bound.numerator)
-
     cs = p.primitive
+    hchain = [q.primitive[::-1] for q in chain]
+    top = 1 << _root_bound_exponent(cs)
     settled = [
-        (Fraction(a, den << k),) * 2 if a == b else _settle_segment(cs, hchain[0], den, a, b, k)
-        for a, b, k in segments
+        (Fraction(a, 1 << k),) * 2 if a == b else _settle_segment(cs, hchain[0], a, b, k)
+        for a, b, k in _isolate_segments(hchain, -top, top)
     ]
-    settled = _separate(cs, settled)
-    return [IsolatingInterval(a, b, p) for a, b in settled]
+    return [IsolatingInterval(a, b, p) for a, b in _separate(hchain[0], settled)]
 
 
 def refine_root(iv: IsolatingInterval, digits: int) -> IsolatingInterval:
     """Narrow the interval until it is no wider than 10**-digits.
 
     ``_refine`` takes quadratic interval refinement steps on the bisection
-    grid, so the result is the interval that bisection to this width gives,
+    grid of the interval's endpoints over their common denominator, a power
+    of two for every inexact interval of ``sturm_isolate``, so the result is
+    the interval that bisection to this width gives,
     and a root on a grid point of its levels comes back exact, at O(log
     digits) evaluations near the root in place of O(digits).  Exact roots
     come back unchanged; the output is always nested inside the input and

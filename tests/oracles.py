@@ -12,7 +12,7 @@ from math import ceil, floor, gcd
 from typing import NamedTuple
 
 from hankelmp.errors import InfeasibleSpec, NotSquareFree, ZeroPolynomial
-from hankelmp.exact import IsolatingInterval, RationalPoly, cauchy_root_bound
+from hankelmp.exact import IsolatingInterval, RationalPoly
 from hankelmp.recovery import RationalInterval
 
 
@@ -312,8 +312,9 @@ def poly_gcd(a, b):
 
 
 # --- Fraction bisection: the reference for the integer kernels in exact.py ----
-# These keep the root bound of the library, but build their own Sturm chain
-# with ``fraction_sturm_chain`` and count its sign variations themselves.
+# These start from the library's power-of-two root bound, computed here on
+# their own, build their own Sturm chain with ``fraction_sturm_chain`` and
+# count its sign variations themselves.
 # Every bisection point is a ``Fraction``; only the sign of p there is read.
 
 
@@ -340,8 +341,8 @@ def _variations(chain, x: Fraction) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _lead_bound(p) -> int:
-    """|leading coefficient| of the primitive integer form of p."""
+def _primitive(p) -> list[int]:
+    """The coprime integer coefficients of a positive multiple of p != 0."""
     den = 1
     for c in p.coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
@@ -349,7 +350,28 @@ def _lead_bound(p) -> int:
     g = 0
     for n in nums:
         g = gcd(g, n)
-    return abs(nums[-1] // g)
+    return [n // g for n in nums]
+
+
+def _lead_bound(p) -> int:
+    """|leading coefficient| of the primitive integer form of p."""
+    return abs(_primitive(p)[-1])
+
+
+def power_of_two_root_bound(p) -> Fraction:
+    """2**t, the start [-2**t, 2**t] of ``exact.sturm_isolate``, for deg p >= 1.
+
+    Fujiwara's bound, |x| <= 2 max_{i<n} |c_i / c_n|**(1/(n-i)) over the
+    primitive coefficients, with each ratio bounded through bit lengths:
+    t = max(0, 1 + max over c_i != 0 of ceil((b_i - b_n + 1) / (n - i))).
+    """
+    cs = _primitive(p)
+    n, top = len(cs) - 1, abs(cs[-1]).bit_length()
+    t = 0
+    for i, c in enumerate(cs[:-1]):
+        if c:
+            t = max(t, 1 + ceil(Fraction(abs(c).bit_length() - top + 1, n - i)))
+    return Fraction(2) ** t
 
 
 def _isolate_segments(p, variations, a, b, va, vb):
@@ -437,7 +459,7 @@ def fraction_sturm_isolate(p):
     def variations(x):
         return _variations(chain, x)
 
-    bound = cauchy_root_bound(p)
+    bound = power_of_two_root_bound(p)
     segments = _isolate_segments(p, variations, -bound, bound, variations(-bound), variations(bound))
     lead_bound = _lead_bound(p)
     settled = [(a, b) if a == b else _settle_segment(p, a, b, lead_bound) for a, b in segments]

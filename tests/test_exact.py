@@ -16,7 +16,6 @@ from hankelmp.exact import (
     IsolatingInterval,
     RationalInterval,
     RationalPoly,
-    cauchy_root_bound,
     format_rational,
     parse_rational,
     refine_root,
@@ -160,6 +159,35 @@ class TestPolyBasics:
         assert poly_gcd(poly_mul(RationalPoly([3]), a), RationalPoly()) == a
 
 
+def _scaled_to_integers(poly: RationalPoly) -> RationalPoly:
+    den = 1
+    for c in poly.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return RationalPoly([c * den for c in poly.coeffs])
+
+
+@st.composite
+def root_bound_polys(draw):
+    """Integer polys of degree >= 1 whose coefficient sizes spread widely.
+
+    Planted roots +-2**j, j from -20 to 60, some moved by 2**-70, repeated
+    up to twice, times an optional integer factor whose coefficients have up
+    to 200 bits, zeros included.
+    """
+    poly = RationalPoly([1])
+    for _ in range(draw(st.integers(0, 3))):
+        r = F(2) ** draw(st.integers(-20, 60)) + draw(st.sampled_from([F(0), F(1, 2**70), -F(1, 2**70)]))
+        factor = RationalPoly([draw(st.sampled_from([r, -r])), 1])
+        for _ in range(draw(st.integers(1, 2))):
+            poly = poly_mul(poly, factor)
+    if poly.degree < 1 or draw(st.booleans()):
+        bits = draw(st.integers(0, 200))
+        cs = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=5))
+        lead = draw(st.integers(1, 2**bits)) * draw(st.sampled_from([1, -1]))
+        poly = poly_mul(poly, RationalPoly(cs + [lead]))
+    return _scaled_to_integers(poly)
+
+
 class TestSturmIsolation:
     def test_rational_roots_collapse(self):
         ivs = sturm_isolate(sturm_chain(RationalPoly([-4, 0, 1])))
@@ -192,8 +220,6 @@ class TestSturmIsolation:
     def test_zero_poly_rejected_without_a_chain(self):
         with pytest.raises(ZeroPolynomial):
             sturm_isolate([RationalPoly()])
-        with pytest.raises(ZeroPolynomial):
-            cauchy_root_bound(RationalPoly([3]))
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one polynomial"):
@@ -236,30 +262,27 @@ class TestSturmIsolation:
             for left, right in zip(ivs, ivs[1:]):
                 assert left.hi < right.lo
 
-    def test_root_count_matches_sign_variations(self):
-        rng = random.Random(99)
-        for _ in range(40):
-            count = rng.randint(1, 5)
-            roots: set[F] = set()
-            while len(roots) < count:
-                roots.add(F(rng.randint(-8, 8), rng.randint(1, 5)))
-            poly = poly_from_roots(roots)
-            chain = sturm_chain(poly)
-            bound = cauchy_root_bound(poly)
-            reference = fraction_sturm_chain(poly)
-            for b in (bound + 1, 2 * bound + 3):
-                (lo, hi), den = exact._common_denominator((-b, b))
-                ints = [exact._at_denominator(q.primitive, den) for q in chain]
-                diff = exact._variations(ints, lo, 0) - exact._variations(ints, hi, 0)
-                assert diff == len(sturm_isolate(chain)) == count
-                assert diff == oracles._variations(reference, -b) - oracles._variations(reference, b)
-
-
-def _scaled_to_integers(poly: RationalPoly) -> RationalPoly:
-    den = 1
-    for c in poly.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return RationalPoly([c * den for c in poly.coeffs])
+    @given(root_bound_polys())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @example(RationalPoly([0, 1]))  # the one root 0, t = 0
+    @example(RationalPoly([0, 0, 0, 5]))  # a triple root at 0
+    @example(RationalPoly([-(2**40), 1]))  # a root on a power of two
+    @example(poly_from_roots([F(-1, 3), 7, 2**60 - 1]))
+    def test_root_count_matches_sign_variations(self, poly):
+        # 2**t strictly bounds every real root: p(+-2**t) != 0, and the chain
+        # loses as many sign variations between -2**t and 2**t as the
+        # Fraction chain loses over Cauchy's bound, 1 + max |c_i / c_n|.
+        top = 1 << exact._root_bound_exponent(poly.primitive)
+        assert oracles.power_of_two_root_bound(poly) == top
+        chain = sturm_chain(poly)
+        ints = [q.primitive[::-1] for q in chain]
+        assert exact._value_at(ints[0], -top, 0) and exact._value_at(ints[0], top, 0)
+        diff = exact._variations(ints, -top, 0) - exact._variations(ints, top, 0)
+        reference = fraction_sturm_chain(poly)
+        cauchy = 1 + max(abs(c / poly.coeffs[-1]) for c in poly.coeffs[:-1])
+        assert diff == oracles._variations(reference, -cauchy) - oracles._variations(reference, cauchy)
+        if chain[-1].degree == 0:
+            assert diff == len(sturm_isolate(chain))
 
 
 @st.composite
@@ -419,6 +442,14 @@ class TestIntegerKernelsAgainstFractionBisection:
         assert ivs == oracles.fraction_sturm_isolate(poly)
         assert all(a.hi < b.lo for a, b in zip(ivs, ivs[1:]))
 
+    @given(square_free_integer_polys(), st.integers(1, 60))
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_inexact_intervals_have_power_of_two_denominators(self, poly, digits):
+        for iv in sturm_isolate(sturm_chain(poly)):
+            for out in (iv, refine_root(iv, digits)):
+                if not out.is_exact:
+                    assert all(x.denominator & (x.denominator - 1) == 0 for x in (out.lo, out.hi))
+
     def test_refine_from_non_dyadic_endpoints(self):
         iv = IsolatingInterval(F(4, 3), F(3, 2), RationalPoly([-2, 0, 1]))
         for digits in (1, 7, 30):
@@ -515,6 +546,20 @@ class TestQuadraticRefinement:
             refined = refine_root(iv, digits)
             assert refined.hi - refined.lo <= F(1, 10**digits)
         assert len(roots) == 8 and len(calls) / 8 <= bound
+
+    @pytest.mark.parametrize("n0, bound", [(20, 30), (30, 42), (60, 78)])
+    def test_isolation_work_on_gauss_legendre_kernels(self, monkeypatch, n0, bound):
+        # p_{n0}, ..., p_0 take 27, 38 and 69 ``_variations`` calls from
+        # [-2**t, 2**t]; bisection from Cauchy's bound took 34, 48 and 93.
+        chain = analyze(oracles.hilbert_window(n0)).orthogonal_polys[::-1]
+        calls, variations = [], exact._variations
+
+        def counting(hs, n, k):
+            calls.append(k)
+            return variations(hs, n, k)
+
+        monkeypatch.setattr(exact, "_variations", counting)
+        assert len(sturm_isolate(chain)) == n0 and len(calls) <= bound
 
     def test_same_sign_endpoints_rejected(self):
         with pytest.raises(ValueError, match="sign"):

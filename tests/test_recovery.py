@@ -476,6 +476,18 @@ class TestReconstruct:
             assert isinstance(weight, RationalInterval)
             assert holds(weight, target)
 
+    def test_inexact_atoms_have_power_of_two_denominators(self):
+        # Isolation bisects from [-2**t, 2**t], so no atom interval carries a
+        # factor of the kernel's primitive leading coefficient.
+        windows = [[1, 0, 2, 0, 4], [1, 0, 1, 0, 2, 0, 4], hilbert_window(8)]
+        windows.append(["1", "-2", "13/3", "-10", "121/5", "-182/3", "1093/7", "-410", "4018387/3675"])
+        for window in windows:
+            rec = reconstruct(window, digits=30)
+            inexact = [a for a in rec.atoms if isinstance(a, IsolatingInterval)]
+            assert inexact
+            for atom in inexact:
+                assert all(x.denominator & (x.denominator - 1) == 0 for x in (atom.lo, atom.hi))
+
     def test_atoms_closer_than_the_recursion_limit(self):
         # Isolating these atoms takes about 1100 bisections of one segment.
         near = F(1, 3)
