@@ -483,6 +483,15 @@ def _monic_from_recurrence(
     return tuple(RationalPoly._from_row(nums, d) for nums, d in rows)
 
 
+# alpha_k and beta_k of every three-term step up to n0, as ``_Step`` pairs.
+_Recurrence = tuple[list[tuple[int, int]], list[tuple[int, int]]]
+
+
+def _polys(recurrence: _Recurrence | None) -> tuple[RationalPoly, ...] | None:
+    """p_0..p_{n0} of a consistent degenerate window's recurrence, else None."""
+    return None if recurrence is None else _monic_from_recurrence(*recurrence)
+
+
 @dataclass(frozen=True)
 class WindowAnalysis:
     """The determinants, classification and orthogonal polynomials of a window.
@@ -506,8 +515,8 @@ class WindowAnalysis:
 
 def _verdict(
     w: MomentWindow, steps: Iterator[_Step]
-) -> tuple[Classification, tuple[RationalPoly, ...] | None, list[Fraction]]:
-    """The classification, p_0..p_{n0} and the D_j read, taking ``steps`` only to the verdict.
+) -> tuple[Classification, _Recurrence | None, list[Fraction]]:
+    """The classification, the recurrence of p_0..p_{n0} and the D_j read, up to the verdict.
 
     A window with s_0 = 0 and a nonzero moment reads no step: it is
     ``Invalid`` with ``first_violation`` at the first nonzero moment.
@@ -523,7 +532,9 @@ def _verdict(
     tells ``ZeroThenPositive`` from a negative determinant, or with none,
     which leaves the window degenerate with an inconsistent tail.  No D_k <= 0
     gives ``PositiveWindow``.  Only a consistent degenerate window gets
-    p_0..p_{n0}, built from the recurrence coefficients of its steps.
+    the recurrence coefficients alpha_k and beta_k of its steps, from which
+    ``_monic_from_recurrence`` builds p_0..p_{n0} for the callers that read
+    them.
     """
     if w[0] == 0 and any(w):
         first_nonzero = next(j for j, s in enumerate(w) if s)
@@ -542,7 +553,7 @@ def _verdict(
         if step.dets[0] < 0:
             return Invalid(k, InvalidReason.NEGATIVE_DETERMINANT), None, dets
         if not any(step.row[0][k:]):
-            return Degenerate(k, True), _monic_from_recurrence(alphas, betas), dets
+            return Degenerate(k, True), (alphas, betas), dets
         if dets[-1] == 0:
             return Degenerate(k, False), None, dets
         if dets[-1] < 0:
@@ -559,8 +570,8 @@ def _classified(w) -> tuple[MomentWindow, Classification, tuple[RationalPoly, ..
     if isinstance(w, WindowAnalysis):
         return w.window, w.classification, w.orthogonal_polys
     w = _as_window(w)
-    cls, polys, _ = _verdict(w, _pass(w.moments))
-    return w, cls, polys
+    cls, recurrence, _ = _verdict(w, _pass(w.moments))
+    return w, cls, _polys(recurrence)
 
 
 def analyze(w) -> WindowAnalysis:
@@ -572,10 +583,10 @@ def analyze(w) -> WindowAnalysis:
     """
     w = _as_window(w)
     steps = _pass(w.moments)
-    cls, polys, dets = _verdict(w, steps)
+    cls, recurrence, dets = _verdict(w, steps)
     for step in steps:
         dets += step.dets
-    return WindowAnalysis(w, cls, polys, tuple(dets))
+    return WindowAnalysis(w, cls, _polys(recurrence), tuple(dets))
 
 
 def det_sequence(w) -> list[Fraction]:
@@ -590,6 +601,9 @@ def classify(w) -> Classification:
     ``Degenerate`` (with the tail-consistency bit), all positive gives
     ``PositiveWindow``, and a negative determinant or a zero followed by a
     positive one gives ``Invalid``; see ``analyze``.  The pass stops at the
-    step that fixes the verdict.
+    step that fixes the verdict, and no orthogonal polynomial is built.
     """
-    return _classified(w)[1]
+    if isinstance(w, WindowAnalysis):
+        return w.classification
+    w = _as_window(w)
+    return _verdict(w, _pass(w.moments))[0]

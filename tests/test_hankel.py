@@ -751,6 +751,33 @@ class TestRecurrencePass:
             assert analyze(window).classification == verdict
             assert calls == [drained]
 
+    def test_polynomials_are_built_only_where_they_are_read(self, monkeypatch):
+        import hankelmp.hankel as hankel
+        from hankelmp.recovery import extend, reconstruct
+
+        real, calls = hankel._monic_from_recurrence, []
+
+        def counted(alphas, betas):
+            calls.append(len(alphas))
+            return real(alphas, betas)
+
+        monkeypatch.setattr(hankel, "_monic_from_recurrence", counted)
+        # Library classify reads no p_k, so a consistent degenerate window
+        # builds none there; reconstruct, extend and analyze build p_0..p_n0
+        # once each, and an analysis hands its own to reconstruct and extend.
+        window = [1, 1, 4, 4, 16, 16, 64]
+        assert classify(window) == Degenerate(2, True) and calls == []
+        reconstruct(window)
+        assert calls == [2]
+        extend(window, 3)
+        analysis = analyze(window)
+        assert calls == [2, 2, 2]
+        reconstruct(analysis), extend(analysis, 3), classify(analysis)
+        assert calls == [2, 2, 2]
+        for other in ([1] * 16 + [2], [1, 2, 1], [1, 0, 1, 0, 2]):
+            classify(other), analyze(other)
+        assert calls == [2, 2, 2]
+
 
 def count_pass_steps(monkeypatch) -> list[int]:
     """Count the steps taken from each ``hankel._pass``, one list entry per pass."""
