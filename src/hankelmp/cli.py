@@ -4,7 +4,9 @@ Subcommands: classify, determinants, reconstruct, extend, moments, verify,
 demo.  Reports are a single JSON object on stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 domain failure (bad classification for the requested
 operation, a failed verification campaign, or an internal error, reported
-without a traceback), 2 usage or parse error.
+without a traceback), 2 usage or parse error.  When the reader of stdout
+closes it early, as ``| head`` does, ``main`` exits 1 silently: the rest of
+the report is dropped and no traceback is printed.
 ``--digits`` takes 1..MAX_DECIMAL_EXPONENT (4300); ``--count`` takes
 0..MAX_COUNT (10000) for extend and 1..MAX_COUNT for moments.  ``verify``
 takes ``--trials`` 1..MAX_TRIALS (10000), ``--max-n`` 1..MAX_VERIFY_N (32)
@@ -26,6 +28,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -473,4 +476,12 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, so point it at devnull first,
+        # as the "Note on SIGPIPE" of the ``signal`` module's docs shows.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

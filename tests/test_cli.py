@@ -621,6 +621,28 @@ class TestUsage:
         assert (done.returncode, done.stdout, done.stderr) == expected
         assert expected[0] == 0 and json.loads(expected[1])["n0"] == 2
 
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        # As with ``extend w.json --count 3000 | head -c 100``: the report is
+        # megabytes long and the reader closes the pipe after 100 bytes.
+        import hankelmp
+
+        window = ["1", "1/2", "1/3", "1/4", "1/5", "1/6", "57/400", "99/800", "2603/24000"]
+        path = write_json(tmp_path, "w.json", window)
+        src = str(Path(hankelmp.__file__).parents[1])
+        pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        with subprocess.Popen(
+            [sys.executable, "-m", "hankelmp", "extend", path, "--count", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as child:
+            head = child.stdout.read(100)
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            code = child.wait(timeout=60)
+        assert head.startswith(b'{\n  "extension": [')
+        assert "Traceback" not in err and err == ""
+        assert code == 1
+
     def test_parser_is_built_once(self, tmp_path, capsys):
         from hankelmp.cli import _build_parser
 
