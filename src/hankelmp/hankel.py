@@ -15,9 +15,10 @@ determinants and the nonzero one after it, and one look-ahead step crosses
 the run.  So one loop yields every D_j, and no elimination runs on this
 path.  The pass is a generator, so library ``classify``, ``reconstruct`` and
 ``extend`` take no step past the one that fixes the verdict.  On a
-consistent degenerate window its recurrence coefficients build p_0..p_{n0}:
-p_{n0} is the kernel whose roots are the atoms, and p_{n0}, ..., p_0 is a
-Sturm sequence for it.  Rows and polynomials are integer numerators over one
+consistent degenerate window its recurrence coefficients build p_0..p_{n0}
+for ``reconstruct``, ``extend`` and ``analyze``, and library ``classify``,
+which reads none, builds none: p_{n0} is the kernel whose roots are the
+atoms, and p_{n0}, ..., p_0 is a Sturm sequence for it.  Rows and polynomials are integer numerators over one
 positive denominator, the form of ``_common_denominator`` and of
 ``RationalPoly``, reduced once per row by a single gcd.  The three-term step
 forms the next row from the two before it with three integer multipliers,

@@ -550,7 +550,8 @@ class TestQuadraticRefinement:
     @pytest.mark.parametrize("n0, bound", [(20, 30), (30, 42), (60, 78)])
     def test_isolation_work_on_gauss_legendre_kernels(self, monkeypatch, n0, bound):
         # p_{n0}, ..., p_0 take 27, 38 and 69 ``_variations`` calls from
-        # [-2**t, 2**t]; bisection from Cauchy's bound took 34, 48 and 93.
+        # [-2**t, 2**t].  The bounds leave room to fall, and a start at
+        # Cauchy's bound, which takes 34, 48 and 93, fails all three.
         chain = analyze(oracles.hilbert_window(n0)).orthogonal_polys[::-1]
         calls, variations = [], exact._variations
 
