@@ -16,15 +16,15 @@ the run.  So one loop yields every D_j, and no elimination runs on this
 path.  The pass is a generator, so library ``classify``, ``reconstruct`` and
 ``extend`` take no step past the one that fixes the verdict.  On a
 consistent degenerate window its recurrence coefficients build p_0..p_{n0}
-for ``reconstruct``, ``extend`` and ``analyze``, and library ``classify``,
-which reads none, builds none: p_{n0} is the kernel whose roots are the
-atoms, and p_{n0}, ..., p_0 is a Sturm sequence for it.  Rows and polynomials are integer numerators over one
-positive denominator, the form of ``_common_denominator`` and of
-``RationalPoly``, reduced once per row by a single gcd.  The three-term step
-forms the next row from the two before it with three integer multipliers,
-divided by their gcd first, so the pass makes no ``Fraction`` but the
-determinants; the recurrence coefficients become ``Fraction`` values only
-where the polynomials of a consistent degenerate window are built.
+for ``reconstruct``, ``extend`` and ``analyze``, and library ``classify``
+and ``det_sequence``, which read none, build none: p_{n0} is the kernel
+whose roots are the atoms, and p_{n0}, ..., p_0 is a Sturm sequence for
+it.  Rows and polynomials are integer numerators over one positive
+denominator, the form of ``_common_denominator`` and of ``RationalPoly``,
+reduced once per row by a single gcd.  One integer three-term step,
+``_three_term``, forms both from the two rows before with three integer
+multipliers, and the builder reads the pass's alpha_k and beta_k as integer
+pairs, so no ``Fraction`` is made but the determinants.
 
 Matrices are plain rows.  ``hankel_matrix`` gives H_n as a tuple of row
 tuples, each a slice of the window's moments, and ``det_exact``, ``is_psd``
@@ -323,6 +323,7 @@ class _Step(NamedTuple):
     ``alpha`` and ``beta`` are (numerator, denominator) integer pairs, not
     reduced, with a positive denominator: p_k = (x - alpha) p_{k-1} - beta
     p_{k-2} after a three-term step; None at k = 0 and after a block step.
+    ``_monic_from_recurrence`` reads the pairs as integers.
     """
 
     dets: list[Fraction]  # D_k..D_{k+d}: d zeros, then D_{k+d} != 0; or D_k..D_N, all 0
@@ -332,29 +333,20 @@ class _Step(NamedTuple):
 
 
 def _three_term(
-    shifted: Sequence[int],
-    cur: Sequence[int],
+    f: int, fa: int, fc: int, shifted: Sequence[int], cur: Sequence[int], prev: Sequence[int],
     den: int,
-    prev: Sequence[int],
-    prev_den: int,
-    alpha: Fraction,
-    beta: Fraction,
 ) -> _Row:
-    """shifted - alpha * cur - beta * prev, entrywise, as a reduced row.
+    """(f * shifted - fa * cur - fc * prev) / den, entrywise, as a reduced row.
 
-    ``shifted`` and ``cur`` are numerators over ``den`` and ``prev`` over
-    ``prev_den``.  With alpha = a/b and beta = c/e every term is put over
-    L = lcm(b * den, e * prev_den) by three integer factors, and the result
-    is reduced once by gcd(L, *nums).  The output has the length of the
-    shortest input.
+    The three-term step of ``_pass`` and ``_monic_from_recurrence``, reduced
+    once by gcd(den, *nums), with no division when that gcd is 1.  The
+    output has the length of the shortest input.
     """
-    a, b = alpha.numerator, alpha.denominator
-    c, e = beta.numerator, beta.denominator
-    lcm = math.lcm(b * den, e * prev_den)
-    f, fa, fc = lcm // den, a * (lcm // (b * den)), c * (lcm // (e * prev_den))
     nums = [f * x - fa * y - fc * z for x, y, z in zip(shifted, cur, prev)]
-    g = math.gcd(lcm, *nums)
-    return [v // g for v in nums], lcm // g
+    g = math.gcd(den, *nums)
+    if g > 1:
+        den, nums = den // g, [v // g for v in nums]
+    return nums, den
 
 
 def _block_step(r: Sequence[int], rden: int, q: Sequence[int], qden: int, k: int, d: int) -> _Row:
@@ -406,12 +398,12 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
 
         sigma_{k+1}(l) = (b r_{l+1} - a r_l - e q_l) / (b rden),
 
-    where qden cancels.  b, a and e are divided by their gcd before the
-    row is formed.  For d >= 1 the zero run is a defective block of the
-    subresultant structure theorem (Basu, Pollack & Roy, *Algorithms in
-    Real Algebraic Geometry*, Ch. 8), and ``_block_step`` steps over it, as
-    look-ahead Lanczos does (Gutknecht, SIAM J. Matrix Anal. Appl. 13,
-    1992).  The pass ends after D_N, or at a row that is zero from
+    where qden cancels.  b, a and e are divided by their gcd before
+    ``_three_term`` forms the row.  For d >= 1 the zero run is a defective
+    block of the subresultant structure theorem (Basu, Pollack & Roy,
+    *Algorithms in Real Algebraic Geometry*, Ch. 8), and ``_block_step``
+    steps over it, as look-ahead Lanczos does (Gutknecht, SIAM J. Matrix
+    Anal. Appl. 13, 1992).  The pass ends after D_N, or at a row that is zero from
     sigma_k(k) to sigma_k(N), which leaves D_k..D_N zero.  Each step is
     yielded before the next row is formed, so a reader that stops at a step
     pays for no later row.  Every row is integer numerators over one
@@ -452,13 +444,9 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
             den = b * rden
             alpha, beta = (a, b), (e * qden, den)
             # Entries l <= k of the new row vanish by orthogonality and are never read.
-            nums = [
-                b * x - a * y - e * z
-                for x, y, z in zip(r[k + 2 : m - k + 1], r[k + 1 : m - k], q[k + 1 : m - k])
-            ]
-            g = math.gcd(den, *nums)
-            if g > 1:
-                den, nums = den // g, [v // g for v in nums]
+            nums, den = _three_term(
+                b, a, e, r[k + 2 : m - k + 1], r[k + 1 : m - k], q[k + 1 : m - k], den
+            )
         (q, qden), (r, rden) = (r, rden), ([0] * (k + d + 1) + nums, den)
         k += d + 1
 
@@ -468,29 +456,26 @@ def _monic_from_recurrence(
 ) -> tuple[RationalPoly, ...]:
     """p_0..p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}.
 
-    alpha_k and beta_k are the integer pairs of ``_Step``.  Each p_k is built
-    as integer coefficients over one denominator by ``_three_term``, the
-    form a ``RationalPoly`` stores, and kept as it is.
+    alpha_k = a/b and beta_k = c/e are the integer pairs of ``_Step``, read
+    as integers and reduced by their gcd.  ``_three_term`` puts p_k over den
+    and p_{k-1} over prev_den onto lcm(b * den, e * prev_den), and each p_k
+    is kept as its integer coefficients over one denominator, the form a
+    ``RationalPoly`` stores.
     """
     (prev, prev_den), (cur, den) = ([], 1), ([1], 1)
     rows = [(cur, den)]
-    for alpha, beta in zip(alphas, betas):
+    for (a, b), (c, e) in zip(alphas, betas):
+        g, h = math.gcd(a, b), math.gcd(c, e)
+        a, b, c, e = a // g, b // g, c // h, e // h
+        lcm = math.lcm(b * den, e * prev_den)
         padded = prev + [0] * (len(cur) + 1 - len(prev))
         nxt = _three_term(
-            [0] + cur, cur + [0], den, padded, prev_den, Fraction(*alpha), Fraction(*beta)
+            lcm // den, a * (lcm // (b * den)), c * (lcm // (e * prev_den)),
+            [0] + cur, cur + [0], padded, lcm,
         )
         (prev, prev_den), (cur, den) = (cur, den), nxt
         rows.append(nxt)
     return tuple(RationalPoly._from_row(nums, d) for nums, d in rows)
-
-
-# alpha_k and beta_k of every three-term step up to n0, as ``_Step`` pairs.
-_Recurrence = tuple[list[tuple[int, int]], list[tuple[int, int]]]
-
-
-def _polys(recurrence: _Recurrence | None) -> tuple[RationalPoly, ...] | None:
-    """p_0..p_{n0} of a consistent degenerate window's recurrence, else None."""
-    return None if recurrence is None else _monic_from_recurrence(*recurrence)
 
 
 @dataclass(frozen=True)
@@ -514,9 +499,9 @@ class WindowAnalysis:
         return self.orthogonal_polys[-1] if self.orthogonal_polys else None
 
 
-def _verdict(
-    w: MomentWindow, steps: Iterator[_Step]
-) -> tuple[Classification, _Recurrence | None, list[Fraction]]:
+def _verdict(w: MomentWindow, steps: Iterator[_Step]) -> tuple[
+    Classification, tuple[list[tuple[int, int]], list[tuple[int, int]]] | None, list[Fraction]
+]:
     """The classification, the recurrence of p_0..p_{n0} and the D_j read, up to the verdict.
 
     A window with s_0 = 0 and a nonzero moment reads no step: it is
@@ -572,7 +557,7 @@ def _classified(w) -> tuple[MomentWindow, Classification, tuple[RationalPoly, ..
         return w.window, w.classification, w.orthogonal_polys
     w = _as_window(w)
     cls, recurrence, _ = _verdict(w, _pass(w.moments))
-    return w, cls, _polys(recurrence)
+    return w, cls, None if recurrence is None else _monic_from_recurrence(*recurrence)
 
 
 def analyze(w) -> WindowAnalysis:
@@ -587,12 +572,16 @@ def analyze(w) -> WindowAnalysis:
     cls, recurrence, dets = _verdict(w, steps)
     for step in steps:
         dets += step.dets
-    return WindowAnalysis(w, cls, _polys(recurrence), tuple(dets))
+    polys = None if recurrence is None else _monic_from_recurrence(*recurrence)
+    return WindowAnalysis(w, cls, polys, tuple(dets))
 
 
 def det_sequence(w) -> list[Fraction]:
-    """The Hankel determinants [D_0, ..., D_N] for N = horizon of the window."""
-    return list(analyze(w).determinants)
+    """The Hankel determinants [D_0, ..., D_N] for N = horizon of the window.
+
+    They are read off ``_pass`` alone, and no orthogonal polynomial is built.
+    """
+    return [d for step in _pass(_as_window(w).moments) for d in step.dets]
 
 
 def classify(w) -> Classification:

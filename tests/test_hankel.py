@@ -40,6 +40,7 @@ from oracles import (
     fraction_continuation,
     fraction_monic_polys,
     fraction_psd_witness,
+    hilbert_window,
     moment_inner_product,
     orthogonal_poly,
     principal_minor_sums,
@@ -762,11 +763,13 @@ class TestRecurrencePass:
             return real(alphas, betas)
 
         monkeypatch.setattr(hankel, "_monic_from_recurrence", counted)
-        # Library classify reads no p_k, so a consistent degenerate window
-        # builds none there; reconstruct, extend and analyze build p_0..p_n0
-        # once each, and an analysis hands its own to reconstruct and extend.
+        # Library classify and det_sequence read no p_k, so a consistent
+        # degenerate window builds none there; reconstruct, extend and analyze
+        # build p_0..p_n0 once each, and an analysis hands its own to
+        # reconstruct and extend.
         window = [1, 1, 4, 4, 16, 16, 64]
         assert classify(window) == Degenerate(2, True) and calls == []
+        assert det_sequence(window) == [1, 3, 0, 0] and calls == []
         reconstruct(window)
         assert calls == [2]
         extend(window, 3)
@@ -777,6 +780,24 @@ class TestRecurrencePass:
         for other in ([1] * 16 + [2], [1, 2, 1], [1, 0, 1, 0, 2]):
             classify(other), analyze(other)
         assert calls == [2, 2, 2]
+
+    def test_polynomial_builder_makes_no_fraction(self, monkeypatch):
+        import hankelmp.hankel as hankel
+
+        steps = list(_pass(MomentWindow(hilbert_window(20)).moments))
+        alphas = [step.alpha for step in steps if step.alpha is not None]
+        betas = [step.beta for step in steps if step.beta is not None]
+        assert len(alphas) == 20
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return F(*args)
+
+        # The builder reads the pass's integer pairs as integers.
+        monkeypatch.setattr(hankel, "Fraction", counted)
+        polys = _monic_from_recurrence(alphas, betas)
+        assert made == [] and len(polys) == 21
 
 
 def count_pass_steps(monkeypatch) -> list[int]:
