@@ -100,21 +100,30 @@ def _rational_from_json(value, where: str) -> Fraction:
     raise _InputError(f"{where}: expected a rational string, got {value!r}")
 
 
-def _load_sequence(path: str) -> MomentWindow:
-    """A JSON array, a JSON object with a "moments" field, or CSV lines."""
+def _read_input(path: str, csv: bool = False):
+    """The JSON document in ``path``, or with ``csv`` its stripped text when
+    that opens with neither [ nor {.  Every failure is an ``_InputError``."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    stripped = text.strip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        try:
-            doc = json.loads(stripped)
-        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-            raise _InputError(f"{path}: invalid JSON: {exc}") from exc
-        except RecursionError:
-            raise _InputError(f"{path}: JSON nested too deeply") from None
+    if csv:
+        text = text.strip()
+        if not text.startswith(("[", "{")):
+            return text
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise _InputError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise _InputError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_sequence(path: str) -> MomentWindow:
+    """A JSON array, a JSON object with a "moments" field, or CSV lines."""
+    doc = _read_input(path, csv=True)
+    if not isinstance(doc, str):
         if isinstance(doc, dict):
             doc = doc.get("moments")
         if not isinstance(doc, list):
@@ -123,7 +132,7 @@ def _load_sequence(path: str) -> MomentWindow:
     else:
         values = [
             _rational_from_json(line.strip(), path)
-            for line in stripped.splitlines()
+            for line in doc.splitlines()
             if line.strip()
         ]
     if not values:
@@ -179,15 +188,7 @@ def _parse_weight(entry, where: str):
 
 
 def _load_measure(path: str) -> DiscreteMeasure:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an over-long integer
-        raise _InputError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise _InputError(f"{path}: JSON nested too deeply") from None
+    doc = _read_input(path)
     if not isinstance(doc, dict) or "atoms" not in doc or "weights" not in doc:
         raise _InputError(f"{path}: expected an object with 'atoms' and 'weights'")
     if not isinstance(doc["atoms"], list) or not isinstance(doc["weights"], list):
