@@ -559,7 +559,7 @@ class FractionRecurrence(NamedTuple):
 
 
 def fraction_chebyshev(s) -> FractionRecurrence:
-    """``hankel._chebyshev`` with every row entry a ``Fraction``.
+    """The three-term steps of ``hankel._pass`` with every row entry a ``Fraction``.
 
     Step k reads the pivot h_k = sigma_k(k) = D_k / D_{k-1}; the pass ends
     there when h_k <= 0 or k = m // 2.  Otherwise it forms alpha_k, beta_k and
@@ -594,10 +594,12 @@ def fraction_chebyshev(s) -> FractionRecurrence:
 
 
 def fraction_continuation(rec: FractionRecurrence, m: int, known) -> list[Fraction]:
-    """``hankel._continuation`` with every row entry a ``Fraction``.
+    """The determinants of ``hankel._pass`` past its first pivot h_k <= 0,
+    with every row entry a ``Fraction``.
 
-    D_k..D_{m // 2} past the pass's stop at h_k <= 0, given known = D_0..D_k,
-    by the signed subresultant recursion with monic remainder rows.
+    D_k..D_{m // 2} past ``fraction_chebyshev``'s stop at h_k <= 0, given
+    known = D_0..D_k, by the signed subresultant recursion with monic
+    remainder rows, independent of the pass's look-ahead steps.
     """
     k = len(rec.pivots) - 1
     count = m // 2 - k + 1
