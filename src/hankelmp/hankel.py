@@ -403,8 +403,8 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
     block of the subresultant structure theorem (Basu, Pollack & Roy,
     *Algorithms in Real Algebraic Geometry*, Ch. 8), and ``_block_step``
     steps over it, as look-ahead Lanczos does (Gutknecht, SIAM J. Matrix
-    Anal. Appl. 13, 1992).  The pass ends after D_N, or at a row that is zero from
-    sigma_k(k) to sigma_k(N), which leaves D_k..D_N zero.  Each step is
+    Anal. Appl. 13, 1992).  The pass ends after D_N, or at a row that is
+    zero from sigma_k(k) to sigma_k(N), which leaves D_k..D_N zero.  Each step is
     yielded before the next row is formed, so a reader that stops at a step
     pays for no later row.  Every row is integer numerators over one
     positive denominator, reduced once by a single gcd; a reduced row is
