@@ -38,7 +38,6 @@ from .hankel import (
     WindowAnalysis,
     analyze,
     classify,
-    det_exact,
     det_sequence,
     hankel_matrix,
     is_psd,
@@ -46,9 +45,7 @@ from .hankel import (
 )
 from .identities import (
     CampaignReport,
-    MeasureGenSpec,
     SplitMix64,
-    random_measure,
     verify_det1,
     verify_det2,
     verify_psd_theorem,

@@ -372,7 +372,7 @@ MAX_COUNT = 10_000
 MAX_ATOM_DEGREE = 100
 # Largest verify --trials, --max-n and --max-p.  A trial builds exact matrices
 # of order up to n + p + 1 in full; one det2 trial at n = 32, p = 16 takes
-# about 16 s on a 2-core VM.
+# 2.7-3.8 s of CPU on a 2-core VM.
 MAX_TRIALS = 10_000
 MAX_VERIFY_N = 32
 MAX_VERIFY_P = 16

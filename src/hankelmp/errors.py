@@ -42,7 +42,7 @@ class InconsistentWindow(MomentProblemError):
 
 
 class InfeasibleSpec(MomentProblemError):
-    """The random-measure spec cannot be satisfied."""
+    """No random rational or measure meets the requested bounds."""
 
 
 class PrecisionUnattainable(MomentProblemError):

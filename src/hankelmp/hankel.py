@@ -27,8 +27,8 @@ multipliers, and the builder reads the pass's alpha_k and beta_k as integer
 pairs, so no ``Fraction`` is made but the determinants.
 
 Matrices are plain rows.  ``hankel_matrix`` gives H_n as a tuple of row
-tuples, each a slice of the window's moments, and ``det_exact``, ``is_psd``
-and ``psd_witness`` take any square iterable of rows of rationals.
+tuples, each a slice of the window's moments, and ``is_psd`` and
+``psd_witness`` take any square iterable of rows of rationals.
 ``is_psd`` decides positive semi-definiteness by one fraction-free integer
 elimination, symmetric and without pivoting, O(n^3) operations per matrix.
 The matrix is first scaled by the congruence D A D, d_i the lcm of row i's
@@ -61,7 +61,6 @@ __all__ = [
     "WindowAnalysis",
     "analyze",
     "classify",
-    "det_exact",
     "det_sequence",
     "hankel_matrix",
     "is_psd",
@@ -121,53 +120,6 @@ def hankel_matrix(w, n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(w.moments[i : i + n + 1] for i in range(n + 1))
 
 
-def _as_rows(matrix, not_square: Exception) -> list[list[Fraction]]:
-    """Any square iterable of rows as ``Fraction`` rows; raises ``not_square`` otherwise."""
-    rows = [[c if isinstance(c, Fraction) else _rational(c) for c in row] for row in matrix]
-    if any(len(row) != len(rows) for row in rows):
-        raise not_square
-    return rows
-
-
-def det_exact(matrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination.
-
-    Rows are first scaled to integers (the scale is divided back out at the
-    end); elimination then uses exact integer divisions only.  A zero pivot is
-    repaired by a sign-tracked row swap, and a fully zero pivot column short
-    circuits to zero.
-    """
-    rows = _as_rows(matrix, ValueError("determinant needs a square matrix"))
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    m: list[list[int]] = []
-    for row in rows:
-        nums, den = _common_denominator(row)
-        m.append(nums)
-        scale *= den
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pivot_row = m[k]
-        pivot_val = pivot_row[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot_val - factor * pivot_row[j]) // prev
-            row_i[k] = 0
-        prev = pivot_val
-    return Fraction(sign * m[n - 1][n - 1], scale)
-
-
 def psd_witness(matrix) -> tuple[Fraction, ...] | None:
     """None for a positive semi-definite matrix, else a rational v with v^T A v < 0.
 
@@ -185,8 +137,10 @@ def psd_witness(matrix) -> tuple[Fraction, ...] | None:
     pivoted rows from y_k = 1 / d_k, or from y_k = t / d_k and y_j = 1 / d_j.
     Raises ``NotSymmetric`` for a non-square or non-symmetric argument.
     """
-    a = _as_rows(matrix, NotSymmetric("matrix is not square"))
+    a = [[c if isinstance(c, Fraction) else _rational(c) for c in row] for row in matrix]
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise NotSymmetric("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:

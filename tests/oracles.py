@@ -5,6 +5,8 @@ share no code path with the implementations under test.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -13,7 +15,8 @@ from typing import NamedTuple
 
 from hankelmp.errors import InfeasibleSpec, NotSquareFree, ZeroPolynomial
 from hankelmp.exact import IsolatingInterval, RationalPoly
-from hankelmp.recovery import RationalInterval
+from hankelmp.identities import SplitMix64
+from hankelmp.recovery import DiscreteMeasure, RationalInterval
 
 
 def det_cofactor(rows) -> Fraction:
@@ -42,6 +45,52 @@ def det_cofactor(rows) -> Fraction:
         return total
 
     return minor(0)
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over ``Fraction``, the product of the pivots.
+
+    The first nonzero entry at or below the diagonal is the pivot, and a row
+    swap flips the sign; a zero column gives zero.  Raises ``ValueError``
+    for a matrix that is not square.
+    """
+    rows = [[Fraction(c) for c in row] for row in rows]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def leading_minors(rows) -> list[int]:
+    """The leading principal minors of an integer matrix, up to the first zero one.
+
+    Fraction-free elimination without pivoting: after k steps the pivot is
+    the leading minor of order k + 1 (Bareiss, *Math. Comp.* 22, 1968), so
+    one elimination gives them all.  A zero pivot ends the list, as the
+    minors past it need a row swap.
+    """
+    rows = [list(row) for row in rows]
+    minors, prev = [], 1
+    while rows:
+        (p, *pivot), rest = rows[0], rows[1:]
+        minors.append(p)
+        if not p:
+            break
+        rows = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], pivot)] for row in rest]
+        prev = p
+    return minors
 
 
 def psd_all_principal_minors(rows) -> bool:
@@ -506,6 +555,72 @@ def fraction_rational(rng, lo: Fraction, hi: Fraction, max_den: int) -> Fraction
             continue
         return Fraction(rng.randint(p_lo, p_hi), q)
     raise InfeasibleSpec(f"no rational with denominator <= {max_den} in [{lo}, {hi}]")
+
+
+# --- The spec-driven measure generator: the reference for identities._draw_measure
+
+
+@dataclass(frozen=True)
+class MeasureGenSpec:
+    """Deterministic recipe for a random rational measure."""
+
+    atom_count: int
+    atom_range: tuple[Fraction, Fraction]
+    weight_range: tuple[Fraction, Fraction]
+    denominator_bound: int
+    seed: int
+
+    def __post_init__(self):
+        if self.atom_count < 1:
+            raise ValueError("atom_count must be at least 1")
+        if self.denominator_bound < 1:
+            raise ValueError("denominator_bound must be at least 1")
+        if self.atom_range[0] > self.atom_range[1]:
+            raise ValueError("empty atom range")
+        if self.weight_range[0] > self.weight_range[1] or self.weight_range[0] <= 0:
+            raise ValueError("weight range must be positive")
+
+
+def _count_rationals(lo: Fraction, hi: Fraction, max_den: int, needed: int) -> int:
+    """Count reduced rationals with denominator <= max_den in [lo, hi], capped."""
+    lo_num, lo_den = lo.as_integer_ratio()
+    hi_num, hi_den = hi.as_integer_ratio()
+    total = 0
+    for q in range(1, max_den + 1):
+        # p from ceil(lo * q) to floor(hi * q), by integer division.
+        for p in range(-(-lo_num * q // lo_den), hi_num * q // hi_den + 1):
+            if math.gcd(abs(p), q) == 1:
+                total += 1
+                if total >= needed:
+                    return total
+    return total
+
+
+def random_measure(spec: MeasureGenSpec) -> DiscreteMeasure:
+    """Deterministic random measure: distinct sorted atoms, positive weights.
+
+    Raises ``InfeasibleSpec`` when the atom range cannot host ``atom_count``
+    distinct rationals under the denominator bound.
+    """
+    lo, hi = spec.atom_range
+    if _count_rationals(lo, hi, spec.denominator_bound, spec.atom_count) < spec.atom_count:
+        raise InfeasibleSpec(
+            f"[{lo}, {hi}] holds fewer than {spec.atom_count} rationals "
+            f"with denominator <= {spec.denominator_bound}"
+        )
+    rng = SplitMix64(spec.seed)
+    atoms: set[Fraction] = set()
+    attempts = 0
+    while len(atoms) < spec.atom_count:
+        attempts += 1
+        if attempts > 100_000:
+            raise InfeasibleSpec("atom sampling failed to find enough distinct values")
+        atoms.add(rng.rational(lo, hi, spec.denominator_bound))
+    w_lo, w_hi = spec.weight_range
+    weights = [
+        rng.rational(w_lo, w_hi, spec.denominator_bound) for _ in range(spec.atom_count)
+    ]
+    return DiscreteMeasure(tuple(sorted(atoms)), tuple(weights))
 
 
 # --- Interval power sums: the reference for recovery._moment_sums ------------

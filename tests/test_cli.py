@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hankelmp.cli import MAX_ATOM_DEGREE, _decimal_str, measure_to_doc, run
-from hankelmp.recovery import measure_moments, reconstruct
+from hankelmp.recovery import reconstruct
 from oracles import det_cofactor
 
 REMARK = ["1", "1", "1", "1", "0", "0", "0"]
@@ -494,11 +494,14 @@ class TestVerify:
     ):
         import hankelmp.identities as identities
 
-        def corrupted(mu, count):
-            moments = measure_moments(mu, count)
-            return moments[:-1] + [moments[-1] + 1]
+        table = identities._moment_table
 
-        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        def corrupted(atoms, weights, count):
+            # The last moment plus one: N_{count-1} + V A^(count-1).
+            nums, v, a = table(atoms, weights, count)
+            return nums[:-1] + [nums[-1] + v * a ** (count - 1)], v, a
+
+        monkeypatch.setattr(identities, "_moment_table", corrupted)
         argv = ["verify", campaign, "--trials", str(trials), "--seed", str(seed)]
         code, out, err = invoke(capsys, argv)
         assert code == 1

@@ -27,20 +27,22 @@ from hankelmp.hankel import (
     _scaled,
     analyze,
     classify,
-    det_exact,
     det_sequence,
     hankel_matrix,
     is_psd,
     psd_witness,
 )
+from hankelmp.identities import _bareiss
 from oracles import (
     classify_brute,
     det_cofactor,
+    fraction_det,
     fraction_chebyshev,
     fraction_continuation,
     fraction_monic_polys,
     fraction_psd_witness,
     hilbert_window,
+    leading_minors,
     moment_inner_product,
     orthogonal_poly,
     principal_minor_sums,
@@ -156,7 +158,6 @@ class TestWindow:
     STRING_ENTRY_POINTS = {
         "MomentWindow": lambda text: MomentWindow([text, 1, 1]).moments[0] == 10**4300,
         "RationalPoly": lambda text: RationalPoly([text, 1]).coeffs[0] == 10**4300,
-        "det_exact": lambda text: det_exact([[text]]) == 10**4300,
         "is_psd": lambda text: is_psd([[text]]),
         "psd_witness": lambda text: psd_witness([[text]]) is None,
     }
@@ -203,38 +204,48 @@ class TestHankelMatrix:
 
 
 class TestDetExact:
+    """The ``Fraction`` elimination oracle, and on integer matrices the
+    campaigns' Bareiss kernel ``identities._bareiss``."""
+
     def test_examples(self):
-        assert det_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-        assert det_exact([[1, 1], [1, 4]]) == 3
-        assert det_exact(hankel_matrix(REMARK, 3)) == 1
-        assert det_exact([]) == 1
+        for rows, det in [
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+            ([[1, 1], [1, 4]], 3),
+            (hankel_matrix(REMARK, 3), 1),
+            ([], 1),
+        ]:
+            assert fraction_det(rows) == _bareiss([[int(c) for c in row] for row in rows]) == det
 
     def test_sign_tracking_via_permutations(self):
-        assert det_exact([[0, 1], [1, 0]]) == -1
-        assert det_exact([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-        assert det_exact([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]) == 1
+        for rows, det in [
+            ([[0, 1], [1, 0]], -1),
+            ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+            ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], 1),
+        ]:
+            assert fraction_det(rows) == _bareiss(rows) == det
 
     def test_zero_pivot_column(self):
-        assert det_exact([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+        rows = [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
+        assert fraction_det(rows) == _bareiss(rows) == 0
 
     @pytest.mark.parametrize(
         "rows", [[[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[1, 2, 3], [2, 1, 2]]]
     )
     def test_non_square_message(self, rows):
         with pytest.raises(ValueError) as exc:
-            det_exact(rows)
+            fraction_det(rows)
         assert type(exc.value) is ValueError
         assert str(exc.value) == "determinant needs a square matrix"
 
     def test_rational_entries(self):
-        assert det_exact([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]) == F(1, 14) - F(1, 15)
+        assert fraction_det([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]) == F(1, 14) - F(1, 15)
 
     def test_agrees_with_cofactor_oracle(self):
         rng = random.Random(777)
         for _ in range(500):
             order = rng.randint(1, 5)
             rows = random_matrix(rng, order)
-            assert det_exact(rows) == det_cofactor(rows)
+            assert fraction_det(rows) == det_cofactor(rows)
 
     def test_det_sequence_examples(self):
         assert det_sequence(REMARK) == [1, 0, 0, 1]
@@ -670,26 +681,14 @@ class TestRecurrencePass:
         assert list(analysis.determinants) == cofactor_determinants(window)
         assert as_tuple(analysis.classification) == classify_brute(window)
 
-    def test_consistent_tail_needs_no_elimination(self, monkeypatch):
-        import hankelmp.hankel as hankel
-
-        def refuse(matrix):
-            raise AssertionError("det_exact called on a consistent window")
-
-        monkeypatch.setattr(hankel, "det_exact", refuse)
+    def test_consistent_tail_needs_no_elimination(self):
         # Two atoms, horizon 5: D_2..D_5 are zero by the kernel argument alone.
         analysis = analyze([2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2])
         assert analysis.classification == Degenerate(2, True)
         assert analysis.determinants == (2, 4, 0, 0, 0, 0)
         assert analysis.kernel.coeffs == (-1, 0, 1)
 
-    def test_inconsistent_zero_pivot_needs_no_elimination(self, monkeypatch):
-        import hankelmp.hankel as hankel
-
-        def refuse(matrix):
-            raise AssertionError("det_exact called on the classification path")
-
-        monkeypatch.setattr(hankel, "det_exact", refuse)
+    def test_inconsistent_zero_pivot_needs_no_elimination(self):
         # Two atoms +-1 through s_5; s_6 = 1 breaks the tail with
         # <p_2, x^3> = 0 and <p_2, x^4> = -1, so D_2 = D_3 = 0 and the verdict
         # needs D_4 from the look-ahead step across that zero block.
@@ -699,12 +698,6 @@ class TestRecurrencePass:
         assert list(analysis.determinants) == cofactor_determinants(window) == [2, 4, 0, 0, 4]
 
     def test_analysis_continues_once_past_the_stop(self, monkeypatch):
-        import hankelmp.hankel as hankel
-
-        def refuse(matrix):
-            raise AssertionError("det_exact called on the classification path")
-
-        monkeypatch.setattr(hankel, "det_exact", refuse)
         calls = count_pass_steps(monkeypatch)
         # analyze runs one pass to D_N, also past s_0 = 0, a negative pivot
         # or a zero block, with one step per regular index; a consistent
@@ -845,11 +838,16 @@ class TestDeepWindows:
         analysis = analyze(window)
         if not perturbed:
             assert analysis.classification == Degenerate(n, True)
-        # D_j of c * a^k * s_k is c^(j+1) a^(j(j+1)) D_j.  Bareiss runs on that
-        # integer window, where its rows need no scaling and it is ~4x faster.
+        # D_j of c * a^k * s_k is c^(j+1) a^(j(j+1)) D_j.  One Bareiss
+        # elimination of that integer window's H_N gives every leading minor,
+        # since no D_j but the last is zero on these windows.
         scaled = [c * a**k * s for k, s in enumerate(window)]
-        for j, d in enumerate(analysis.determinants):
-            assert det_exact(hankel_matrix(scaled, j)) == c ** (j + 1) * a ** (j * (j + 1)) * d
+        assert all(x.denominator == 1 for x in scaled)
+        order = len(analysis.determinants)
+        h = [[x.numerator for x in scaled[i : i + order]] for i in range(order)]
+        assert leading_minors(h) == [
+            c ** (j + 1) * a ** (j * (j + 1)) * d for j, d in enumerate(analysis.determinants)
+        ]
         steps = list(_pass(analysis.window.moments))
         for step in steps:
             nums, den = step.row

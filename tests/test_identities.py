@@ -1,4 +1,5 @@
-"""Tests for the RNG, the random-measure generator, and the determinant lemmas."""
+"""Tests for the RNG, the campaigns' measure draw and integer kernels, and the
+determinant lemmas."""
 from __future__ import annotations
 
 import json
@@ -11,23 +12,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelmp.errors import InfeasibleSpec
-from hankelmp.hankel import analyze, det_exact, det_sequence
+from hankelmp.hankel import analyze, det_sequence
 from hankelmp.identities import (
+    _ATOM_CHOICES,
     _EXTENSION,
-    MeasureGenSpec,
     SplitMix64,
-    _count_rationals,
+    _bareiss,
+    _det1_filler_scaled,
     _det1_rows,
     _det2_fill,
+    _det2_fill_scaled,
     _det2_rows,
-    random_measure,
+    _draw_measure,
+    _moment_table,
     verify_det1,
     verify_det2,
     verify_psd_theorem,
     verify_roundtrip,
 )
 from hankelmp.recovery import DiscreteMeasure, measure_moments, reconstruct
-from oracles import det_cofactor, fraction_rational
+from oracles import (
+    MeasureGenSpec,
+    _count_rationals,
+    det_cofactor,
+    fraction_det,
+    fraction_rational,
+    random_measure,
+)
 from strategies import rationals
 
 
@@ -44,6 +55,27 @@ def _last_window_moment_plus_one(moments):
 def _s2_negated(moments):
     # s_2 < 0 puts a negative diagonal entry into H_1 and every later H_k.
     return moments[:2] + [-moments[2] - 1] + moments[3:]
+
+
+def corrupting(corrupt):
+    """``identities._moment_table`` with ``corrupt`` applied to the moments.
+
+    s_k + delta becomes N_k + delta V A^k, exact for the corrupters above.
+    """
+
+    def table(atoms, weights, count):
+        nums, v, a = _moment_table(atoms, weights, count)
+        moved = corrupt([F(t, v * a**k) for k, t in enumerate(nums)])
+        scaled = [s * v * a**k for k, s in enumerate(moved)]
+        assert all(s.denominator == 1 for s in scaled)
+        return [s.numerator for s in scaled], v, a
+
+    return table
+
+
+def campaign_measure(n, seed):
+    """The measure of a campaign trial with n atoms and sub-seed ``seed``, by the reference."""
+    return random_measure(MeasureGenSpec(n, (F(-4), F(4)), (F(1, 6), F(5)), 6, seed))
 
 
 bounds = rationals(-6, 6, 9)
@@ -164,11 +196,118 @@ class TestRandomMeasure:
             assert all(d == 0 for d in dets[count:])
 
 
+class TestDrawMeasure:
+    @given(st.integers(1, 32), st.integers(0, 2**64 - 1))
+    @example(32, 0)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_matches_the_spec_generator(self, n, seed):
+        # The campaigns' measure for one sub-seed, and the stream after it.
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        mu = campaign_measure(n, ref.next_u64())
+        assert _draw_measure(rng, n) == (mu.atoms, mu.weights)
+        assert rng.state == ref.state
+
+    def test_atom_choices_match_a_count(self):
+        assert _count_rationals(F(-4), F(4), 6, 10**6) == _ATOM_CHOICES == 97
+
+    def test_too_many_atoms_raise_as_the_spec_generator_does(self):
+        with pytest.raises(InfeasibleSpec) as spec_error:
+            campaign_measure(98, 0)
+        with pytest.raises(InfeasibleSpec) as draw_error:
+            _draw_measure(SplitMix64(0), 98)
+        assert str(draw_error.value) == str(spec_error.value)
+        atoms, weights = _draw_measure(SplitMix64(0), 97)
+        assert atoms == campaign_measure(97, SplitMix64(0).next_u64()).atoms
+
+
+# Entries from a zero-heavy set, so that pivots vanish and need the row swap.
+sparse_entries = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+
+
+@st.composite
+def swap_matrices(draw, max_order=6):
+    """Integer matrices whose leading diagonal entries are zero up to a drawn index."""
+    order = draw(st.integers(1, max_order))
+    rows = [draw(st.lists(sparse_entries, min_size=order, max_size=order)) for _ in range(order)]
+    for i in range(draw(st.integers(0, order))):
+        rows[i][i] = 0
+    return rows
+
+
+class TestIntegerBareiss:
+    @given(swap_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    @example([[1, 2, 0], [2, 4, 1], [0, 1, 1]])  # D_1 = 0: a swap at the second step
+    @example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])  # a zero pivot column
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_matches_cofactor_oracle(self, rows):
+        before = [list(row) for row in rows]
+        assert _bareiss(rows) == det_cofactor(rows)
+        assert rows == before
+
+    def test_empty_and_single_entry(self):
+        assert _bareiss([]) == 1
+        assert _bareiss([[-7]]) == -7
+
+
+# Random moment tables with their scales: the integer rows hold for any table.
+tables = st.tuples(
+    st.lists(st.integers(-10**6, 10**6), min_size=40, max_size=40),
+    st.integers(1, 60),
+    st.integers(1, 12),
+)
+fill_entries = rationals(-5, 5, 8)
+
+
+class TestScaledDeterminants:
+    @given(tables, st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_det1_rows_scale_the_rational_determinant(self, table, n, p, data):
+        # Row i times V A^c_i (moment rows) or 840 (filler rows), column j times A^j.
+        nums, v, a = table
+        width = n + p
+        cs = sorted(data.draw(st.sets(st.integers(0, 8), min_size=n + 1, max_size=n + 1)))
+        filler = data.draw(st.lists(
+            st.lists(fill_entries, min_size=width, max_size=width), min_size=p - 1, max_size=p - 1
+        ))
+        moments = [F(t, v * a**k) for k, t in enumerate(nums)]
+        rational = fraction_det(_det1_rows(moments, cs, width, filler))
+        scale = v ** (n + 1) * a ** (sum(cs) + width * (width - 1) // 2) * 840 ** (p - 1)
+        rows = _det1_rows(nums, cs, width, _det1_filler_scaled(filler, a))
+        assert _bareiss(rows) == rational * scale
+
+    @given(tables, st.integers(1, 5), st.integers(1, 4), st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_det2_rows_scale_the_rational_determinant(self, table, n, p, data):
+        # Entry (i, j) times 840 V A^(i+j), so the determinant takes
+        # (840 V)^order A^(order (order - 1)).
+        nums, v, a = table
+        order, anti = n + p + 1, 2 * n + p
+        xs = data.draw(st.lists(rationals(-6, 6, 8), min_size=p + 1, max_size=p + 1))
+        size = p * (p + 1) // 2
+        fill = data.draw(st.lists(fill_entries, min_size=size, max_size=size))
+        moments = [F(t, v * a**k) for k, t in enumerate(nums)]
+        rational = fraction_det(_det2_rows(n, p, moments, xs, fill))
+        scaled_xs = [840 * v * a**anti * x for x in xs]
+        assert all(x.denominator == 1 for x in scaled_xs)
+        scaled_fill = _det2_fill_scaled(fill, p, 840 * v * a ** (anti + 1), a)
+        rows = _det2_rows(n, p, [840 * t for t in nums], [int(x) for x in scaled_xs], scaled_fill)
+        assert _bareiss(rows) == rational * (840 * v) ** order * a ** (order * (order - 1))
+
+    def test_moment_table_is_the_measure_moments_scaled(self):
+        atoms, weights = (F(-3, 2), F(1, 3), F(4)), (F(1, 6), F(5, 4), F(2))
+        table, v, a = _moment_table(atoms, weights, 9)
+        assert (v, a) == (12, 6)
+        moments = measure_moments(DiscreteMeasure(atoms, weights), 9)
+        assert table == [s * v * a**k for k, s in enumerate(moments)]
+
+
 def det1_sides(mu, cs, p, filler):
-    """The det1 matrix of mu, and its determinant by the library and by cofactors."""
+    """The det1 matrix of mu, and its determinant by elimination and by cofactors."""
     moments = measure_moments(mu, cs[-1] + len(mu) + p)
     rows = _det1_rows(moments, cs, len(mu) + p, filler)
-    return rows, det_exact(rows), det_cofactor(rows)
+    return rows, fraction_det(rows), det_cofactor(rows)
 
 
 class TestDet1:
@@ -192,7 +331,7 @@ class TestDet1:
         moments = measure_moments(mu, 10)
         filler = [[F(1), F(-2), F(3), F(0), F(7)], [F(0), F(1), F(0), F(0), F(0)]]
         rows = _det1_rows(moments, [0, 2, 3], 5, filler)
-        assert det_exact(rows) == det_cofactor(rows) != 0
+        assert fraction_det(rows) == det_cofactor(rows) != 0
 
 
 def factored(n, p, moments, xs):
@@ -257,9 +396,7 @@ class TestCampaigns:
     def test_failing_psd_trial_carries_a_witness(self, monkeypatch):
         import hankelmp.identities as identities
 
-        monkeypatch.setattr(
-            identities, "measure_moments", lambda mu, count: _s2_negated(measure_moments(mu, count))
-        )
+        monkeypatch.setattr(identities, "_moment_table", corrupting(_s2_negated))
         report = verify_psd_theorem(trials=3, seed=14)
         assert len(report.failures) == 3
         for failure in report.failures:
@@ -286,9 +423,7 @@ class TestCampaigns:
         # Pins every byte of a failing report: the record head, key order and values.
         import hankelmp.identities as identities
 
-        monkeypatch.setattr(
-            identities, "measure_moments", lambda mu, count: corrupt(measure_moments(mu, count))
-        )
+        monkeypatch.setattr(identities, "_moment_table", corrupting(corrupt))
         doc = runner(**kwargs).to_dict()
         text = (Path(__file__).parent / "data" / recorded).read_text(encoding="utf-8")
         assert json.dumps(doc, indent=1) + "\n" == text
@@ -298,15 +433,15 @@ class TestCampaigns:
 
         calls, det_calls = [], []
 
-        def counted(mu, count):
+        def counted(atoms, weights, count):
             calls.append(count)
-            return measure_moments(mu, count)
+            return _moment_table(atoms, weights, count)
 
         def counted_dets(w):
             det_calls.append(len(w))
             return det_sequence(w)
 
-        monkeypatch.setattr(identities, "measure_moments", counted)
+        monkeypatch.setattr(identities, "_moment_table", counted)
         monkeypatch.setattr(identities, "det_sequence", counted_dets)
         assert verify_det2(trials=8, seed=3).passed
         assert len(calls) == 8
@@ -345,12 +480,8 @@ class TestCampaigns:
     def test_failing_det2_trial_reports_the_corrupted_instance(self, monkeypatch):
         import hankelmp.identities as identities
 
-        def corrupted(mu, count):
-            # count = 2n + p + 1, so the last moment is s_{2n+p}, read only by the factors.
-            moments = measure_moments(mu, count)
-            return moments[:-1] + [moments[-1] + 1]
-
-        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        # The table has 2n + p + 1 moments, so the last is s_{2n+p}, read only by the factors.
+        monkeypatch.setattr(identities, "_moment_table", corrupting(_last_moment_plus_one))
         report = verify_det2(trials=4, seed=3)
         assert len(report.failures) == 4
         for failure in report.failures:
@@ -363,7 +494,7 @@ class TestCampaigns:
                 tuple(F(a) for a in failure["measure"]["atoms"]),
                 tuple(F(w) for w in failure["measure"]["weights"]),
             )
-            s = corrupted(mu, 2 * n + p + 1)
+            s = _last_moment_plus_one(measure_moments(mu, 2 * n + p + 1))
             xs = [F(x) for x in failure["xs"]]
             matrix = [[F(c) for c in row] for row in failure["matrix"]]
             anti, order = 2 * n + p, n + p + 1
@@ -376,12 +507,8 @@ class TestCampaigns:
     def test_failing_det1_trial_reports_the_corrupted_instance(self, monkeypatch):
         import hankelmp.identities as identities
 
-        def corrupted(mu, count):
-            # count = cs[-1] + n + p: the last moment ends the last moment row.
-            moments = measure_moments(mu, count)
-            return moments[:-1] + [moments[-1] + 1]
-
-        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        # The table has cs[-1] + n + p moments: the last ends the last moment row.
+        monkeypatch.setattr(identities, "_moment_table", corrupting(_last_moment_plus_one))
         report = verify_det1(trials=4, seed=3)
         assert len(report.failures) == 4
         for failure in report.failures:
@@ -394,18 +521,16 @@ class TestCampaigns:
                 tuple(F(w) for w in failure["measure"]["weights"]),
             )
             filler = [[F(c) for c in row] for row in failure["filler"]]
-            rows = _det1_rows(corrupted(mu, cs[-1] + n + p), cs, n + p, filler)
+            moments = _last_moment_plus_one(measure_moments(mu, cs[-1] + n + p))
+            rows = _det1_rows(moments, cs, n + p, filler)
             assert [[F(c) for c in row] for row in failure["matrix"]] == rows
             assert F(failure["determinant"]) == det_cofactor(rows) != 0
 
     def test_inconsistent_roundtrip_trials_are_reported_not_raised(self, monkeypatch):
         import hankelmp.identities as identities
 
-        def corrupted(mu, count):
-            # The window's last moment lies past every H_k, so only its tail breaks.
-            return _last_window_moment_plus_one(measure_moments(mu, count))
-
-        monkeypatch.setattr(identities, "measure_moments", corrupted)
+        # The window's last moment lies past every H_k, so only its tail breaks.
+        monkeypatch.setattr(identities, "_moment_table", corrupting(_last_window_moment_plus_one))
         report = verify_roundtrip(trials=3, seed=1)
         assert len(report.failures) == 3
         for failure in report.failures:
@@ -426,9 +551,9 @@ class TestCampaigns:
 
         def off_on_the_second_call(rows):
             calls.append(rows)
-            return det_exact(rows) + (1 if len(calls) == 2 else 0)
+            return _bareiss(rows) + (1 if len(calls) == 2 else 0)
 
-        monkeypatch.setattr(identities, "det_exact", off_on_the_second_call)
+        monkeypatch.setattr(identities, "_bareiss", off_on_the_second_call)
         report = verify_det2(trials=3, seed=3)
         assert len(report.failures) == 1
         (failure,) = report.failures
