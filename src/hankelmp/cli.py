@@ -45,11 +45,12 @@ from .exact import (
     parse_rational,
 )
 from .hankel import (
+    Classification,
     Degenerate,
     Invalid,
     MomentWindow,
     PositiveWindow,
-    WindowAnalysis,
+    _classified_to_horizon,
     analyze,
     det_sequence,
 )
@@ -235,8 +236,7 @@ def measure_to_doc(mu: DiscreteMeasure) -> dict:
     return {"atoms": atoms, "weights": weights}
 
 
-def classification_to_doc(analysis: WindowAnalysis) -> dict:
-    cls = analysis.classification
+def classification_to_doc(cls: Classification, determinants: Sequence[Fraction]) -> dict:
     doc: dict = {}
     if isinstance(cls, PositiveWindow):
         doc["variant"] = "positive_window"
@@ -249,7 +249,7 @@ def classification_to_doc(analysis: WindowAnalysis) -> dict:
         doc["variant"] = "invalid"
         doc["firstViolation"] = cls.first_violation
         doc["reason"] = cls.reason.value
-    doc["determinants"] = [format_rational(d) for d in analysis.determinants]
+    doc["determinants"] = [format_rational(d) for d in determinants]
     return doc
 
 
@@ -258,8 +258,9 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_classify(args) -> int:
-    window = _load_sequence(args.file)
-    _emit(classification_to_doc(analyze(window)))
+    # The verdict and D_0..D_N; the orthogonal polynomials are not printed.
+    _, cls, _, dets = _classified_to_horizon(_load_sequence(args.file))
+    _emit(classification_to_doc(cls, dets))
     return 0
 
 
@@ -353,12 +354,13 @@ def _cmd_demo(args) -> int:
     if a < 0:
         raise _InputError("demo needs a >= 0; the example sequences require it")
     branch, window = _demo_window(a)
+    analysis = analyze(window)
     doc = {
         "a": format_rational(a),
         "branch": branch,
         "moments": [format_rational(s) for s in window],
-        "classification": classification_to_doc(analyze(window)),
-        "measure": measure_to_doc(reconstruct(window, digits=args.digits)),
+        "classification": classification_to_doc(analysis.classification, analysis.determinants),
+        "measure": measure_to_doc(reconstruct(analysis, digits=args.digits)),
     }
     _emit(doc)
     return 0

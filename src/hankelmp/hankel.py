@@ -16,15 +16,17 @@ the run.  So one loop yields every D_j, and no elimination runs on this
 path.  The pass is a generator, so library ``classify``, ``reconstruct`` and
 ``extend`` take no step past the one that fixes the verdict.  On a
 consistent degenerate window its recurrence coefficients build p_0..p_{n0}
-for ``reconstruct``, ``extend`` and ``analyze``, and library ``classify``
-and ``det_sequence``, which read none, build none: p_{n0} is the kernel
-whose roots are the atoms, and p_{n0}, ..., p_0 is a Sturm sequence for
-it.  Rows and polynomials are integer numerators over one positive
-denominator, the form of ``_common_denominator`` and of ``RationalPoly``,
-reduced once per row by a single gcd.  One integer three-term step,
-``_three_term``, forms both from the two rows before with three integer
-multipliers, and the builder reads the pass's alpha_k and beta_k as integer
-pairs, so no ``Fraction`` is made but the determinants.
+for ``reconstruct``, ``extend`` and ``analyze``, and library ``classify``,
+``det_sequence`` and CLI ``classify``, which read none, build none: p_{n0}
+is the kernel whose roots are the atoms, and p_{n0}, ..., p_0 is a Sturm
+sequence for it.  ``reconstruct`` also reads the coefficients themselves,
+which form the Jacobi matrix whose eigenvalues are the atoms.  Rows and
+polynomials are integer numerators over one positive denominator, the form
+of ``_common_denominator`` and of ``RationalPoly``, reduced once per row by
+a single gcd.  One integer three-term step, ``_three_term``, forms both
+from the two rows before with three integer multipliers, and the builder
+reads the pass's alpha_k and beta_k as integer pairs, so no ``Fraction`` is
+made but the determinants.
 
 Matrices are plain rows.  ``hankel_matrix`` gives H_n as a tuple of row
 tuples, each a slice of the window's moments, and ``is_psd`` and
@@ -43,7 +45,7 @@ not imply PSD, so the test does not read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -432,6 +434,11 @@ def _monic_from_recurrence(
     return tuple(RationalPoly._from_row(nums, d) for nums, d in rows)
 
 
+# The recurrence coefficients alpha_0..alpha_{n0-1} and beta_0..beta_{n0-1}
+# of a consistent degenerate window, as the integer pairs of ``_Step``.
+_Recurrence = tuple[list[tuple[int, int]], list[tuple[int, int]]]
+
+
 @dataclass(frozen=True)
 class WindowAnalysis:
     """The determinants, classification and orthogonal polynomials of a window.
@@ -439,13 +446,16 @@ class WindowAnalysis:
     ``determinants`` is D_0..D_N for N = horizon.  ``orthogonal_polys`` is
     p_0..p_{n0}, the monic orthogonal polynomials of the window, when it is
     ``Degenerate`` with a consistent tail, and None otherwise; its last entry
-    is the ``kernel``, whose roots are the n0 atoms.
+    is the ``kernel``, whose roots are the n0 atoms.  ``analyze`` also keeps
+    the recurrence coefficients of those polynomials in a private field,
+    left out of ``==``, hash and repr, for ``reconstruct``.
     """
 
     window: MomentWindow
     classification: Classification
     orthogonal_polys: tuple[RationalPoly, ...] | None
     determinants: tuple[Fraction, ...]
+    _recurrence: _Recurrence | None = field(default=None, compare=False, repr=False)
 
     @property
     def kernel(self) -> RationalPoly | None:
@@ -453,9 +463,9 @@ class WindowAnalysis:
         return self.orthogonal_polys[-1] if self.orthogonal_polys else None
 
 
-def _verdict(w: MomentWindow, steps: Iterator[_Step]) -> tuple[
-    Classification, tuple[list[tuple[int, int]], list[tuple[int, int]]] | None, list[Fraction]
-]:
+def _verdict(
+    w: MomentWindow, steps: Iterator[_Step]
+) -> tuple[Classification, _Recurrence | None, list[Fraction]]:
     """The classification, the recurrence of p_0..p_{n0} and the D_j read, up to the verdict.
 
     A window with s_0 = 0 and a nonzero moment reads no step: it is
@@ -502,16 +512,38 @@ def _verdict(w: MomentWindow, steps: Iterator[_Step]) -> tuple[
     return PositiveWindow(w.horizon), None, dets
 
 
-def _classified(w) -> tuple[MomentWindow, Classification, tuple[RationalPoly, ...] | None]:
-    """The window, its classification and p_0..p_{n0}: ``analyze`` up to the verdict.
+def _classified(
+    w,
+) -> tuple[MomentWindow, Classification, tuple[RationalPoly, ...] | None, _Recurrence | None]:
+    """The window, its classification, p_0..p_{n0} and their recurrence, up to the verdict.
 
-    A ``WindowAnalysis`` already holds all three, so it is read without a pass.
+    ``analyze`` up to the verdict; a ``WindowAnalysis`` already holds all
+    four, so it is read without a pass.
     """
     if isinstance(w, WindowAnalysis):
-        return w.window, w.classification, w.orthogonal_polys
+        return w.window, w.classification, w.orthogonal_polys, w._recurrence
     w = _as_window(w)
     cls, recurrence, _ = _verdict(w, _pass(w.moments))
-    return w, cls, None if recurrence is None else _monic_from_recurrence(*recurrence)
+    polys = None if recurrence is None else _monic_from_recurrence(*recurrence)
+    return w, cls, polys, recurrence
+
+
+def _classified_to_horizon(
+    w,
+) -> tuple[MomentWindow, Classification, _Recurrence | None, list[Fraction]]:
+    """The window, its classification, the recurrence of p_0..p_{n0} and D_0..D_N.
+
+    ``_verdict`` reads the steps of ``_pass`` up to the step that fixes the
+    classification, and the same pass then runs on to D_N.  No orthogonal
+    polynomial is built, so CLI ``classify`` prints the verdict and the
+    determinants at the cost of the pass alone.
+    """
+    w = _as_window(w)
+    steps = _pass(w.moments)
+    cls, recurrence, dets = _verdict(w, steps)
+    for step in steps:
+        dets += step.dets
+    return w, cls, recurrence, dets
 
 
 def analyze(w) -> WindowAnalysis:
@@ -521,13 +553,9 @@ def analyze(w) -> WindowAnalysis:
     classification, and the same pass then runs on to D_N.  Library
     ``classify``, ``reconstruct`` and ``extend`` stop at the verdict.
     """
-    w = _as_window(w)
-    steps = _pass(w.moments)
-    cls, recurrence, dets = _verdict(w, steps)
-    for step in steps:
-        dets += step.dets
+    w, cls, recurrence, dets = _classified_to_horizon(w)
     polys = None if recurrence is None else _monic_from_recurrence(*recurrence)
-    return WindowAnalysis(w, cls, polys, tuple(dets))
+    return WindowAnalysis(w, cls, polys, tuple(dets), recurrence)
 
 
 def det_sequence(w) -> list[Fraction]:

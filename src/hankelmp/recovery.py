@@ -1,9 +1,15 @@
 """Recovery of the finitely supported measure behind a degenerate window.
 
 The atoms are the real roots of the monic degree-n0 orthogonal polynomial p,
-isolated with the Sturm sequence p = p_{n0}, ..., p_0 that the recurrence
-pass of ``hankel`` already built; isolation, weights and extension
-read the integer forms that each ``RationalPoly`` stores.  The weight of
+which are the eigenvalues of the window's Jacobi matrix.  Floats only
+propose and exact integers decide: ``_rational_atoms`` rounds each float
+eigenvalue x to the candidate round(x * L) / L, L the primitive leading
+coefficient of p, and accepts it only when p is exactly zero there, so n0
+distinct accepted candidates are the whole root set at O(n0) integer
+operations per atom.  When a candidate fails, the atoms are isolated with
+the Sturm sequence p = p_{n0}, ..., p_0 that the recurrence pass of
+``hankel`` already built.  Isolation, weights and extension read the
+integer forms that each ``RationalPoly`` stores.  The weight of
 atom x_j is w_j = N(x_j) / p'(x_j), where N(x_j) is the moment functional
 applied to the synthetic-division quotient p / (x - x_j); N is one fixed
 polynomial, so all weights cost O(n0**2).  When every atom is rational the
@@ -56,7 +62,7 @@ from .exact import (
     refine_root,
     sturm_isolate,
 )
-from .hankel import _classified
+from .hankel import _classified, _Recurrence
 
 __all__ = [
     "AtomValue",
@@ -326,11 +332,117 @@ def _residuals_certified(
     return True
 
 
+# Largest primitive leading coefficient L (exclusive) for which eigenvalue
+# hints are tried.  x * L rounds to the right integer only while L times the
+# eigenvalue's error, a few units in the last place of the largest atom,
+# stays below 1/2.  A double has 53 significant bits, so past 2**48 the hints
+# of atoms of size 1 and more would fail, and Sturm isolation runs without
+# trying them.  The bound is set by the float format, not by the input.
+_MAX_HINT_LEAD = 1 << 48
+
+
+def _jacobi_eigenvalues(diag: list[float], off: list[float]):
+    """Eigenvalues of a symmetric tridiagonal matrix, each yielded as it deflates.
+
+    ``diag`` is the diagonal and ``off[i]`` the entry (i, i+1); both are
+    overwritten.  Implicit-shift QL, the tql1 of EISPACK (Bowdler, Martin,
+    Reinsch & Wilkinson, Numer. Math. 11, 1968): for each l in turn, shifted
+    QL sweeps run on the block from l to the first negligible off-diagonal
+    entry until off[l] is negligible, and diag[l] is then an eigenvalue.  The
+    generator stops early when one l takes more than 30 sweeps.
+    """
+    n = len(diag)
+    off.append(0.0)
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = l
+            while m < n - 1:
+                dd = abs(diag[m]) + abs(diag[m + 1])
+                if abs(off[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweeps == 30:
+                return
+            sweeps += 1
+            g = (diag[l + 1] - diag[l]) / (2.0 * off[l])
+            r = math.hypot(g, 1.0)
+            g = diag[m] - diag[l] + off[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * off[i], c * off[i]
+                r = off[i + 1] = math.hypot(f, g)
+                if r == 0.0:
+                    # The block splits at i + 1: sweep again from l.
+                    diag[i + 1] -= p
+                    off[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = diag[i + 1] - p
+                r = (diag[i] - g) * s + 2.0 * c * b
+                p = s * r
+                diag[i + 1] = g + p
+                g = c * r - b
+            else:
+                diag[l] -= p
+                off[l], off[m] = g, 0.0
+        yield diag[l]
+
+
+def _rational_atoms(
+    recurrence: _Recurrence | None, kernel: RationalPoly
+) -> list[Fraction] | None:
+    """All n0 atoms, increasing, when every one is rational; else None.
+
+    The atoms are the eigenvalues of the window's Jacobi matrix, with
+    diagonal alpha_0..alpha_{n0-1} and off-diagonal sqrt(beta_1)..
+    sqrt(beta_{n0-1}) (Golub & Welsch, Math. Comp. 23, 1969).  A rational
+    root of the kernel is r / L for an integer r, L its primitive leading
+    coefficient, so a float eigenvalue x proposes round(x * L) / L, and one
+    exact ``_value_at`` accepts it only where the kernel is zero.  n0
+    distinct accepted candidates are every root of the degree-n0 kernel, so
+    floats only propose and no output depends on one.  None at the first
+    candidate that fails, so an irrational kernel costs one eigenvalue, and
+    without any hint when L >= ``_MAX_HINT_LEAD``, when the recurrence is
+    not known, or when a float overflows.
+    """
+    cs = kernel.primitive
+    lead = cs[-1]
+    if recurrence is None or lead >= _MAX_HINT_LEAD:
+        return None
+    alphas, betas = recurrence
+    try:
+        diag = [a / b for a, b in alphas]
+        off = [math.sqrt(c / e) for c, e in betas[1:]]
+    except OverflowError:
+        return None
+    hs = _at_denominator(cs, lead)
+    found: set[int] = set()
+    for x in _jacobi_eigenvalues(diag, off):
+        x *= lead
+        if not math.isfinite(x):
+            return None
+        r = round(x)
+        if _value_at(hs, r, 0):
+            return None
+        found.add(r)
+    if len(found) < len(alphas):
+        return None
+    return [Fraction(r, lead) for r in sorted(found)]
+
+
 def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     """Recover the unique n0-point measure of a consistent degenerate window.
 
     Atoms are the roots of the monic degree-n0 orthogonal polynomial p;
-    rational roots stay exact.  Each weight is w_j = N(x_j) / p'(x_j) for the
+    rational roots stay exact.  When every root is rational,
+    ``_rational_atoms`` finds them all from float eigenvalue hints, each
+    confirmed by one exact evaluation of p; otherwise ``sturm_isolate``
+    isolates them on the recurrence's Sturm sequence.  Both give the same
+    atoms.  Each weight is w_j = N(x_j) / p'(x_j) for the
     fixed numerator N of ``_weight_polys``, O(n0**2) in all.  With any
     irrational atom, all weights are returned as enclosures on a dyadic grid,
     refined until the moment residuals up to s_{2*n0 - 1} are certified
@@ -338,29 +450,32 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     ``ValueError`` for digits outside 1..MAX_DECIMAL_EXPONENT and
     ``PreconditionViolated`` unless the window classifies as ``Degenerate``
     with a consistent tail.  ``w`` may be a ``WindowAnalysis``, whose
-    classification and polynomials are then read without another recurrence
-    pass.
+    classification, polynomials and recurrence are then read without another
+    recurrence pass.
     """
     if not 1 <= digits <= MAX_DECIMAL_EXPONENT:
         raise ValueError(f"digits must be an integer in 1..{MAX_DECIMAL_EXPONENT}")
-    w, cls, polys = _classified(w)
+    w, cls, polys, recurrence = _classified(w)
     if polys is None:
         raise PreconditionViolated(f"reconstruct needs a consistent degenerate window, got {cls}")
     kernel = polys[-1]
     n0 = kernel.degree
-    # p_{n0}, ..., p_0 is a Sturm sequence for the kernel: beta_1..beta_{n0-1}
-    # are positive on this window, so consecutive p_k have interlacing roots
-    # (Szego, Orthogonal Polynomials, Sec. 3.3) and p_{k-1} and p_{k+1} have
-    # opposite signs at each root of p_k.
-    roots = sturm_isolate(polys[::-1])
-    if len(roots) != n0:
-        raise InconsistentWindow(
-            f"kernel polynomial has {len(roots)} real roots, expected {n0}"
-        )
+    atoms = _rational_atoms(recurrence, kernel)
+    if atoms is None:
+        # p_{n0}, ..., p_0 is a Sturm sequence for the kernel: beta_1..beta_{n0-1}
+        # are positive on this window, so consecutive p_k have interlacing roots
+        # (Szego, Orthogonal Polynomials, Sec. 3.3) and p_{k-1} and p_{k+1} have
+        # opposite signs at each root of p_k.
+        roots = sturm_isolate(polys[::-1])
+        if len(roots) != n0:
+            raise InconsistentWindow(
+                f"kernel polynomial has {len(roots)} real roots, expected {n0}"
+            )
+        if all(r.is_exact for r in roots):
+            atoms = [r.lo for r in roots]
     moments = list(w[: 2 * n0])
     numer, deriv = _weight_polys(kernel, moments)
-    if all(r.is_exact for r in roots):
-        atoms = [r.lo for r in roots]
+    if atoms is not None:
         weights = [
             Fraction(_value_at(_at_denominator(numer, a.denominator), a.numerator, 0),
                      _value_at(_at_denominator(deriv, a.denominator), a.numerator, 0))
@@ -394,7 +509,7 @@ def extend(w, count: int) -> list[Fraction]:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    w, cls, polys = _classified(w)
+    w, cls, polys, _ = _classified(w)
     if polys is None:
         raise PreconditionViolated(f"extend needs a consistent degenerate window, got {cls}")
     # The monic kernel is x**n0 + sum_{j < n0} (cs[j] / den) x**j.

@@ -745,8 +745,9 @@ class TestRecurrencePass:
             assert analyze(window).classification == verdict
             assert calls == [drained]
 
-    def test_polynomials_are_built_only_where_they_are_read(self, monkeypatch):
+    def test_polynomials_are_built_only_where_they_are_read(self, monkeypatch, tmp_path, capsys):
         import hankelmp.hankel as hankel
+        from hankelmp.cli import run
         from hankelmp.recovery import extend, reconstruct
 
         real, calls = hankel._monic_from_recurrence, []
@@ -772,6 +773,12 @@ class TestRecurrencePass:
         assert calls == [2, 2, 2]
         for other in ([1] * 16 + [2], [1, 2, 1], [1, 0, 1, 0, 2]):
             classify(other), analyze(other)
+        assert calls == [2, 2, 2]
+        # CLI classify prints the verdict and D_0..D_N, and builds no p_k.
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(window), encoding="utf-8")
+        assert run(["classify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["determinants"] == ["1", "3", "0", "0"]
         assert calls == [2, 2, 2]
 
     def test_polynomial_builder_makes_no_fraction(self, monkeypatch):

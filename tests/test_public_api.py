@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,24 @@ def test_every_exported_name_has_a_caller_or_is_documented():
             if attr not in used and f"`{attr}" not in readme:
                 unused.append(f"{name}.{attr}")
     assert unused == [], f"exported but never referenced in src/hankelmp nor named in README.md: {unused}"
+
+
+def test_every_package_export_is_on_the_readme_public_api_list():
+    # Stricter than the test above: an internal caller does not keep a name
+    # public, only its line in the README's "Public API" list does.
+    init = Path(hankelmp.__file__)
+    exported = [
+        alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(exported) >= 40
+    readme = (init.parents[2] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([A-Za-z_]\w*)", section))
+    missing = [name for name in exported if name not in listed]
+    assert missing == [], f"exported but not on the README's Public API list: {missing}"
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:

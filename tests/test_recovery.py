@@ -24,12 +24,15 @@ from hankelmp.recovery import (
     measure_moments,
     reconstruct,
 )
+from hankelmp.identities import verify_roundtrip
 from oracles import (
+    fraction_sturm_isolate,
     hilbert_window,
     interval_horner,
     interval_mul,
     interval_power,
     interval_power_sum,
+    orthogonal_poly,
     solve_exact,
 )
 from strategies import rationals
@@ -545,6 +548,192 @@ class TestMomentRoundTrip:
         rec_shifted = reconstruct(measure_moments(shifted, count))
         assert rec_shifted.atoms == tuple(a + c for a in rec.atoms)
         assert rec_shifted.weights == rec.weights
+
+
+def power_sums(atoms, weights, count: int) -> list[F]:
+    """s_k = sum_j w_j * x_j**k for k < count, as plain Fraction sums."""
+    return [sum((w * x**k for x, w in zip(atoms, weights)), F(0)) for k in range(count)]
+
+
+def reconstruct_reference(window) -> list[F]:
+    """The kernel's roots, isolated over ``Fraction``, for a window whose atoms are rational."""
+    n0 = classify(window).n0
+    roots = fraction_sturm_isolate(RationalPoly(orthogonal_poly(window, n0)))
+    assert all(iv.is_exact for iv in roots)
+    return [iv.lo for iv in roots]
+
+
+def bench_shaped_measure(rng: random.Random, n0: int) -> DiscreteMeasure:
+    """n0 distinct atoms in [-4, 4], the k-th with denominator k % 12 + 1, and weights in (0, 5]."""
+    atoms: dict[F, F] = {}
+    for k in range(n0):
+        q = k % 12 + 1
+        while True:
+            x = F(rng.randint(-4 * q, 4 * q), q)
+            if x.denominator == q and x not in atoms:
+                break
+        atoms[x] = F(rng.randint(1, 5 * q), q)
+    ordered = sorted(atoms)
+    return DiscreteMeasure(tuple(ordered), tuple(atoms[x] for x in ordered))
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Count the calls of ``module.name``, one list entry per call."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# Windows whose eigenvalue hints cannot give every atom, and the windows of
+# n0 = 0 and 1, each with the exact evaluations that its hints take.
+FALLBACK_WINDOWS = {
+    # The primitive leading coefficient is 1009 * 100003 * 10000019 > 2**48.
+    "lead-past-2**48": (power_sums([F(1, 1009), F(2, 100003), F(5, 10000019)], [1, 2, 3], 7), 0),
+    # alpha_0 = (10**400 + 2) / 2 overflows a float.
+    "atom-near-1e400": (power_sums([F(1), F(10**400 + 1)], [1, 1], 5), 0),
+    # Both eigenvalues round to 10**6, so the hints collide.
+    "colliding-hints": (power_sums([F(10**6), 10**6 + F(1, 2**40)], [1, 1], 5), 2),
+    # The kernel x * (x**2 - 2): the first hint to deflate is irrational.
+    "mixed-kernel": ([3, 0, 4, 0, 8, 0, 16], 1),
+    "n0=0": ([0, 0, 0], 0),
+    "n0=1": ([2, 6, 18], 1),
+}
+
+
+class TestEigenvalueHints:
+    """``reconstruct`` takes rational atoms from float Jacobi eigenvalues, each
+    confirmed exactly, and runs Sturm isolation only when a hint fails."""
+
+    @given(
+        st.lists(small_rationals, min_size=1, max_size=6, unique=True).flatmap(
+            lambda xs: st.tuples(
+                st.just(sorted(xs)), st.lists(positive_weights, min_size=len(xs), max_size=len(xs))
+            )
+        ),
+        st.integers(1, 3),
+    )
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_rational_measures_match_the_fraction_reference(self, measure, extra):
+        atoms, weights = measure
+        n = len(atoms)
+        window = power_sums(atoms, weights, 2 * n + extra)
+        rec = reconstruct(window)
+        reference = fraction_sturm_isolate(RationalPoly(orthogonal_poly(window, n)))
+        assert all(iv.is_exact for iv in reference)
+        assert rec.atoms == tuple(iv.lo for iv in reference) == tuple(atoms)
+        assert rec.weights == tuple(weights)
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_WINDOWS))
+    def test_fallback_windows_give_the_sturm_result(self, monkeypatch, name):
+        import hankelmp.recovery as recovery
+
+        window, evaluations = FALLBACK_WINDOWS[name]
+        analysis = analyze(window)
+        values = count_calls(monkeypatch, recovery, "_value_at")
+        recovery._rational_atoms(analysis._recurrence, analysis.kernel)
+        assert len(values) == evaluations
+        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
+        rec = reconstruct(window, digits=20)
+        # n0 = 0 and n0 = 1 need no isolation; the others fall back once.
+        assert len(sturm) == (0 if name in ("n0=0", "n0=1") else 1)
+        assert reconstruct(analysis, digits=20) == rec
+        monkeypatch.setattr(recovery, "_rational_atoms", lambda recurrence, kernel: None)
+        assert reconstruct(window, digits=20) == rec
+        if name == "mixed-kernel":
+            assert rec.atoms[1] == 0 and not rec.is_exact
+        else:
+            assert rec.is_exact and rec.atoms == tuple(reconstruct_reference(window))
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            "off-by-1/L",  # every hint moves one grid step r/L
+            "first-repeated",  # the first hint, n0 times
+            "one-short",  # the last eigenvalue is never yielded
+        ],
+    )
+    def test_wrong_hints_fall_back_to_the_right_measure(self, monkeypatch, mutation):
+        import hankelmp.recovery as recovery
+
+        atoms, weights = (F(-1, 2), F(1, 3), F(2)), (F(1), F(2), F(3))
+        window = power_sums(atoms, weights, 9)
+        lead = analyze(window).kernel.primitive[-1]
+        assert lead == 6
+        real = recovery._jacobi_eigenvalues
+
+        def mutated(diag, off):
+            values = list(real(diag, off))
+            if mutation == "off-by-1/L":
+                return [x + 1 / lead for x in values]
+            if mutation == "first-repeated":
+                return values[:1] * len(values)
+            return values[:-1]
+
+        monkeypatch.setattr(recovery, "_jacobi_eigenvalues", mutated)
+        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
+        rec = reconstruct(window)
+        assert len(sturm) == 1
+        assert rec.atoms == atoms and rec.weights == weights
+
+    def test_bench_shaped_rational_windows_need_no_sturm_isolation(self, monkeypatch):
+        # Standing rule: rational atoms with denominators up to 12, at n0 from
+        # 4 to 16, are found from the hints, each at one exact evaluation.
+        import hankelmp.recovery as recovery
+
+        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
+        values = count_calls(monkeypatch, recovery, "_value_at")
+        rng = random.Random(27)
+        for n0 in (4, 8, 12, 16):
+            for _ in range(3):
+                mu = bench_shaped_measure(rng, n0)
+                analysis = analyze(measure_moments(mu, 2 * n0 + 3))
+                values.clear()
+                hinted = recovery._rational_atoms(analysis._recurrence, analysis.kernel)
+                assert hinted == list(mu.atoms) and len(values) <= n0
+                rec = reconstruct(analysis)
+                assert rec.atoms == mu.atoms and rec.weights == mu.weights
+        assert sturm == []
+
+    def test_roundtrip_trials_need_no_sturm_isolation(self, monkeypatch):
+        import hankelmp.recovery as recovery
+
+        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
+        assert verify_roundtrip(trials=30, seed=4).passed
+        assert verify_roundtrip(trials=10, seed=5, max_n=12).passed
+        assert sturm == []
+
+    @pytest.mark.parametrize("n0", [2, 4, 6, 8, 20])
+    def test_gauss_legendre_windows_isolate_once(self, monkeypatch, n0):
+        # An irrational kernel gives up at its first eigenvalue: one exact
+        # evaluation, then one Sturm isolation per reconstruct.
+        import hankelmp.recovery as recovery
+
+        analysis = analyze(hilbert_window(n0))
+        values = count_calls(monkeypatch, recovery, "_value_at")
+        assert recovery._rational_atoms(analysis._recurrence, analysis.kernel) is None
+        assert len(values) == 1
+        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
+        reconstruct(hilbert_window(n0), digits=20)
+        reconstruct(analysis, digits=20)
+        assert len(sturm) == 2
+
+    def test_an_analysis_built_by_hand_falls_back(self, monkeypatch):
+        # A WindowAnalysis made without its private recurrence still reconstructs.
+        import hankelmp.recovery as recovery
+        from hankelmp.hankel import WindowAnalysis
+
+        analysis = analyze([1, 1, 4, 4, 16])
+        bare = WindowAnalysis(*(getattr(analysis, f) for f in (
+            "window", "classification", "orthogonal_polys", "determinants")))
+        assert bare == analysis and repr(bare) == repr(analysis) and hash(bare) == hash(analysis)
+        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
+        assert reconstruct(bare) == reconstruct(analysis)
+        assert len(sturm) == 1
 
 
 def encloses_root(iv: RationalInterval, a: F, b: F, m: int) -> bool:
