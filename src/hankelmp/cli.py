@@ -50,7 +50,6 @@ from .hankel import (
     Invalid,
     MomentWindow,
     PositiveWindow,
-    _classified_to_horizon,
     analyze,
     det_sequence,
 )
@@ -258,9 +257,9 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_classify(args) -> int:
-    # The verdict and D_0..D_N; the orthogonal polynomials are not printed.
-    _, cls, _, dets = _classified_to_horizon(_load_sequence(args.file))
-    _emit(classification_to_doc(cls, dets))
+    # The verdict and D_0..D_N; the orthogonal polynomials are never built.
+    analysis = analyze(_load_sequence(args.file))
+    _emit(classification_to_doc(analysis.classification, analysis.determinants))
     return 0
 
 

@@ -13,11 +13,12 @@ the Chebyshev algorithm's three-term step; at a zero pivot it reads the
 first nonzero entry further along the row, which gives the run of zero
 determinants and the nonzero one after it, and one look-ahead step crosses
 the run.  So one loop yields every D_j, and no elimination runs on this
-path.  The pass is a generator, so library ``classify``, ``reconstruct`` and
-``extend`` take no step past the one that fixes the verdict.  On a
-consistent degenerate window its recurrence coefficients build p_0..p_{n0}
-for ``reconstruct``, ``extend`` and ``analyze``, and library ``classify``,
-``det_sequence`` and CLI ``classify``, which read none, build none: p_{n0}
+path.  ``_verdict`` is the pass's one reader.  It reads the steps up to the
+one that fixes the verdict, where library ``classify``, ``reconstruct`` and
+``extend`` stop, and ``analyze`` reads the rest.  A ``WindowAnalysis`` is
+the one record of a pass: it stores the recurrence coefficients of a
+consistent degenerate window and builds p_0..p_{n0} from them on first
+read, so ``classify``, ``det_sequence`` and ``analyze`` build none: p_{n0}
 is the kernel whose roots are the atoms, and p_{n0}, ..., p_0 is a Sturm
 sequence for it.  ``reconstruct`` also reads the coefficients themselves,
 which form the Jacobi matrix whose eigenvalues are the atoms.  Rows and
@@ -48,9 +49,10 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .errors import NotSymmetric, OutOfWindow
+from .errors import NotSymmetric, OutOfWindow, PreconditionViolated
 from .exact import RationalPoly, _common_denominator, _rational
 
 __all__ = [
@@ -409,14 +411,14 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
 
 def _monic_from_recurrence(
     alphas: Sequence[tuple[int, int]], betas: Sequence[tuple[int, int]]
-) -> tuple[RationalPoly, ...]:
+) -> list[_Row]:
     """p_0..p_n for n = len(alphas), from p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}.
 
     alpha_k = a/b and beta_k = c/e are the integer pairs of ``_Step``, read
     as integers and reduced by their gcd.  ``_three_term`` puts p_k over den
     and p_{k-1} over prev_den onto lcm(b * den, e * prev_den), and each p_k
-    is kept as its integer coefficients over one denominator, the form a
-    ``RationalPoly`` stores.
+    is returned as its integer coefficients over one denominator, the form a
+    ``RationalPoly`` stores, so no polynomial is made here.
     """
     (prev, prev_den), (cur, den) = ([], 1), ([1], 1)
     rows = [(cur, den)]
@@ -431,7 +433,7 @@ def _monic_from_recurrence(
         )
         (prev, prev_den), (cur, den) = (cur, den), nxt
         rows.append(nxt)
-    return tuple(RationalPoly._from_row(nums, d) for nums, d in rows)
+    return rows
 
 
 # The recurrence coefficients alpha_0..alpha_{n0-1} and beta_0..beta_{n0-1}
@@ -446,27 +448,38 @@ class WindowAnalysis:
     ``determinants`` is D_0..D_N for N = horizon.  ``orthogonal_polys`` is
     p_0..p_{n0}, the monic orthogonal polynomials of the window, when it is
     ``Degenerate`` with a consistent tail, and None otherwise; its last entry
-    is the ``kernel``, whose roots are the n0 atoms.  ``analyze`` also keeps
-    the recurrence coefficients of those polynomials in a private field,
-    left out of ``==``, hash and repr, for ``reconstruct``.
+    is the ``kernel``, whose roots are the n0 atoms.  The record stores only
+    their recurrence coefficients, in a private field left out of ``==``,
+    hash and repr; the first read of either property builds the integer
+    rows of p_0..p_{n0} once, and the kernel alone wraps one of them.
     """
 
     window: MomentWindow
     classification: Classification
-    orthogonal_polys: tuple[RationalPoly, ...] | None
     determinants: tuple[Fraction, ...]
     _recurrence: _Recurrence | None = field(default=None, compare=False, repr=False)
 
-    @property
+    @cached_property
+    def _rows(self) -> list[_Row] | None:
+        return None if self._recurrence is None else _monic_from_recurrence(*self._recurrence)
+
+    @cached_property
     def kernel(self) -> RationalPoly | None:
         """The monic p_{n0} of a consistent degenerate window, else None."""
-        return self.orthogonal_polys[-1] if self.orthogonal_polys else None
+        return None if self._rows is None else RationalPoly._from_row(*self._rows[-1])
+
+    @cached_property
+    def orthogonal_polys(self) -> tuple[RationalPoly, ...] | None:
+        """p_0..p_{n0} of a consistent degenerate window, else None; p_{n0} is ``kernel``."""
+        if self._rows is None:
+            return None
+        return (*(RationalPoly._from_row(*row) for row in self._rows[:-1]), self.kernel)
 
 
 def _verdict(
-    w: MomentWindow, steps: Iterator[_Step]
-) -> tuple[Classification, _Recurrence | None, list[Fraction]]:
-    """The classification, the recurrence of p_0..p_{n0} and the D_j read, up to the verdict.
+    w: MomentWindow,
+) -> tuple[Classification, _Recurrence | None, list[Fraction], Iterator[_Step]]:
+    """The classification, the recurrence of p_0..p_{n0}, the D_j read and the rest of the pass.
 
     A window with s_0 = 0 and a nonzero moment reads no step: it is
     ``Invalid`` with ``first_violation`` at the first nonzero moment.
@@ -478,17 +491,17 @@ def _verdict(
     which is the row of that step.  Every later D_j is then zero: for n0 <= j
     <= N and t <= j - n0 the coefficient vector c of x^t p_{n0} is nonzero,
     and (H_j c)_i = <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.
-    Otherwise the same step ends with the first later nonzero D_j, whose sign
-    tells ``ZeroThenPositive`` from a negative determinant, or with none,
-    which leaves the window degenerate with an inconsistent tail.  No D_k <= 0
-    gives ``PositiveWindow``.  Only a consistent degenerate window gets
-    the recurrence coefficients alpha_k and beta_k of its steps, from which
-    ``_monic_from_recurrence`` builds p_0..p_{n0} for the callers that read
-    them.
+    So that step, the pass's last, yields D_k..D_N.  Otherwise the same step
+    ends with the first later nonzero D_j, whose sign tells
+    ``ZeroThenPositive`` from a negative determinant, or with none, which
+    leaves the window degenerate with an inconsistent tail.  No D_k <= 0
+    gives ``PositiveWindow``.  Only a consistent degenerate window gets the
+    recurrence coefficients alpha_k and beta_k of its steps.
     """
+    steps = _pass(w.moments)
     if w[0] == 0 and any(w):
         first_nonzero = next(j for j, s in enumerate(w) if s)
-        return Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL), None, []
+        return Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL), None, [], steps
     dets: list[Fraction] = []
     alphas: list[tuple[int, int]] = []
     betas: list[tuple[int, int]] = []
@@ -498,72 +511,62 @@ def _verdict(
         if step.alpha is not None:
             alphas.append(step.alpha)
             betas.append(step.beta)
-        if step.dets[0] > 0:
+        # D_k has the sign of its numerator, read without a Fraction comparison.
+        sign = step.dets[0].numerator
+        if sign > 0:
             continue
-        if step.dets[0] < 0:
-            return Invalid(k, InvalidReason.NEGATIVE_DETERMINANT), None, dets
+        if sign < 0:
+            return Invalid(k, InvalidReason.NEGATIVE_DETERMINANT), None, dets, steps
         if not any(step.row[0][k:]):
-            return Degenerate(k, True), (alphas, betas), dets
+            return Degenerate(k, True), (alphas, betas), dets, steps
         if dets[-1] == 0:
-            return Degenerate(k, False), None, dets
+            return Degenerate(k, False), None, dets, steps
         if dets[-1] < 0:
-            return Invalid(len(dets) - 1, InvalidReason.NEGATIVE_DETERMINANT), None, dets
-        return Invalid(len(dets) - 1, InvalidReason.ZERO_THEN_POSITIVE), None, dets
-    return PositiveWindow(w.horizon), None, dets
+            return Invalid(len(dets) - 1, InvalidReason.NEGATIVE_DETERMINANT), None, dets, steps
+        return Invalid(len(dets) - 1, InvalidReason.ZERO_THEN_POSITIVE), None, dets, steps
+    return PositiveWindow(w.horizon), None, dets, steps
 
 
-def _classified(
-    w,
-) -> tuple[MomentWindow, Classification, tuple[RationalPoly, ...] | None, _Recurrence | None]:
-    """The window, its classification, p_0..p_{n0} and their recurrence, up to the verdict.
+def _consistent_analysis(w, caller: str) -> WindowAnalysis:
+    """``analyze`` up to the verdict, for ``reconstruct`` and ``extend``.
 
-    ``analyze`` up to the verdict; a ``WindowAnalysis`` already holds all
-    four, so it is read without a pass.
+    A ``WindowAnalysis`` is read without a pass.  On a consistent
+    degenerate window the verdict step is the pass's last, so the record is
+    whole.  Raises ``PreconditionViolated``, naming ``caller``, for a record
+    without the recurrence of p_0..p_{n0}.
     """
-    if isinstance(w, WindowAnalysis):
-        return w.window, w.classification, w.orthogonal_polys, w._recurrence
-    w = _as_window(w)
-    cls, recurrence, _ = _verdict(w, _pass(w.moments))
-    polys = None if recurrence is None else _monic_from_recurrence(*recurrence)
-    return w, cls, polys, recurrence
-
-
-def _classified_to_horizon(
-    w,
-) -> tuple[MomentWindow, Classification, _Recurrence | None, list[Fraction]]:
-    """The window, its classification, the recurrence of p_0..p_{n0} and D_0..D_N.
-
-    ``_verdict`` reads the steps of ``_pass`` up to the step that fixes the
-    classification, and the same pass then runs on to D_N.  No orthogonal
-    polynomial is built, so CLI ``classify`` prints the verdict and the
-    determinants at the cost of the pass alone.
-    """
-    w = _as_window(w)
-    steps = _pass(w.moments)
-    cls, recurrence, dets = _verdict(w, steps)
-    for step in steps:
-        dets += step.dets
-    return w, cls, recurrence, dets
+    if not isinstance(w, WindowAnalysis):
+        w = _as_window(w)
+        cls, recurrence, dets, _ = _verdict(w)
+        w = WindowAnalysis(w, cls, tuple(dets), recurrence)
+    if w._recurrence is None:
+        cls = w.classification
+        raise PreconditionViolated(f"{caller} needs a consistent degenerate window, got {cls}")
+    return w
 
 
 def analyze(w) -> WindowAnalysis:
     """Determinants, classification and orthogonal polynomials in one exact pass.
 
     ``_verdict`` reads the steps of ``_pass`` up to the step that fixes the
-    classification, and the same pass then runs on to D_N.  Library
-    ``classify``, ``reconstruct`` and ``extend`` stop at the verdict.
+    classification, and ``analyze`` reads the rest to D_N.  Library
+    ``classify``, ``reconstruct`` and ``extend`` stop at the verdict.  No
+    polynomial is built until the record's ``orthogonal_polys`` or
+    ``kernel`` is read.
     """
-    w, cls, recurrence, dets = _classified_to_horizon(w)
-    polys = None if recurrence is None else _monic_from_recurrence(*recurrence)
-    return WindowAnalysis(w, cls, polys, tuple(dets), recurrence)
+    w = _as_window(w)
+    cls, recurrence, dets, rest = _verdict(w)
+    dets += (d for step in rest for d in step.dets)
+    return WindowAnalysis(w, cls, tuple(dets), recurrence)
 
 
 def det_sequence(w) -> list[Fraction]:
     """The Hankel determinants [D_0, ..., D_N] for N = horizon of the window.
 
-    They are read off ``_pass`` alone, and no orthogonal polynomial is built.
+    They are the determinants of ``analyze``, and no orthogonal polynomial
+    is built.
     """
-    return [d for step in _pass(_as_window(w).moments) for d in step.dets]
+    return list(analyze(w).determinants)
 
 
 def classify(w) -> Classification:
@@ -577,5 +580,4 @@ def classify(w) -> Classification:
     """
     if isinstance(w, WindowAnalysis):
         return w.classification
-    w = _as_window(w)
-    return _verdict(w, _pass(w.moments))[0]
+    return _verdict(_as_window(w))[0]

@@ -7,9 +7,9 @@ eigenvalue x to the candidate round(x * L) / L, L the primitive leading
 coefficient of p, and accepts it only when p is exactly zero there, so n0
 distinct accepted candidates are the whole root set at O(n0) integer
 operations per atom.  When a candidate fails, the atoms are isolated with
-the Sturm sequence p = p_{n0}, ..., p_0 that the recurrence pass of
-``hankel`` already built.  Isolation, weights and extension read the
-integer forms that each ``RationalPoly`` stores.  The weight of
+the Sturm sequence p = p_{n0}, ..., p_0, built from the recurrence only
+then.  Isolation, weights and extension read the integer forms that each
+``RationalPoly`` stores.  The weight of
 atom x_j is w_j = N(x_j) / p'(x_j), where N(x_j) is the moment functional
 applied to the synthetic-division quotient p / (x - x_j); N is one fixed
 polynomial, so all weights cost O(n0**2).  When every atom is rational the
@@ -46,11 +46,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .errors import (
-    InconsistentWindow,
-    PrecisionUnattainable,
-    PreconditionViolated,
-)
+from .errors import InconsistentWindow, PrecisionUnattainable
 from .exact import (
     MAX_DECIMAL_EXPONENT,
     IsolatingInterval,
@@ -62,7 +58,7 @@ from .exact import (
     refine_root,
     sturm_isolate,
 )
-from .hankel import _classified, _Recurrence
+from .hankel import _consistent_analysis, _Recurrence
 
 __all__ = [
     "AtomValue",
@@ -392,9 +388,7 @@ def _jacobi_eigenvalues(diag: list[float], off: list[float]):
         yield diag[l]
 
 
-def _rational_atoms(
-    recurrence: _Recurrence | None, kernel: RationalPoly
-) -> list[Fraction] | None:
+def _rational_atoms(recurrence: _Recurrence, kernel: RationalPoly) -> list[Fraction] | None:
     """All n0 atoms, increasing, when every one is rational; else None.
 
     The atoms are the eigenvalues of the window's Jacobi matrix, with
@@ -406,12 +400,11 @@ def _rational_atoms(
     distinct accepted candidates are every root of the degree-n0 kernel, so
     floats only propose and no output depends on one.  None at the first
     candidate that fails, so an irrational kernel costs one eigenvalue, and
-    without any hint when L >= ``_MAX_HINT_LEAD``, when the recurrence is
-    not known, or when a float overflows.
+    without any hint when L >= ``_MAX_HINT_LEAD`` or when a float overflows.
     """
     cs = kernel.primitive
     lead = cs[-1]
-    if recurrence is None or lead >= _MAX_HINT_LEAD:
+    if lead >= _MAX_HINT_LEAD:
         return None
     alphas, betas = recurrence
     try:
@@ -450,30 +443,28 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     ``ValueError`` for digits outside 1..MAX_DECIMAL_EXPONENT and
     ``PreconditionViolated`` unless the window classifies as ``Degenerate``
     with a consistent tail.  ``w`` may be a ``WindowAnalysis``, whose
-    classification, polynomials and recurrence are then read without another
-    recurrence pass.
+    recurrence is then read without another recurrence pass; the kernel, and
+    on the Sturm path p_0..p_{n0-1}, are built from it once per record.
     """
     if not 1 <= digits <= MAX_DECIMAL_EXPONENT:
         raise ValueError(f"digits must be an integer in 1..{MAX_DECIMAL_EXPONENT}")
-    w, cls, polys, recurrence = _classified(w)
-    if polys is None:
-        raise PreconditionViolated(f"reconstruct needs a consistent degenerate window, got {cls}")
-    kernel = polys[-1]
+    analysis = _consistent_analysis(w, "reconstruct")
+    kernel = analysis.kernel
     n0 = kernel.degree
-    atoms = _rational_atoms(recurrence, kernel)
+    atoms = _rational_atoms(analysis._recurrence, kernel)
     if atoms is None:
         # p_{n0}, ..., p_0 is a Sturm sequence for the kernel: beta_1..beta_{n0-1}
         # are positive on this window, so consecutive p_k have interlacing roots
         # (Szego, Orthogonal Polynomials, Sec. 3.3) and p_{k-1} and p_{k+1} have
         # opposite signs at each root of p_k.
-        roots = sturm_isolate(polys[::-1])
+        roots = sturm_isolate(analysis.orthogonal_polys[::-1])
         if len(roots) != n0:
             raise InconsistentWindow(
                 f"kernel polynomial has {len(roots)} real roots, expected {n0}"
             )
         if all(r.is_exact for r in roots):
             atoms = [r.lo for r in roots]
-    moments = list(w[: 2 * n0])
+    moments = list(analysis.window[: 2 * n0])
     numer, deriv = _weight_polys(kernel, moments)
     if atoms is not None:
         weights = [
@@ -505,20 +496,19 @@ def extend(w, count: int) -> list[Fraction]:
     degree-n0 orthogonal polynomial; for n0 = 0 the continuation is zero.
     Raises ``PreconditionViolated`` unless the window classifies as
     ``Degenerate`` with a consistent tail.  ``w`` may be a
-    ``WindowAnalysis``, read without another recurrence pass.
+    ``WindowAnalysis``, whose kernel is then read without another recurrence
+    pass.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    w, cls, polys, _ = _classified(w)
-    if polys is None:
-        raise PreconditionViolated(f"extend needs a consistent degenerate window, got {cls}")
+    analysis = _consistent_analysis(w, "extend")
     # The monic kernel is x**n0 + sum_{j < n0} (cs[j] / den) x**j.
-    kernel = polys[-1]
+    kernel = analysis.kernel
     cs, n0, den = kernel.numerators[:-1], kernel.degree, kernel.denominator
-    values = list(w)
+    values = list(analysis.window)
     for _ in range(count):
         # One common denominator d of the last n0 values, so one gcd per step.
         # The slice keeps n0 = 0 empty, where values[-0:] would take them all.
         last, d = _common_denominator(values[len(values) - n0 :])
         values.append(Fraction(-sum(map(mul, cs, last)), den * d))
-    return values[len(w) :]
+    return values[len(analysis.window) :]

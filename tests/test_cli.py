@@ -604,7 +604,7 @@ class TestUsage:
         def broken(window):
             raise ValueError("internal invariant failed")
 
-        monkeypatch.setattr("hankelmp.cli._classified_to_horizon", broken)
+        monkeypatch.setattr("hankelmp.cli.analyze", broken)
         path = write_json(tmp_path, "a4.json", A4)
         code, out, err = invoke(capsys, ["classify", path])
         assert (code, out, err) == (1, "", "hankelmp: internal invariant failed\n")

@@ -22,6 +22,7 @@ from hankelmp.hankel import (
     InvalidReason,
     MomentWindow,
     PositiveWindow,
+    _consistent_analysis,
     _monic_from_recurrence,
     _pass,
     _scaled,
@@ -501,6 +502,25 @@ def cofactor_determinants(window):
     ]
 
 
+def monic_polys(alphas, betas) -> tuple[RationalPoly, ...]:
+    """p_0..p_n from the integer rows of ``_monic_from_recurrence``."""
+    return tuple(RationalPoly._from_row(*row) for row in _monic_from_recurrence(alphas, betas))
+
+
+def count_builds(monkeypatch) -> list[int]:
+    """Record n for each call of ``hankel._monic_from_recurrence`` on p_0..p_n."""
+    import hankelmp.hankel as hankel
+
+    real, calls = hankel._monic_from_recurrence, []
+
+    def counted(alphas, betas):
+        calls.append(len(alphas))
+        return real(alphas, betas)
+
+    monkeypatch.setattr(hankel, "_monic_from_recurrence", counted)
+    return calls
+
+
 @st.composite
 def zero_prefix_windows(draw):
     """s_0 = .. = s_{j-1} = 0 ahead of a free tail, with horizons up to 6."""
@@ -611,7 +631,7 @@ class TestRecurrencePass:
         alphas = [step.alpha for step in steps[1 : k + 1]]
         betas = [step.beta for step in steps[1 : k + 1]]
         assert ([F(*a) for a in alphas], [F(*b) for b in betas[1:]]) == (ref.alphas, ref.betas[1:])
-        assert _monic_from_recurrence(alphas, betas) == fraction_monic_polys(ref.alphas, ref.betas)
+        assert monic_polys(alphas, betas) == fraction_monic_polys(ref.alphas, ref.betas)
         # Past it, the look-ahead steps give what the subresultant
         # continuation gave, and both give the cofactor determinants.
         known = list(accumulate(ref.pivots, mul))
@@ -746,21 +766,15 @@ class TestRecurrencePass:
             assert calls == [drained]
 
     def test_polynomials_are_built_only_where_they_are_read(self, monkeypatch, tmp_path, capsys):
-        import hankelmp.hankel as hankel
         from hankelmp.cli import run
         from hankelmp.recovery import extend, reconstruct
 
-        real, calls = hankel._monic_from_recurrence, []
-
-        def counted(alphas, betas):
-            calls.append(len(alphas))
-            return real(alphas, betas)
-
-        monkeypatch.setattr(hankel, "_monic_from_recurrence", counted)
-        # Library classify and det_sequence read no p_k, so a consistent
-        # degenerate window builds none there; reconstruct, extend and analyze
-        # build p_0..p_n0 once each, and an analysis hands its own to
-        # reconstruct and extend.
+        calls = count_builds(monkeypatch)
+        # Library classify and det_sequence read no p_k, and analyze builds
+        # none until its record is read, so a consistent degenerate window
+        # builds none there; reconstruct and extend of a window build the
+        # rows of p_0..p_n0 once each, and an analysis builds its own once,
+        # on the first read, for reconstruct and extend together.
         window = [1, 1, 4, 4, 16, 16, 64]
         assert classify(window) == Degenerate(2, True) and calls == []
         assert det_sequence(window) == [1, 3, 0, 0] and calls == []
@@ -768,11 +782,12 @@ class TestRecurrencePass:
         assert calls == [2]
         extend(window, 3)
         analysis = analyze(window)
-        assert calls == [2, 2, 2]
+        assert calls == [2, 2]
         reconstruct(analysis), extend(analysis, 3), classify(analysis)
         assert calls == [2, 2, 2]
         for other in ([1] * 16 + [2], [1, 2, 1], [1, 0, 1, 0, 2]):
-            classify(other), analyze(other)
+            classify(other)
+            assert analyze(other).orthogonal_polys is None
         assert calls == [2, 2, 2]
         # CLI classify prints the verdict and D_0..D_N, and builds no p_k.
         path = tmp_path / "window.json"
@@ -780,6 +795,34 @@ class TestRecurrencePass:
         assert run(["classify", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["determinants"] == ["1", "3", "0", "0"]
         assert calls == [2, 2, 2]
+
+    def test_reading_the_polynomials_changes_no_record(self, monkeypatch):
+        from hankelmp.recovery import extend, reconstruct
+
+        calls = count_builds(monkeypatch)
+        window = [1, 1, 4, 4, 16, 16, 64]
+        unread, read = analyze(window), analyze(window)
+        before = (hash(read), repr(read))
+        # The kernel is the last row wrapped once; the other p_k are wrapped
+        # on the first read of orthogonal_polys, from the same rows.
+        assert read.kernel == RationalPoly([-4, 0, 1]) and calls == [2]
+        assert read.orthogonal_polys[-1] is read.kernel
+        reconstruct(read), extend(read, 3)
+        assert calls == [2]
+        assert read == unread and (hash(read), repr(read)) == before == (hash(unread), repr(unread))
+        assert "RationalPoly" not in repr(read)
+
+    @given(verdict_windows("consistent"))
+    @example(([F(0)] * 7, ("degenerate", 0, True)))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_the_record_read_to_the_verdict_holds_every_determinant(self, drawn):
+        # On a consistent degenerate window the verdict step is the pass's
+        # last, so the record that reconstruct and extend read is analyze's.
+        window, expected = drawn
+        record = _consistent_analysis(window, "reconstruct")
+        assert as_tuple(record.classification) == expected
+        assert list(record.determinants) == det_sequence(window) == cofactor_determinants(window)
+        assert record == analyze(window)
 
     def test_polynomial_builder_makes_no_fraction(self, monkeypatch):
         import hankelmp.hankel as hankel
@@ -863,7 +906,7 @@ class TestDeepWindows:
         # h_k = D_k / D_{k-1}, and p_0..p_k stay orthogonal.
         k = next((k for k, step in enumerate(steps) if step.dets[0] <= 0), len(steps) - 1)
         dets = [F(1)] + [step.dets[0] for step in steps[: k + 1]]
-        polys = _monic_from_recurrence(
+        polys = monic_polys(
             [step.alpha for step in steps[1 : k + 1]], [step.beta for step in steps[1 : k + 1]]
         )
         for k, p in enumerate(polys):

@@ -601,17 +601,16 @@ class TestCampaigns:
         import dataclasses
 
         import hankelmp.identities as identities
-        from hankelmp.exact import RationalPoly
         from hankelmp.recovery import extend
 
-        def kernel_coefficient_off(analysis, count):
-            # The kernel's constant coefficient plus one drives the recurrence.
-            *polys, kernel = analysis.orthogonal_polys
-            cs = kernel.coeffs
-            off = RationalPoly([cs[0] + 1, *cs[1:]])
-            return extend(dataclasses.replace(analysis, orthogonal_polys=(*polys, off)), count)
+        def recurrence_off(analysis, count):
+            # alpha_0 plus one moves every root of the kernel that drives the
+            # extension.
+            ((a, b), *alphas), betas = analysis._recurrence
+            off = dataclasses.replace(analysis, _recurrence=([(a + b, b), *alphas], betas))
+            return extend(off, count)
 
-        monkeypatch.setattr(identities, "extend", kernel_coefficient_off)
+        monkeypatch.setattr(identities, "extend", recurrence_off)
         report = verify_roundtrip(trials=3, seed=1)
         assert len(report.failures) == 3
         for index, failure in enumerate(report.failures):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -151,12 +152,12 @@ def test_every_private_module_name_is_read():
 
 
 def _public_members(cls: type) -> list[str]:
-    """The methods and properties that ``cls`` defines itself, underscored names aside."""
+    """The methods and (cached) properties that ``cls`` defines itself, underscored names aside."""
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
     return [
         name
         for name, value in vars(cls).items()
-        if not name.startswith("_")
-        and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))
+        if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))
     ]
 
 

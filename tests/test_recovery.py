@@ -722,18 +722,18 @@ class TestEigenvalueHints:
         reconstruct(analysis, digits=20)
         assert len(sturm) == 2
 
-    def test_an_analysis_built_by_hand_falls_back(self, monkeypatch):
-        # A WindowAnalysis made without its private recurrence still reconstructs.
-        import hankelmp.recovery as recovery
+    def test_a_record_without_its_recurrence_is_refused(self):
+        # The recurrence is a record's one source of its polynomials, so a
+        # WindowAnalysis made without it holds no kernel to reconstruct from.
         from hankelmp.hankel import WindowAnalysis
 
         analysis = analyze([1, 1, 4, 4, 16])
-        bare = WindowAnalysis(*(getattr(analysis, f) for f in (
-            "window", "classification", "orthogonal_polys", "determinants")))
+        bare = WindowAnalysis(analysis.window, analysis.classification, analysis.determinants)
         assert bare == analysis and repr(bare) == repr(analysis) and hash(bare) == hash(analysis)
-        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
-        assert reconstruct(bare) == reconstruct(analysis)
-        assert len(sturm) == 1
+        assert bare.kernel is None and bare.orthogonal_polys is None
+        for name, call in (("reconstruct", reconstruct), ("extend", lambda w: extend(w, 3))):
+            with pytest.raises(PreconditionViolated, match=f"^{name} needs a consistent degenerate"):
+                call(bare)
 
 
 def encloses_root(iv: RationalInterval, a: F, b: F, m: int) -> bool:
