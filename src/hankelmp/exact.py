@@ -552,10 +552,10 @@ def refine_root(iv: IsolatingInterval, digits: int) -> IsolatingInterval:
     and a root on a grid point of its levels comes back exact, at O(log
     digits) evaluations near the root in place of O(digits).  Exact roots
     come back unchanged; the output is always nested inside the input and
-    keeps isolating the same root.  Raises ``ValueError`` for digits < 1, or
-    when p has the same nonzero sign at both endpoints.
+    keeps isolating the same root.  Raises ``ValueError`` unless digits is a
+    positive integer, or when p has the same nonzero sign at both endpoints.
     """
-    if digits < 1:
+    if not isinstance(digits, int) or digits < 1:
         raise ValueError("digits must be a positive integer")
     if iv.is_exact:
         return iv

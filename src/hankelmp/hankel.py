@@ -552,8 +552,11 @@ def analyze(w) -> WindowAnalysis:
     classification, and ``analyze`` reads the rest to D_N.  Library
     ``classify``, ``reconstruct`` and ``extend`` stop at the verdict.  No
     polynomial is built until the record's ``orthogonal_polys`` or
-    ``kernel`` is read.
+    ``kernel`` is read.  A ``WindowAnalysis`` is returned as it is, with no
+    pass step.
     """
+    if isinstance(w, WindowAnalysis):
+        return w
     w = _as_window(w)
     cls, recurrence, dets, rest = _verdict(w)
     dets += (d for step in rest for d in step.dets)

@@ -22,10 +22,13 @@ denominators, s_k = N_k / (V A^k).  The determinants and the passing PSD
 test run on integer matrices scaled from it, which are zero, equal or PSD
 exactly when the rational ones are: ``det1`` and ``det2`` scale rows and
 columns by known powers of 840 V and A, and ``_bareiss`` takes their
-determinants; ``psd-theorem`` eliminates the integer Hankel matrix (N_{i+j}),
-which is V diag(A^i) H_N diag(A^i).  ``roundtrip`` and ``classify`` read the
-rational window s_k.  Failure records print the rational matrices,
-determinants and witnesses, rebuilt on the failing path only.
+determinants, det2's factor D_{n-1} among them: it is read off the leading
+n x n block of the det2 matrix itself.  ``psd-theorem`` eliminates the
+integer Hankel matrix (N_{i+j}), which is V diag(A^i) H_N diag(A^i).  Only
+``roundtrip`` (``analyze``) and ``psd-theorem`` (``classify``) run the
+recurrence pass, on the rational window s_k.  Failure records print the
+rational matrices, determinants and witnesses, rebuilt on the failing path
+only.
 """
 from __future__ import annotations
 
@@ -37,16 +40,7 @@ from typing import Callable, Sequence
 from . import hankel
 from .errors import InfeasibleSpec
 from .exact import format_rational
-from .hankel import (
-    Degenerate,
-    MomentWindow,
-    analyze,
-    classify,
-    det_sequence,
-    hankel_matrix,
-    is_psd,
-    psd_witness,
-)
+from .hankel import Degenerate, MomentWindow, analyze, classify, hankel_matrix, is_psd, psd_witness
 from .recovery import _moment_sums, extend, reconstruct
 
 __all__ = [
@@ -280,8 +274,14 @@ def _campaign(name: str, trials: int, seed: int, max_n: int, max_p: int | None,
     """Run ``trials`` trials, each ``trial(rng, n, p, atoms, weights)`` after the shared draws.
 
     p is None when ``max_p`` is.  A record that ``trial`` returns is a failure,
-    written after the head ``trial``, ``n``, [``p``], ``measure``.
+    written after the head ``trial``, ``n``, [``p``], ``measure``.  Raises
+    ``ValueError`` unless ``trials``, ``max_n`` and ``max_p`` (when given)
+    are integers of at least 1.
     """
+    named = [("trials", trials), ("max_n", max_n)] + ([] if max_p is None else [("max_p", max_p)])
+    for arg, value in named:
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{arg} must be an integer of at least 1")
     rng = SplitMix64(seed)
     params = {"maxN": max_n} if max_p is None else {"maxN": max_n, "maxP": max_p}
     report = CampaignReport(name, trials, seed, params)
@@ -334,15 +334,16 @@ def _det2_trial(
 ) -> dict | None:
     xs = [rng.rational(Fraction(-6), Fraction(6), 8) for _ in range(p + 1)]
     order, anti = n + p + 1, 2 * n + p
-    # One table and one D_{n-1} serve all three matrices: they share the measure.
+    # One table serves all three matrices: they share the measure.  Entry
+    # (i, j) times c A^(i+j), c = 840 V, scales both sides by c^order
+    # A^(order(order-1)) and the moment entries to 840 N_{i+j}.  On the right
+    # each x_j - s_{2n+p} takes c A^(2n+p), and D_{n-1} the rest: the leading
+    # n x n block (840 N_{i+j}), positive definite, so Bareiss swaps no row,
+    # has determinant 840^n V^n A^(n(n-1)) D_{n-1}.
     table, v, a = _moment_table(atoms, weights, anti + 1)
-    # Entry (i, j) times c A^(i+j), c = 840 V, scales both sides by
-    # c^order A^(order(order-1)): the moment entries become 840 N_{i+j}.  On
-    # the right each factor x_j - s_{2n+p} takes c A^(2n+p), the integer
-    # det (N_{i+j}), i, j < n, is V^n A^(n(n-1)) D_{n-1}, and 840^n is the rest.
     c = _SCALE * v
     moments = [_SCALE * t for t in table]
-    d_prev = det_sequence(table[: 2 * n - 1])[n - 1].numerator
+    d_prev = _bareiss([moments[i : i + n] for i in range(n)])
     xs_scaled = [_times(x, c * a**anti) for x in xs]
 
     def det(anti_entries: list[int], fill: list[Fraction]) -> int:
@@ -351,9 +352,7 @@ def _det2_trial(
 
     fill = _det2_fill(rng, p)
     lhs = det(xs_scaled, fill)
-    rhs = (-1) ** (p * (p + 1) // 2) * d_prev * _SCALE**n * math.prod(
-        x - moments[anti] for x in xs_scaled
-    )
+    rhs = (-1) ** (p * (p + 1) // 2) * d_prev * math.prod(x - moments[anti] for x in xs_scaled)
     problems = []
     if lhs != rhs:
         problems.append("factorization mismatch")

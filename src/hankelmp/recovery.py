@@ -215,16 +215,16 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     of ``_refinements`` whose enclosures are that narrow.  In s_{count-1}
     the atoms' widths are multiplied by up to about count * sum_j w_j *
     X**(count - 1), X = max(1, max |x_j|), so the pads go on past 160 until
-    they exceed the digits of that factor by 10.  Raises ``ValueError`` for
-    count < 1 or for digits outside 1..MAX_DECIMAL_EXPONENT, and
-    ``PrecisionUnattainable`` when no round is narrow enough.  Its message
-    names the stored weight enclosures when the last round's atoms, taken
-    as points, still give a moment that is too wide, and the refinement
-    rounds otherwise.
+    they exceed the digits of that factor by 10.  Raises ``ValueError``
+    unless count is an integer of at least 1 and digits an integer in
+    1..MAX_DECIMAL_EXPONENT, and ``PrecisionUnattainable`` when no round is
+    narrow enough.  Its message names the stored weight enclosures when the
+    last round's atoms, taken as points, still give a moment that is too
+    wide, and the refinement rounds otherwise.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if not 1 <= digits <= MAX_DECIMAL_EXPONENT:
+    if not isinstance(count, int) or count < 1:
+        raise ValueError("count must be an integer of at least 1")
+    if not isinstance(digits, int) or not 1 <= digits <= MAX_DECIMAL_EXPONENT:
         raise ValueError(f"digits must be an integer in 1..{MAX_DECIMAL_EXPONENT}")
     if mu.is_exact:
         return [Fraction(lo, den) for lo, _, den in _moment_sums(mu.atoms, mu.weights, count)]
@@ -440,13 +440,14 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     irrational atom, all weights are returned as enclosures on a dyadic grid,
     refined until the moment residuals up to s_{2*n0 - 1} are certified
     within 10**-digits and every weight is certified positive.  Raises
-    ``ValueError`` for digits outside 1..MAX_DECIMAL_EXPONENT and
-    ``PreconditionViolated`` unless the window classifies as ``Degenerate``
-    with a consistent tail.  ``w`` may be a ``WindowAnalysis``, whose
-    recurrence is then read without another recurrence pass; the kernel, and
-    on the Sturm path p_0..p_{n0-1}, are built from it once per record.
+    ``ValueError`` unless digits is an integer in 1..MAX_DECIMAL_EXPONENT,
+    and ``PreconditionViolated`` unless the window classifies as
+    ``Degenerate`` with a consistent tail.  ``w`` may be a
+    ``WindowAnalysis``, whose recurrence is then read without another
+    recurrence pass; the kernel, and on the Sturm path p_0..p_{n0-1}, are
+    built from it once per record.
     """
-    if not 1 <= digits <= MAX_DECIMAL_EXPONENT:
+    if not isinstance(digits, int) or not 1 <= digits <= MAX_DECIMAL_EXPONENT:
         raise ValueError(f"digits must be an integer in 1..{MAX_DECIMAL_EXPONENT}")
     analysis = _consistent_analysis(w, "reconstruct")
     kernel = analysis.kernel
@@ -494,13 +495,14 @@ def extend(w, count: int) -> list[Fraction]:
 
     Uses the linear recurrence carried by the coefficients of the monic
     degree-n0 orthogonal polynomial; for n0 = 0 the continuation is zero.
-    Raises ``PreconditionViolated`` unless the window classifies as
+    Raises ``ValueError`` unless count is a nonnegative integer, and
+    ``PreconditionViolated`` unless the window classifies as
     ``Degenerate`` with a consistent tail.  ``w`` may be a
     ``WindowAnalysis``, whose kernel is then read without another recurrence
     pass.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    if not isinstance(count, int) or count < 0:
+        raise ValueError("count must be a nonnegative integer")
     analysis = _consistent_analysis(w, "extend")
     # The monic kernel is x**n0 + sum_{j < n0} (cs[j] / den) x**j.
     kernel = analysis.kernel

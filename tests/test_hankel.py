@@ -736,6 +736,13 @@ class TestRecurrencePass:
                 assert list(analysis.determinants) == cofactor_determinants(window)
             assert calls == [steps]
 
+    def test_analysis_of_an_analysis_is_the_record_itself(self, monkeypatch):
+        analysis = analyze([2, 0, 4, 0, 8])
+        calls = count_pass_steps(monkeypatch)
+        assert analyze(analysis) is analysis
+        assert det_sequence(analysis) == list(analysis.determinants) == [2, 8, 0]
+        assert calls == []
+
     def test_verdict_reads_no_later_determinants(self, monkeypatch):
         from hankelmp.errors import PreconditionViolated
         from hankelmp.recovery import extend, reconstruct

@@ -295,6 +295,19 @@ class TestScaledDeterminants:
         rows = _det2_rows(n, p, [840 * t for t in nums], [int(x) for x in scaled_xs], scaled_fill)
         assert _bareiss(rows) == rational * (840 * v) ** order * a ** (order * (order - 1))
 
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**64 - 1))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_det2_leading_block_is_the_scaled_hankel_determinant(self, n, p, seed):
+        # det2 reads D_{n-1} off the leading n x n block of its integer matrix.
+        atoms, weights = _draw_measure(SplitMix64(seed), n)
+        table, v, a = _moment_table(atoms, weights, 2 * n + p + 1)
+        moments = [840 * t for t in table]
+        rows = _det2_rows(n, p, moments, [0] * (p + 1), [0] * (p * (p + 1) // 2))
+        block = [row[:n] for row in rows[:n]]
+        assert block == [moments[i : i + n] for i in range(n)]
+        window = measure_moments(DiscreteMeasure(atoms, weights), 2 * n - 1)
+        assert _bareiss(block) == 840**n * v**n * a ** (n * (n - 1)) * det_sequence(window)[n - 1]
+
     def test_moment_table_is_the_measure_moments_scaled(self):
         atoms, weights = (F(-3, 2), F(1, 3), F(4)), (F(1, 6), F(5, 4), F(2))
         table, v, a = _moment_table(atoms, weights, 9)
@@ -428,24 +441,43 @@ class TestCampaigns:
         text = (Path(__file__).parent / "data" / recorded).read_text(encoding="utf-8")
         assert json.dumps(doc, indent=1) + "\n" == text
 
+    @pytest.mark.parametrize(
+        "runner, kwargs, arg",
+        [
+            (verify_psd_theorem, {"trials": -1}, "trials"),
+            (verify_roundtrip, {"trials": 2.0}, "trials"),
+            (verify_det1, {"max_n": 0}, "max_n"),
+            (verify_psd_theorem, {"max_n": 1.5}, "max_n"),
+            (verify_det2, {"max_p": 0}, "max_p"),
+            (verify_det1, {"max_p": "3"}, "max_p"),
+        ],
+    )
+    def test_counts_that_are_not_positive_integers_are_rejected(self, runner, kwargs, arg):
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer of at least 1$"):
+            runner(**kwargs)
+
     def test_det2_computes_the_moments_once_per_trial(self, monkeypatch):
+        # D_{n-1} is the determinant of the det2 matrix's own leading block,
+        # so no trial runs the recurrence pass.
+        import hankelmp.hankel as hankel
         import hankelmp.identities as identities
 
-        calls, det_calls = [], []
+        calls, passes = [], []
+        original = hankel._pass
 
         def counted(atoms, weights, count):
             calls.append(count)
             return _moment_table(atoms, weights, count)
 
-        def counted_dets(w):
-            det_calls.append(len(w))
-            return det_sequence(w)
+        def counted_pass(s):
+            passes.append(len(s))
+            return original(s)
 
         monkeypatch.setattr(identities, "_moment_table", counted)
-        monkeypatch.setattr(identities, "det_sequence", counted_dets)
+        monkeypatch.setattr(hankel, "_pass", counted_pass)
         assert verify_det2(trials=8, seed=3).passed
         assert len(calls) == 8
-        assert len(det_calls) == 8
+        assert passes == []
 
     def test_roundtrip_runs_the_recurrence_pass_once_per_trial(self, monkeypatch):
         import hankelmp.hankel as hankel
@@ -549,11 +581,12 @@ class TestCampaigns:
 
         calls = []
 
-        def off_on_the_second_call(rows):
+        # Trial 0 takes D_{n-1}, then the lhs, then the determinant on the second fill.
+        def off_on_the_third_call(rows):
             calls.append(rows)
-            return _bareiss(rows) + (1 if len(calls) == 2 else 0)
+            return _bareiss(rows) + (1 if len(calls) == 3 else 0)
 
-        monkeypatch.setattr(identities, "_bareiss", off_on_the_second_call)
+        monkeypatch.setattr(identities, "_bareiss", off_on_the_third_call)
         report = verify_det2(trials=3, seed=3)
         assert len(report.failures) == 1
         (failure,) = report.failures

@@ -862,6 +862,25 @@ class TestWeights:
         moments = measure_moments(rec, 5, digits=MAX_DECIMAL_EXPONENT)
         assert all(m.lo <= s <= m.hi for m, s in zip(moments, window))
 
+    def test_digits_and_counts_that_are_not_integers_rejected(self):
+        # A float passes a range check, so each check also asks for an int, and
+        # fails before Fraction, a power of ten or bit_length sees the float.
+        from hankelmp.exact import refine_root
+
+        window = [2, 0, 4, 0, 8]
+        mu = reconstruct(window, 10)
+        assert not mu.is_exact
+        for call, message in [
+            (lambda: reconstruct(window, digits=2.5), "digits must be an integer in 1..4300"),
+            (lambda: reconstruct(window, digits=4300.0), "digits must be an integer in 1..4300"),
+            (lambda: measure_moments(mu, 3, 2.5), "digits must be an integer in 1..4300"),
+            (lambda: refine_root(mu.atoms[0], 2.5), "digits must be a positive integer"),
+            (lambda: measure_moments(mu, 2.0), "count must be an integer of at least 1"),
+            (lambda: extend(window, 2.5), "count must be a nonnegative integer"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestExtend:
     def test_examples(self):
