@@ -9,9 +9,10 @@ closes it early, as ``| head`` does, ``main`` exits 1 silently: the rest of
 the report is dropped and no traceback is printed.
 ``--digits`` takes 1..MAX_DECIMAL_EXPONENT (4300); ``--count`` takes
 0..MAX_COUNT (10000) for extend and 1..MAX_COUNT for moments.  ``verify``
-takes ``--trials`` 1..MAX_TRIALS (10000), ``--max-n`` 1..MAX_VERIFY_N (32)
-and ``--max-p`` 1..MAX_VERIFY_P (16).  An input file whose JSON nests deeper
-than the parser's recursion limit is a parse error (exit 2).
+takes ``--trials`` 1..MAX_TRIALS (10000), ``--max-n`` 1..MAX_VERIFY_N (32),
+``--max-p`` 1..MAX_VERIFY_P (16) and ``--seed`` 0..2^64 - 1.  An input file
+whose JSON nests deeper than the parser's recursion limit is a parse error
+(exit 2).
 A decimal exponent in any decimal digits is bounded by MAX_DECIMAL_EXPONENT.
 A measure file's interval atom needs lo <= hi and a poly of degree at most
 MAX_ATOM_DEGREE (100), checked before the poly is built, where its one-root
@@ -442,10 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign", choices=sorted(_CAMPAIGNS))
     _, trials = _campaign_defaults("trials")
     _, max_n = _campaign_defaults("max_n")
+    _, seed = _campaign_defaults("seed")
     p_takers, max_p = _campaign_defaults("max_p")
     p.add_argument("--trials", type=_int_in(1, MAX_TRIALS),
                    help=f"number of trials, 1..{MAX_TRIALS} (default {trials})")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_in(0, 2**64 - 1),
+                   help=f"seed of the trials' SplitMix64 stream, 0..2^64-1 (default {seed})")
     p.add_argument("--max-n", type=_int_in(1, MAX_VERIFY_N),
                    help=f"largest atom count, 1..{MAX_VERIFY_N} (default {max_n})")
     p.add_argument("--max-p", type=_int_in(1, MAX_VERIFY_P),

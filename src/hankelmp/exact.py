@@ -2,10 +2,11 @@
 
 Nothing in this module rounds.  ``_common_denominator`` writes rationals as
 integer numerators over their lcm denominator, here and in the rest of the
-package.  ``RationalPoly`` stores that row form, the one in which the
-recurrence pass of ``hankel`` builds each orthogonal polynomial, and its
-primitive integer form, on which every kernel runs; its ``coeffs`` are
-``fractions.Fraction`` values made for printing and for readers only.
+package.  ``RationalPoly`` stores that row form, the one in which
+``hankel._monic_from_recurrence`` builds each orthogonal polynomial from the
+recurrence pass's coefficients, and its primitive integer form, on which
+every kernel runs; its ``coeffs`` are ``fractions.Fraction`` values made for
+printing and for readers only.
 The sign of a polynomial at x = n/d is the sign of sum_j c_j n^j d^(deg-j)
 over its primitive form (homogeneous Horner).
 Isolation bisects the dyadic grid n / 2**k from [-2**t, 2**t], a power of

@@ -15,19 +15,20 @@ determinants and the nonzero one after it, and one look-ahead step crosses
 the run.  So one loop yields every D_j, and no elimination runs on this
 path.  ``_verdict`` is the pass's one reader.  It reads the steps up to the
 one that fixes the verdict, where library ``classify``, ``reconstruct`` and
-``extend`` stop, and ``analyze`` reads the rest.  A ``WindowAnalysis`` is
-the one record of a pass: it stores the recurrence coefficients of a
-consistent degenerate window and builds p_0..p_{n0} from them on first
-read, so ``classify``, ``det_sequence`` and ``analyze`` build none: p_{n0}
-is the kernel whose roots are the atoms, and p_{n0}, ..., p_0 is a Sturm
-sequence for it.  ``reconstruct`` also reads the coefficients themselves,
-which form the Jacobi matrix whose eigenvalues are the atoms.  Rows and
-polynomials are integer numerators over one positive denominator, the form
-of ``_common_denominator`` and of ``RationalPoly``, reduced once per row by
-a single gcd.  One integer three-term step, ``_three_term``, forms both
-from the two rows before with three integer multipliers, and the builder
-reads the pass's alpha_k and beta_k as integer pairs, so no ``Fraction`` is
-made but the determinants.
+``extend`` stop, and returns the record and the rest of the pass, which
+``analyze`` reads.  A ``WindowAnalysis`` is the one record of a pass: it
+stores the recurrence coefficients of a consistent degenerate window and
+builds p_0..p_{n0} from them on first read, so ``classify``,
+``det_sequence`` and ``analyze`` build none: p_{n0} is the kernel whose
+roots are the atoms, and p_{n0}, ..., p_0 is a Sturm sequence for it.
+``reconstruct`` also reads the coefficients themselves, which form the
+Jacobi matrix whose eigenvalues are the atoms.  Rows and polynomials are
+integer numerators over one positive denominator, the form of
+``_common_denominator`` and of ``RationalPoly``, reduced once per row by a
+single gcd.  One integer three-term step, ``_three_term``, forms both from
+the two rows before with three integer multipliers, and the builder reads
+the pass's alpha_k and beta_k as integer pairs, so no ``Fraction`` is made
+but the determinants.
 
 Matrices are plain rows.  ``hankel_matrix`` gives H_n as a tuple of row
 tuples, each a slice of the window's moments, and ``is_psd`` and
@@ -46,7 +47,7 @@ not imply PSD, so the test does not read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -321,9 +322,9 @@ def _block_step(r: Sequence[int], rden: int, q: Sequence[int], qden: int, k: int
     u = [Fraction(0)] * (d + 1) + [Fraction(1)]
     for t in range(d + 1):
         # gamma * sigma_prev(k+t) / c, where the denominators cancel.
-        known = Fraction(q[k + t], q[k - 1]) if k else Fraction(0)
+        known = Fraction(q[k + t], q[k - 1])
         u[d - t] = known - sum(u[i] * r[k + t + i] for i in range(d - t + 1, d + 2)) / c
-    gamma = Fraction(c * qden, rden * q[k - 1]) if k else Fraction(0)
+    gamma = Fraction(c * qden, rden * q[k - 1])
     lcm = math.lcm(rden * math.lcm(*(v.denominator for v in u)), gamma.denominator * qden)
     fs = [v.numerator * (lcm // (v.denominator * rden)) for v in u]
     fg = gamma.numerator * (lcm // (gamma.denominator * qden))
@@ -351,29 +352,33 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
     sigma_k(k+1) / sigma_k(k) - sigma_prev(k) / sigma_prev(k-1) and beta_k =
     sigma_k(k) / sigma_prev(k-1), negative pivots included.  It runs in
     integers: with row k as r / rden and row k-1 as q / qden, b =
-    r_k q_{k-1}, a = r_{k+1} q_{k-1} - q_k r_k and e = r_k^2 (b = r_0 and
-    e = 0 at k = 0) give alpha_k = a / b, beta_k = e qden / (b rden) and
+    r_k q_{k-1}, a = r_{k+1} q_{k-1} - q_k r_k and e = r_k^2 give alpha_k =
+    a / b, beta_k = e qden / (b rden) and
 
         sigma_{k+1}(l) = (b r_{l+1} - a r_l - e q_l) / (b rden),
 
-    where qden cancels.  b, a and e are divided by their gcd before
-    ``_three_term`` forms the row.  For d >= 1 the zero run is a defective
-    block of the subresultant structure theorem (Basu, Pollack & Roy,
-    *Algorithms in Real Algebraic Geometry*, Ch. 8), and ``_block_step``
-    steps over it, as look-ahead Lanczos does (Gutknecht, SIAM J. Matrix
-    Anal. Appl. 13, 1992).  The pass ends after D_N, or at a row that is
-    zero from sigma_k(k) to sigma_k(N), which leaves D_k..D_N zero.  Each step is
-    yielded before the next row is formed, so a reader that stops at a step
-    pays for no later row.  Every row is integer numerators over one
-    positive denominator, reduced once by a single gcd; a reduced row is
-    unique, and its denominator is the lcm of its entries' reduced
-    denominators, so the entries stay the size of the determinants.  Only
-    the O(N) determinants are ``Fraction`` values; alpha_k and beta_k are
-    integer pairs.  O(N^2) operations in all.
+    where qden cancels.  Step 0 starts from the row of p_{-1} = 0: zeros
+    over qden = 1, and one more entry, q[-1] = 1, that step 0 reads as
+    sigma_{-1}(-1) = D_{-1}.  So b = r_0, beta_0 = s_0 as in Gautschi, and
+    the e term is zero; ``_block_step`` at k = 0 reads it the same way.  b,
+    a and e are divided by their gcd before ``_three_term`` forms the row.
+    For d >= 1 the zero run is a defective block of the subresultant
+    structure theorem (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+    Geometry*, Ch. 8), and ``_block_step`` steps over it, as look-ahead
+    Lanczos does (Gutknecht, SIAM J. Matrix Anal. Appl. 13, 1992).  The
+    pass ends after D_N, or at a row that is zero from sigma_k(k) to
+    sigma_k(N), which leaves D_k..D_N zero.  Each step is yielded before the
+    next row is formed, so a reader that stops at a step pays for no later
+    row.  Every row is integer numerators over one positive denominator,
+    reduced once by a single gcd; a reduced row is unique, and its
+    denominator is the lcm of its entries' reduced denominators, so the
+    entries stay the size of the determinants.  Only the O(N) determinants
+    are ``Fraction`` values; alpha_k and beta_k are integer pairs.  O(N^2)
+    operations in all.
     """
     m = len(s) - 1
     horizon = m // 2
-    (q, qden), (r, rden) = ([0] * (m + 1), 1), _common_denominator(s)
+    (q, qden), (r, rden) = ([0] * (m + 1) + [1], 1), _common_denominator(s)
     # det is D_{k-1}.
     zero, det, alpha, beta = Fraction(0), Fraction(1), None, None
     k = 0
@@ -393,10 +398,7 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
             nums, den = _block_step(r, rden, q, qden, k, d)
             alpha = beta = None
         else:
-            if k == 0:
-                b, a, e = r[0], r[1], 0
-            else:
-                b, a, e = r[k] * q[k - 1], r[k + 1] * q[k - 1] - q[k] * r[k], r[k] * r[k]
+            b, a, e = r[k] * q[k - 1], r[k + 1] * q[k - 1] - q[k] * r[k], r[k] * r[k]
             g = math.gcd(b, a, e) if b > 0 else -math.gcd(b, a, e)
             b, a, e = b // g, a // g, e // g
             den = b * rden
@@ -426,10 +428,9 @@ def _monic_from_recurrence(
         g, h = math.gcd(a, b), math.gcd(c, e)
         a, b, c, e = a // g, b // g, c // h, e // h
         lcm = math.lcm(b * den, e * prev_den)
-        padded = prev + [0] * (len(cur) + 1 - len(prev))
         nxt = _three_term(
             lcm // den, a * (lcm // (b * den)), c * (lcm // (e * prev_den)),
-            [0] + cur, cur + [0], padded, lcm,
+            [0] + cur, cur + [0], prev + [0, 0], lcm,
         )
         (prev, prev_den), (cur, den) = (cur, den), nxt
         rows.append(nxt)
@@ -438,6 +439,7 @@ def _monic_from_recurrence(
 
 # The recurrence coefficients alpha_0..alpha_{n0-1} and beta_0..beta_{n0-1}
 # of a consistent degenerate window, as the integer pairs of ``_Step``.
+# beta_0 = s_0, which the builder multiplies by p_{-1} = 0.
 _Recurrence = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 
@@ -476,55 +478,62 @@ class WindowAnalysis:
         return (*(RationalPoly._from_row(*row) for row in self._rows[:-1]), self.kernel)
 
 
-def _verdict(
-    w: MomentWindow,
-) -> tuple[Classification, _Recurrence | None, list[Fraction], Iterator[_Step]]:
-    """The classification, the recurrence of p_0..p_{n0}, the D_j read and the rest of the pass.
+def _verdict(w) -> tuple[WindowAnalysis, Iterator[_Step]]:
+    """The record of ``w`` read up to the step that fixes its verdict, and the rest of the pass.
 
-    A window with s_0 = 0 and a nonzero moment reads no step: it is
-    ``Invalid`` with ``first_violation`` at the first nonzero moment.
-    Otherwise the first D_k <= 0 decides; an all-zero window reads one step,
-    with D_0 = 0 and a zero row, and is the zero measure, Degenerate(0, True)
-    with p_0 = 1.  D_k < 0 gives ``Invalid`` with a negative determinant at
-    k.  At D_k = 0 the window is degenerate at n0 = k when its tail obeys the
-    recurrence of p_{n0}, i.e. <p_{n0}, x^l> = 0 for every l up to m - n0,
-    which is the row of that step.  Every later D_j is then zero: for n0 <= j
-    <= N and t <= j - n0 the coefficient vector c of x^t p_{n0} is nonzero,
-    and (H_j c)_i = <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.
-    So that step, the pass's last, yields D_k..D_N.  Otherwise the same step
-    ends with the first later nonzero D_j, whose sign tells
-    ``ZeroThenPositive`` from a negative determinant, or with none, which
-    leaves the window degenerate with an inconsistent tail.  No D_k <= 0
-    gives ``PositiveWindow``.  Only a consistent degenerate window gets the
-    recurrence coefficients alpha_k and beta_k of its steps.
+    A ``WindowAnalysis`` is returned as it is, with an empty rest.  A window
+    with s_0 = 0 and a nonzero moment reads no step: it is ``Invalid`` with
+    ``first_violation`` at the first nonzero moment.  Otherwise the first
+    D_k <= 0 decides; an all-zero window reads one step, with D_0 = 0 and a
+    zero row, and is the zero measure, Degenerate(0, True) with p_0 = 1.
+    D_k < 0 gives ``Invalid`` with a negative determinant at k.  At D_k = 0
+    the window is degenerate at n0 = k when its tail obeys the recurrence of
+    p_{n0}, i.e. <p_{n0}, x^l> = 0 for every l up to m - n0, which is the
+    row of that step.  Every later D_j is then zero: for n0 <= j <= N and t
+    <= j - n0 the coefficient vector c of x^t p_{n0} is nonzero, and (H_j
+    c)_i = <p_{n0}, x^{i+t}> = 0 because i + t <= 2j - n0 <= m - n0.  So that
+    step, the pass's last, yields D_k..D_N.  Otherwise the same step ends
+    with the first later nonzero D_j, whose sign tells ``ZeroThenPositive``
+    from a negative determinant, or with none, which leaves the window
+    degenerate with an inconsistent tail.  No D_k <= 0 gives
+    ``PositiveWindow``.  The record holds the D_j read; only a consistent
+    degenerate window gets the recurrence coefficients alpha_k and beta_k of
+    its steps.
     """
+    if isinstance(w, WindowAnalysis):
+        return w, iter(())
+    w = _as_window(w)
     steps = _pass(w.moments)
-    if w[0] == 0 and any(w):
-        first_nonzero = next(j for j, s in enumerate(w) if s)
-        return Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL), None, [], steps
     dets: list[Fraction] = []
     alphas: list[tuple[int, int]] = []
     betas: list[tuple[int, int]] = []
-    for step in steps:
-        k = len(dets)
-        dets += step.dets
-        if step.alpha is not None:
-            alphas.append(step.alpha)
-            betas.append(step.beta)
-        # D_k has the sign of its numerator, read without a Fraction comparison.
-        sign = step.dets[0].numerator
-        if sign > 0:
-            continue
-        if sign < 0:
-            return Invalid(k, InvalidReason.NEGATIVE_DETERMINANT), None, dets, steps
-        if not any(step.row[0][k:]):
-            return Degenerate(k, True), (alphas, betas), dets, steps
-        if dets[-1] == 0:
-            return Degenerate(k, False), None, dets, steps
-        if dets[-1] < 0:
-            return Invalid(len(dets) - 1, InvalidReason.NEGATIVE_DETERMINANT), None, dets, steps
-        return Invalid(len(dets) - 1, InvalidReason.ZERO_THEN_POSITIVE), None, dets, steps
-    return PositiveWindow(w.horizon), None, dets, steps
+    cls, recurrence = PositiveWindow(w.horizon), None
+    if w[0] == 0 and any(w):
+        first_nonzero = next(j for j, s in enumerate(w) if s)
+        cls = Invalid(first_nonzero, InvalidReason.ZERO_S0_NONZERO_TAIL)
+    else:
+        for step in steps:
+            k = len(dets)
+            dets += step.dets
+            if step.alpha is not None:
+                alphas.append(step.alpha)
+                betas.append(step.beta)
+            # D_k has the sign of its numerator, read without a Fraction comparison.
+            sign = step.dets[0].numerator
+            if sign > 0:
+                continue
+            if sign < 0:
+                cls = Invalid(k, InvalidReason.NEGATIVE_DETERMINANT)
+            elif not any(step.row[0][k:]):
+                cls, recurrence = Degenerate(k, True), (alphas, betas)
+            elif dets[-1] == 0:
+                cls = Degenerate(k, False)
+            elif dets[-1] < 0:
+                cls = Invalid(len(dets) - 1, InvalidReason.NEGATIVE_DETERMINANT)
+            else:
+                cls = Invalid(len(dets) - 1, InvalidReason.ZERO_THEN_POSITIVE)
+            break
+    return WindowAnalysis(w, cls, tuple(dets), recurrence), steps
 
 
 def _consistent_analysis(w, caller: str) -> WindowAnalysis:
@@ -535,14 +544,11 @@ def _consistent_analysis(w, caller: str) -> WindowAnalysis:
     whole.  Raises ``PreconditionViolated``, naming ``caller``, for a record
     without the recurrence of p_0..p_{n0}.
     """
-    if not isinstance(w, WindowAnalysis):
-        w = _as_window(w)
-        cls, recurrence, dets, _ = _verdict(w)
-        w = WindowAnalysis(w, cls, tuple(dets), recurrence)
-    if w._recurrence is None:
-        cls = w.classification
+    record = _verdict(w)[0]
+    if record._recurrence is None:
+        cls = record.classification
         raise PreconditionViolated(f"{caller} needs a consistent degenerate window, got {cls}")
-    return w
+    return record
 
 
 def analyze(w) -> WindowAnalysis:
@@ -555,12 +561,9 @@ def analyze(w) -> WindowAnalysis:
     ``kernel`` is read.  A ``WindowAnalysis`` is returned as it is, with no
     pass step.
     """
-    if isinstance(w, WindowAnalysis):
-        return w
-    w = _as_window(w)
-    cls, recurrence, dets, rest = _verdict(w)
-    dets += (d for step in rest for d in step.dets)
-    return WindowAnalysis(w, cls, tuple(dets), recurrence)
+    record, rest = _verdict(w)
+    later = tuple(d for step in rest for d in step.dets)
+    return replace(record, determinants=record.determinants + later) if later else record
 
 
 def det_sequence(w) -> list[Fraction]:
@@ -581,6 +584,4 @@ def classify(w) -> Classification:
     positive one gives ``Invalid``; see ``analyze``.  The pass stops at the
     step that fixes the verdict, and no orthogonal polynomial is built.
     """
-    if isinstance(w, WindowAnalysis):
-        return w.classification
-    return _verdict(_as_window(w))[0]
+    return _verdict(w)[0].classification

@@ -269,6 +269,10 @@ def _matrix_doc(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[format_rational(c) for c in row] for row in rows]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _campaign(name: str, trials: int, seed: int, max_n: int, max_p: int | None,
               trial: Callable[..., dict | None]) -> CampaignReport:
     """Run ``trials`` trials, each ``trial(rng, n, p, atoms, weights)`` after the shared draws.
@@ -276,12 +280,15 @@ def _campaign(name: str, trials: int, seed: int, max_n: int, max_p: int | None,
     p is None when ``max_p`` is.  A record that ``trial`` returns is a failure,
     written after the head ``trial``, ``n``, [``p``], ``measure``.  Raises
     ``ValueError`` unless ``trials``, ``max_n`` and ``max_p`` (when given)
-    are integers of at least 1.
+    are integers of at least 1 and ``seed`` is one of the 2^64 SplitMix64
+    states, 0..2^64 - 1; a bool is not an integer here.
     """
     named = [("trials", trials), ("max_n", max_n)] + ([] if max_p is None else [("max_p", max_p)])
     for arg, value in named:
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ValueError(f"{arg} must be an integer of at least 1")
+    if not _is_int(seed) or not 0 <= seed <= _MASK64:
+        raise ValueError("seed must be an integer in 0..2^64 - 1")
     rng = SplitMix64(seed)
     params = {"maxN": max_n} if max_p is None else {"maxN": max_n, "maxP": max_p}
     report = CampaignReport(name, trials, seed, params)

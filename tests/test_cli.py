@@ -414,6 +414,19 @@ class TestVerify:
         assert f"argument {flag}: must be at least 1" in err
 
     @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("-1", "must be at least 0, got -1"),
+            (str(2**64), f"must be at most {2**64 - 1}, got {2**64}"),
+            ("2.5", "expected an integer, got '2.5'"),
+        ],
+    )
+    def test_seed_outside_the_splitmix64_states_rejected(self, capsys, value, message):
+        code, out, err = invoke(capsys, ["verify", "det1", f"--seed={value}"])
+        assert code == 2 and out == ""
+        assert f"argument --seed: {message}" in err
+
+    @pytest.mark.parametrize(
         "campaign, flag, value, bound",
         [
             ("det2", "--trials", "10001", 10_000),

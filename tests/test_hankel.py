@@ -630,7 +630,8 @@ class TestRecurrencePass:
         assert [F(v, den) for v in nums] == ref.row
         alphas = [step.alpha for step in steps[1 : k + 1]]
         betas = [step.beta for step in steps[1 : k + 1]]
-        assert ([F(*a) for a in alphas], [F(*b) for b in betas[1:]]) == (ref.alphas, ref.betas[1:])
+        # beta_0 = s_0 in both, as in Gautschi's Chebyshev algorithm.
+        assert ([F(*a) for a in alphas], [F(*b) for b in betas]) == (ref.alphas, ref.betas)
         assert monic_polys(alphas, betas) == fraction_monic_polys(ref.alphas, ref.betas)
         # Past it, the look-ahead steps give what the subresultant
         # continuation gave, and both give the cofactor determinants.

@@ -450,11 +450,25 @@ class TestCampaigns:
             (verify_psd_theorem, {"max_n": 1.5}, "max_n"),
             (verify_det2, {"max_p": 0}, "max_p"),
             (verify_det1, {"max_p": "3"}, "max_p"),
+            (verify_det1, {"trials": True}, "trials"),
+            (verify_roundtrip, {"max_n": True}, "max_n"),
+            (verify_det2, {"max_p": True}, "max_p"),
         ],
     )
     def test_counts_that_are_not_positive_integers_are_rejected(self, runner, kwargs, arg):
         with pytest.raises(ValueError, match=f"^{arg} must be an integer of at least 1$"):
             runner(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.5, True])
+    def test_seeds_outside_the_splitmix64_states_are_rejected(self, seed):
+        # SplitMix64 keeps seed mod 2^64, so -1 and 2^64 - 1 would run the
+        # same trials under different "seed" values.
+        with pytest.raises(ValueError, match=r"^seed must be an integer in 0\.\.2\^64 - 1$"):
+            verify_det1(trials=1, seed=seed)
+
+    def test_seeds_at_both_ends_of_the_range_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert verify_det1(trials=1, seed=seed).to_dict()["seed"] == seed
 
     def test_det2_computes_the_moments_once_per_trial(self, monkeypatch):
         # D_{n-1} is the determinant of the det2 matrix's own leading block,
