@@ -42,6 +42,7 @@ from .exact import (
     RationalInterval,
     RationalPoly,
     _check_isolating,
+    _is_int,
     format_rational,
     parse_rational,
 )
@@ -94,7 +95,7 @@ def _rational_from_json(value, where: str) -> Fraction:
             return parse_rational(value)
         except ValueError as exc:
             raise _InputError(f"{where}: {exc}") from exc
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, float):
         raise _InputError(f"{where}: write decimals as strings to keep them exact")

@@ -80,6 +80,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an exact rational literal: {text!r}") from exc
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool: the one integer test of every public parameter."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rational(value) -> Fraction:
     """A library argument as a ``Fraction``; a string is read by ``parse_rational``."""
     try:
@@ -556,7 +561,7 @@ def refine_root(iv: IsolatingInterval, digits: int) -> IsolatingInterval:
     keeps isolating the same root.  Raises ``ValueError`` unless digits is a
     positive integer, or when p has the same nonzero sign at both endpoints.
     """
-    if not isinstance(digits, int) or digits < 1:
+    if not _is_int(digits) or digits < 1:
         raise ValueError("digits must be a positive integer")
     if iv.is_exact:
         return iv

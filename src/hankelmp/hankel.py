@@ -17,12 +17,16 @@ path.  ``_verdict`` is the pass's one reader.  It reads the steps up to the
 one that fixes the verdict, where library ``classify``, ``reconstruct`` and
 ``extend`` stop, and returns the record and the rest of the pass, which
 ``analyze`` reads.  A ``WindowAnalysis`` is the one record of a pass: it
-stores the recurrence coefficients of a consistent degenerate window and
-builds p_0..p_{n0} from them on first read, so ``classify``,
-``det_sequence`` and ``analyze`` build none: p_{n0} is the kernel whose
-roots are the atoms, and p_{n0}, ..., p_0 is a Sturm sequence for it.
-``reconstruct`` also reads the coefficients themselves, which form the
-Jacobi matrix whose eigenvalues are the atoms.  Rows and polynomials are
+stores the recurrence coefficients of a consistent degenerate window, and
+``classify``, ``det_sequence`` and ``analyze`` build no polynomial from
+them.  p_{n0} is the kernel whose roots are the atoms.  On its first read
+the coefficients form the Jacobi matrix, whose float eigenvalues are the
+atoms (Golub & Welsch), and ``_hinted_atoms`` turns them into
+convergents with small denominators.  When n0 distinct ones pass one exact
+orthogonality check on the window, they are the atoms and the kernel is
+the product of their linear factors, cached on the record with them.
+Otherwise the builder forms p_0..p_{n0} from the coefficients, and
+p_{n0}, ..., p_0 is a Sturm sequence for the kernel.  Rows and polynomials are
 integer numerators over one positive denominator, the form of
 ``_common_denominator`` and of ``RationalPoly``, reduced once per row by a
 single gcd.  One integer three-term step, ``_three_term``, forms both from
@@ -51,10 +55,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, OutOfWindow, PreconditionViolated
-from .exact import RationalPoly, _common_denominator, _rational
+from .exact import RationalPoly, _common_denominator, _is_int, _rational
 
 __all__ = [
     "Classification",
@@ -118,7 +123,13 @@ def _as_window(w) -> MomentWindow:
 
 
 def hankel_matrix(w, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The (n+1) x (n+1) Hankel matrix with entry (i, j) = s_{i+j}, as row tuples."""
+    """The (n+1) x (n+1) Hankel matrix with entry (i, j) = s_{i+j}, as row tuples.
+
+    Raises ``ValueError`` unless n is an integer, and ``OutOfWindow`` unless
+    0 <= n and s_{2n} is in the window.
+    """
+    if not _is_int(n):
+        raise ValueError("n must be an integer")
     w = _as_window(w)
     if n < 0 or 2 * n > w.m:
         raise OutOfWindow(f"H_{n} needs s_0..s_{2*n} but the window ends at s_{w.m}")
@@ -443,6 +454,134 @@ def _monic_from_recurrence(
 _Recurrence = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 
+def _jacobi_eigenvalues(diag: list[float], off: list[float]):
+    """Eigenvalues of a symmetric tridiagonal matrix, each yielded as it deflates.
+
+    ``diag`` is the diagonal and ``off[i]`` the entry (i, i+1); both are
+    overwritten.  Implicit-shift QL, the tql1 of EISPACK (Bowdler, Martin,
+    Reinsch & Wilkinson, Numer. Math. 11, 1968): for each l in turn, shifted
+    QL sweeps run on the block from l to the first negligible off-diagonal
+    entry until off[l] is negligible, and diag[l] is then an eigenvalue.  The
+    generator stops early when one l takes more than 30 sweeps.
+    """
+    n = len(diag)
+    off.append(0.0)
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = l
+            while m < n - 1:
+                dd = abs(diag[m]) + abs(diag[m + 1])
+                if abs(off[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweeps == 30:
+                return
+            sweeps += 1
+            g = (diag[l + 1] - diag[l]) / (2.0 * off[l])
+            r = math.hypot(g, 1.0)
+            g = diag[m] - diag[l] + off[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * off[i], c * off[i]
+                r = off[i + 1] = math.hypot(f, g)
+                if r == 0.0:
+                    # The block splits at i + 1: sweep again from l.
+                    diag[i + 1] -= p
+                    off[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = diag[i + 1] - p
+                r = (diag[i] - g) * s + 2.0 * c * b
+                p = s * r
+                diag[i + 1] = g + p
+                g = c * r - b
+            else:
+                diag[l] -= p
+                off[l], off[m] = g, 0.0
+        yield diag[l]
+
+
+# Candidate atoms r / q have q below this bound.  Past it, irrational
+# eigenvalues begin to meet the 2**-40 test by chance, and each such miss
+# costs a failed orthogonality check.
+_MAX_HINT_DEN = 1 << 16
+
+
+def _convergent(x: float, tol: float) -> tuple[int, int] | None:
+    """(r, q): the first continued-fraction convergent r / q of x within tol, or None.
+
+    The convergents of x = n / d, read off ``x.as_integer_ratio()``, are in
+    lowest terms and have increasing denominators q > 0; None when q reaches
+    ``_MAX_HINT_DEN`` first.  |x - r / q| <= tol is tested in integers, as
+    |n q - r d| * tden <= tnum * d * q for tol = tnum / tden.  A rational
+    atom r / q with q below the bound is a convergent of every float close
+    enough to it (Legendre's theorem; Khinchin, *Continued Fractions*, 1964,
+    Thm. 19), and the expansion of x ends at x itself, which always passes.
+    """
+    n, d = x.as_integer_ratio()
+    tnum, tden = tol.as_integer_ratio()
+    num, den, (r0, q0), (r, q) = n, d, (0, 1), (1, 0)
+    while True:
+        a, rem = divmod(num, den)
+        (r0, q0), (r, q) = (r, q), (a * r + r0, a * q + q0)
+        if q >= _MAX_HINT_DEN:
+            return None
+        if abs(n * q - r * d) * tden <= tnum * d * q:
+            return r, q
+        num, den = den, rem
+
+
+# The n0 atoms of a window, increasing, and the coefficients, lowest first,
+# of the primitive integer kernel that is the product of their linear factors.
+_Hint = tuple[tuple[Fraction, ...], list[int]]
+
+
+def _hinted_atoms(recurrence: _Recurrence, moments: Sequence[Fraction]) -> _Hint | None:
+    """All n0 atoms and their product kernel, when each is rational with a small denominator.
+
+    The atoms are the eigenvalues of the window's Jacobi matrix, with
+    diagonal alpha_0..alpha_{n0-1} and off-diagonal sqrt(beta_1)..
+    sqrt(beta_{n0-1}) (Golub & Welsch, Math. Comp. 23, 1969).  Each float
+    eigenvalue proposes its ``_convergent`` within tol = 2**-40 * max(1,
+    max |alpha| + 2 max sqrt(beta)), the last term Gershgorin's bound on
+    every |eigenvalue|, and floats only propose: the product K
+    of the q_j x - r_j over the distinct candidates r_j / q_j is primitive
+    by Gauss's lemma, and it is accepted only when sum_i K_i S_{l+i} = 0 for
+    every l < n0, S the integers of s_0..s_{2n0-1} over their common
+    denominator.  D_{n0-1} != 0, so no nonzero polynomial of degree below
+    n0 passes, and p_{n0} is the one monic polynomial of degree n0 that
+    does: so K has n0 distinct roots, K / K_{n0} is the kernel, and the
+    candidates are all its roots.  None at the first eigenvalue without a
+    candidate, so an irrational kernel costs one eigenvalue, without any
+    hint when a float overflows, and when the candidates collide, fall
+    short or fail the check.
+    """
+    alphas, betas = recurrence
+    n0 = len(alphas)
+    try:
+        diag = [a / b for a, b in alphas]
+        off = [math.sqrt(c / e) for c, e in betas[1:]]
+    except OverflowError:
+        return None
+    tol = 2.0**-40 * max(1.0, max(map(abs, diag), default=0.0) + 2.0 * max(off, default=0.0))
+    found: set[tuple[int, int]] = set()
+    for x in _jacobi_eigenvalues(diag, off):
+        if not math.isfinite(x) or (atom := _convergent(x, tol)) is None:
+            return None
+        found.add(atom)
+    kernel = [1]
+    for r, q in found:
+        kernel = [q * b - r * a for a, b in zip(kernel + [0], [0] + kernel)]
+    s = _common_denominator(moments[: 2 * n0])[0]
+    if any(sum(map(mul, kernel, s[l : l + n0 + 1])) for l in range(n0)):
+        return None
+    return tuple(sorted(Fraction(r, q) for r, q in found)), kernel
+
+
 @dataclass(frozen=True)
 class WindowAnalysis:
     """The determinants, classification and orthogonal polynomials of a window.
@@ -452,8 +591,10 @@ class WindowAnalysis:
     ``Degenerate`` with a consistent tail, and None otherwise; its last entry
     is the ``kernel``, whose roots are the n0 atoms.  The record stores only
     their recurrence coefficients, in a private field left out of ``==``,
-    hash and repr; the first read of either property builds the integer
-    rows of p_0..p_{n0} once, and the kernel alone wraps one of them.
+    hash and repr.  The kernel's first read tries the atoms first: when
+    ``_hinted_atoms`` finds them all, the kernel is the product of their
+    linear factors and no row is built.  Otherwise, and on the first read
+    of ``orthogonal_polys``, the integer rows of p_0..p_{n0} are built once.
     """
 
     window: MomentWindow
@@ -462,12 +603,23 @@ class WindowAnalysis:
     _recurrence: _Recurrence | None = field(default=None, compare=False, repr=False)
 
     @cached_property
+    def _hint(self) -> _Hint | None:
+        """The atoms and product kernel of ``_hinted_atoms``, when it finds them all, else None."""
+        if self._recurrence is None:
+            return None
+        return _hinted_atoms(self._recurrence, self.window.moments)
+
+    @cached_property
     def _rows(self) -> list[_Row] | None:
         return None if self._recurrence is None else _monic_from_recurrence(*self._recurrence)
 
     @cached_property
     def kernel(self) -> RationalPoly | None:
         """The monic p_{n0} of a consistent degenerate window, else None."""
+        if self._hint is not None:
+            # Primitive with a positive leading coefficient, so this is the reduced monic row.
+            cs = self._hint[1]
+            return RationalPoly._from_row(cs, cs[-1])
         return None if self._rows is None else RationalPoly._from_row(*self._rows[-1])
 
     @cached_property

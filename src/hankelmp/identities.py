@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 from . import hankel
 from .errors import InfeasibleSpec
-from .exact import format_rational
+from .exact import _is_int, format_rational
 from .hankel import Degenerate, MomentWindow, analyze, classify, hankel_matrix, is_psd, psd_witness
 from .recovery import _moment_sums, extend, reconstruct
 
@@ -267,10 +267,6 @@ def _measure_doc(atoms: Sequence[Fraction], weights: Sequence[Fraction]) -> dict
 
 def _matrix_doc(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[format_rational(c) for c in row] for row in rows]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _campaign(name: str, trials: int, seed: int, max_n: int, max_p: int | None,

@@ -2,19 +2,19 @@
 
 The atoms are the real roots of the monic degree-n0 orthogonal polynomial p,
 which are the eigenvalues of the window's Jacobi matrix.  Floats only
-propose and exact integers decide: ``_rational_atoms`` rounds each float
-eigenvalue x to the candidate round(x * L) / L, L the primitive leading
-coefficient of p, and accepts it only when p is exactly zero there, so n0
-distinct accepted candidates are the whole root set at O(n0) integer
-operations per atom.  When a candidate fails, the atoms are isolated with
-the Sturm sequence p = p_{n0}, ..., p_0, built from the recurrence only
-then.  Isolation, weights and extension read the integer forms that each
-``RationalPoly`` stores.  The weight of
-atom x_j is w_j = N(x_j) / p'(x_j), where N(x_j) is the moment functional
-applied to the synthetic-division quotient p / (x - x_j); N is one fixed
-polynomial, so all weights cost O(n0**2).  When every atom is rational the
-whole measure is exact, and ``DiscreteMeasure`` stores an atom interval
-collapsed to a point as its rational.  Otherwise atoms are kept as
+propose and exact integers decide: the ``WindowAnalysis`` record turns each
+float eigenvalue into a continued-fraction convergent r / q with q < 2**16,
+and accepts n0 distinct ones only when the product of their q x - r is
+orthogonal to 1..x**(n0-1) on the window, so they are the whole root set
+and p is that product (``hankel._hinted_atoms``, once per record).  When a
+hint fails, the atoms are isolated with the Sturm sequence p = p_{n0}, ...,
+p_0, built from the recurrence only then.  Isolation, weights and
+extension read the integer forms that each ``RationalPoly`` stores.  The
+weight of atom x_j is w_j = N(x_j) / p'(x_j), where N(x_j) is the moment
+functional applied to the synthetic-division quotient p / (x - x_j); N is
+one fixed polynomial, so all weights cost O(n0**2).  When every atom is
+rational the whole measure is exact, and ``DiscreteMeasure`` stores an atom
+interval collapsed to a point as its rational.  Otherwise atoms are kept as
 isolating intervals, N / p' is enclosed over each interval by integer
 interval Horner, and the weight enclosures are rounded outward onto a 2**-P
 grid, P about (digits + pad) * log2(10) + 8, so their size does not grow
@@ -31,12 +31,12 @@ of growing by one endpoint size per power.  Outward rounding only widens an
 enclosure, so a sum on the grid contains the exact one, and a residual that
 passes on the grid passes exactly.  ``reconstruct`` and ``measure_moments``
 share one refinement loop, ``_refinements``: each round refines the atoms
-to 10**-(digits + pad) and sets P from the pad.  An interval product whose
+to 10**-(digits + pad) and sets P from the pad, and each caller reads its
+own reach for the pads past 160 off its data.  An interval product whose
 factors have known signs is formed from two end products, which are the
 same integers the min and max of the four corner products give.  The
 unique forward extension of a degenerate window is always computed from
-the exact rational recurrence, never from the recovered (possibly
-irrational) atoms.
+the exact kernel's coefficients, never from enclosures of irrational atoms.
 """
 from __future__ import annotations
 
@@ -54,11 +54,13 @@ from .exact import (
     RationalPoly,
     _at_denominator,
     _common_denominator,
+    _is_int,
+    _root_bound_exponent,
     _value_at,
     refine_root,
     sturm_isolate,
 )
-from .hankel import _consistent_analysis, _Recurrence
+from .hankel import _consistent_analysis
 
 __all__ = [
     "AtomValue",
@@ -222,9 +224,9 @@ def measure_moments(mu: DiscreteMeasure, count: int, digits: int = 50):
     last round's atoms, taken as points, still give a moment that is too
     wide, and the refinement rounds otherwise.
     """
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ValueError("count must be an integer of at least 1")
-    if not isinstance(digits, int) or not 1 <= digits <= MAX_DECIMAL_EXPONENT:
+    if not _is_int(digits) or not 1 <= digits <= MAX_DECIMAL_EXPONENT:
         raise ValueError(f"digits must be an integer in 1..{MAX_DECIMAL_EXPONENT}")
     if mu.is_exact:
         return [Fraction(lo, den) for lo, _, den in _moment_sums(mu.atoms, mu.weights, count)]
@@ -328,131 +330,39 @@ def _residuals_certified(
     return True
 
 
-# Largest primitive leading coefficient L (exclusive) for which eigenvalue
-# hints are tried.  x * L rounds to the right integer only while L times the
-# eigenvalue's error, a few units in the last place of the largest atom,
-# stays below 1/2.  A double has 53 significant bits, so past 2**48 the hints
-# of atoms of size 1 and more would fail, and Sturm isolation runs without
-# trying them.  The bound is set by the float format, not by the input.
-_MAX_HINT_LEAD = 1 << 48
-
-
-def _jacobi_eigenvalues(diag: list[float], off: list[float]):
-    """Eigenvalues of a symmetric tridiagonal matrix, each yielded as it deflates.
-
-    ``diag`` is the diagonal and ``off[i]`` the entry (i, i+1); both are
-    overwritten.  Implicit-shift QL, the tql1 of EISPACK (Bowdler, Martin,
-    Reinsch & Wilkinson, Numer. Math. 11, 1968): for each l in turn, shifted
-    QL sweeps run on the block from l to the first negligible off-diagonal
-    entry until off[l] is negligible, and diag[l] is then an eigenvalue.  The
-    generator stops early when one l takes more than 30 sweeps.
-    """
-    n = len(diag)
-    off.append(0.0)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(diag[m]) + abs(diag[m + 1])
-                if abs(off[m]) + dd == dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweeps == 30:
-                return
-            sweeps += 1
-            g = (diag[l + 1] - diag[l]) / (2.0 * off[l])
-            r = math.hypot(g, 1.0)
-            g = diag[m] - diag[l] + off[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f, b = s * off[i], c * off[i]
-                r = off[i + 1] = math.hypot(f, g)
-                if r == 0.0:
-                    # The block splits at i + 1: sweep again from l.
-                    diag[i + 1] -= p
-                    off[m] = 0.0
-                    break
-                s, c = f / r, g / r
-                g = diag[i + 1] - p
-                r = (diag[i] - g) * s + 2.0 * c * b
-                p = s * r
-                diag[i + 1] = g + p
-                g = c * r - b
-            else:
-                diag[l] -= p
-                off[l], off[m] = g, 0.0
-        yield diag[l]
-
-
-def _rational_atoms(recurrence: _Recurrence, kernel: RationalPoly) -> list[Fraction] | None:
-    """All n0 atoms, increasing, when every one is rational; else None.
-
-    The atoms are the eigenvalues of the window's Jacobi matrix, with
-    diagonal alpha_0..alpha_{n0-1} and off-diagonal sqrt(beta_1)..
-    sqrt(beta_{n0-1}) (Golub & Welsch, Math. Comp. 23, 1969).  A rational
-    root of the kernel is r / L for an integer r, L its primitive leading
-    coefficient, so a float eigenvalue x proposes round(x * L) / L, and one
-    exact ``_value_at`` accepts it only where the kernel is zero.  n0
-    distinct accepted candidates are every root of the degree-n0 kernel, so
-    floats only propose and no output depends on one.  None at the first
-    candidate that fails, so an irrational kernel costs one eigenvalue, and
-    without any hint when L >= ``_MAX_HINT_LEAD`` or when a float overflows.
-    """
-    cs = kernel.primitive
-    lead = cs[-1]
-    if lead >= _MAX_HINT_LEAD:
-        return None
-    alphas, betas = recurrence
-    try:
-        diag = [a / b for a, b in alphas]
-        off = [math.sqrt(c / e) for c, e in betas[1:]]
-    except OverflowError:
-        return None
-    hs = _at_denominator(cs, lead)
-    found: set[int] = set()
-    for x in _jacobi_eigenvalues(diag, off):
-        x *= lead
-        if not math.isfinite(x):
-            return None
-        r = round(x)
-        if _value_at(hs, r, 0):
-            return None
-        found.add(r)
-    if len(found) < len(alphas):
-        return None
-    return [Fraction(r, lead) for r in sorted(found)]
-
-
 def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
     """Recover the unique n0-point measure of a consistent degenerate window.
 
     Atoms are the roots of the monic degree-n0 orthogonal polynomial p;
-    rational roots stay exact.  When every root is rational,
-    ``_rational_atoms`` finds them all from float eigenvalue hints, each
-    confirmed by one exact evaluation of p; otherwise ``sturm_isolate``
-    isolates them on the recurrence's Sturm sequence.  Both give the same
-    atoms.  Each weight is w_j = N(x_j) / p'(x_j) for the
-    fixed numerator N of ``_weight_polys``, O(n0**2) in all.  With any
-    irrational atom, all weights are returned as enclosures on a dyadic grid,
-    refined until the moment residuals up to s_{2*n0 - 1} are certified
-    within 10**-digits and every weight is certified positive.  Raises
-    ``ValueError`` unless digits is an integer in 1..MAX_DECIMAL_EXPONENT,
-    and ``PreconditionViolated`` unless the window classifies as
-    ``Degenerate`` with a consistent tail.  ``w`` may be a
+    rational roots stay exact.  When every root is rational with a small
+    denominator, the record's float eigenvalue hints find them all, checked
+    exactly by orthogonality on the window (``hankel._hinted_atoms``), and p
+    is their product; otherwise ``sturm_isolate`` isolates them on the
+    recurrence's Sturm sequence.  Both give the same atoms.  Each weight is
+    w_j = N(x_j) / p'(x_j) for the fixed numerator N of ``_weight_polys``,
+    O(n0**2) in all.  With any irrational atom, all weights are returned as
+    enclosures on a dyadic grid, refined until the moment residuals up to
+    s_{2*n0 - 1} are certified within 10**-digits and every weight is
+    certified positive.  The rounds of ``_refinements`` stop at the first
+    that certifies, and go on past pad 160 up to a reach read off p's
+    primitive coefficients c: (2 n0 - 1) t log10 2 digits for atoms below
+    2**t (``exact._root_bound_exponent``) raised to the power 2 n0 - 1, and
+    n0 - 1 times the digits of Mahler's root separation bound, n0**-((n0 +
+    2) / 2) M**-(n0 - 1) with M below (n0 + 1) max |c|, for the smallest
+    |p'(x_j)|.  Raises ``ValueError`` unless digits is an integer in
+    1..MAX_DECIMAL_EXPONENT, and ``PreconditionViolated`` unless the window
+    classifies as ``Degenerate`` with a consistent tail.  ``w`` may be a
     ``WindowAnalysis``, whose recurrence is then read without another
-    recurrence pass; the kernel, and on the Sturm path p_0..p_{n0-1}, are
-    built from it once per record.
+    recurrence pass; the atoms, the kernel, and on the Sturm path
+    p_0..p_{n0-1}, are found once per record.
     """
-    if not isinstance(digits, int) or not 1 <= digits <= MAX_DECIMAL_EXPONENT:
+    if not _is_int(digits) or not 1 <= digits <= MAX_DECIMAL_EXPONENT:
         raise ValueError(f"digits must be an integer in 1..{MAX_DECIMAL_EXPONENT}")
     analysis = _consistent_analysis(w, "reconstruct")
     kernel = analysis.kernel
     n0 = kernel.degree
-    atoms = _rational_atoms(analysis._recurrence, kernel)
+    hint = analysis._hint
+    atoms = None if hint is None else hint[0]
     if atoms is None:
         # p_{n0}, ..., p_0 is a Sturm sequence for the kernel: beta_1..beta_{n0-1}
         # are positive on this window, so consecutive p_k have interlacing roots
@@ -478,8 +388,12 @@ def reconstruct(w, digits: int = 50) -> DiscreteMeasure:
         if not _residuals_certified(atoms, weights, moments, 2 * n0, Fraction(0)):
             raise InconsistentWindow(f"an exact residual up to s_{2 * n0 - 1} is nonzero")
         return DiscreteMeasure(tuple(atoms), tuple(weights))
+    cs, bit_digits = kernel.primitive, math.log10(2)
+    size = max(map(abs, cs)).bit_length() * bit_digits + math.log10(n0 + 1)
+    separation = (n0 - 1) * size + (n0 + 2) / 2 * math.log10(n0)
+    reach = math.ceil((2 * n0 - 1) * _root_bound_exponent(cs) * bit_digits + (n0 - 1) * separation)
     tol = Fraction(1, 10**digits)
-    for refined, bits in _refinements(roots, digits):
+    for refined, bits in _refinements(roots, digits, reach):
         weight_ivs = _interval_weights(refined, numer, deriv, bits)
         if (
             weight_ivs is not None
@@ -501,7 +415,7 @@ def extend(w, count: int) -> list[Fraction]:
     ``WindowAnalysis``, whose kernel is then read without another recurrence
     pass.
     """
-    if not isinstance(count, int) or count < 0:
+    if not _is_int(count) or count < 0:
         raise ValueError("count must be a nonnegative integer")
     analysis = _consistent_analysis(w, "extend")
     # The monic kernel is x**n0 + sum_{j < n0} (cs[j] / den) x**j.

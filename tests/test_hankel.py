@@ -780,16 +780,23 @@ class TestRecurrencePass:
         calls = count_builds(monkeypatch)
         # Library classify and det_sequence read no p_k, and analyze builds
         # none until its record is read, so a consistent degenerate window
-        # builds none there; reconstruct and extend of a window build the
-        # rows of p_0..p_n0 once each, and an analysis builds its own once,
-        # on the first read, for reconstruct and extend together.
+        # builds none there.  A window whose atoms are all rational gets its
+        # kernel from them, so reconstruct and extend build no row either.
         window = [1, 1, 4, 4, 16, 16, 64]
         assert classify(window) == Degenerate(2, True) and calls == []
         assert det_sequence(window) == [1, 3, 0, 0] and calls == []
-        reconstruct(window)
-        assert calls == [2]
-        extend(window, 3)
+        reconstruct(window), extend(window, 3)
         analysis = analyze(window)
+        reconstruct(analysis), extend(analysis, 3), classify(analysis)
+        assert calls == []
+        # An irrational kernel comes from the rows: reconstruct and extend of
+        # a window build the rows of p_0..p_n0 once each, and an analysis
+        # builds its own once, on the first read, for both together.
+        irrational = [1, 0, 2, 0, 4]
+        reconstruct(irrational)
+        assert calls == [2]
+        extend(irrational, 3)
+        analysis = analyze(irrational)
         assert calls == [2, 2]
         reconstruct(analysis), extend(analysis, 3), classify(analysis)
         assert calls == [2, 2, 2]
@@ -799,26 +806,34 @@ class TestRecurrencePass:
         assert calls == [2, 2, 2]
         # CLI classify prints the verdict and D_0..D_N, and builds no p_k.
         path = tmp_path / "window.json"
-        path.write_text(json.dumps(window), encoding="utf-8")
+        path.write_text(json.dumps(irrational), encoding="utf-8")
         assert run(["classify", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["determinants"] == ["1", "3", "0", "0"]
+        assert json.loads(capsys.readouterr().out)["determinants"] == ["1", "2", "0"]
         assert calls == [2, 2, 2]
 
     def test_reading_the_polynomials_changes_no_record(self, monkeypatch):
         from hankelmp.recovery import extend, reconstruct
 
         calls = count_builds(monkeypatch)
-        window = [1, 1, 4, 4, 16, 16, 64]
-        unread, read = analyze(window), analyze(window)
-        before = (hash(read), repr(read))
-        # The kernel is the last row wrapped once; the other p_k are wrapped
-        # on the first read of orthogonal_polys, from the same rows.
-        assert read.kernel == RationalPoly([-4, 0, 1]) and calls == [2]
-        assert read.orthogonal_polys[-1] is read.kernel
-        reconstruct(read), extend(read, 3)
-        assert calls == [2]
-        assert read == unread and (hash(read), repr(read)) == before == (hash(unread), repr(unread))
-        assert "RationalPoly" not in repr(read)
+        for window, kernel, kernel_builds in (
+            # Rational atoms -2 and 2: the kernel is their product, and only
+            # orthogonal_polys builds the rows.
+            ([1, 1, 4, 4, 16, 16, 64], [-4, 0, 1], []),
+            # Atoms -sqrt(2) and sqrt(2): the kernel is the last row.
+            ([1, 0, 2, 0, 4], [-2, 0, 1], [2]),
+        ):
+            calls.clear()
+            unread, read = analyze(window), analyze(window)
+            before = (hash(read), repr(read))
+            # The kernel is one product or one row wrapped once; the other
+            # p_k are wrapped on the first read of orthogonal_polys, from the rows.
+            assert read.kernel == RationalPoly(kernel) and calls == kernel_builds
+            assert read.orthogonal_polys[-1] is read.kernel and calls == [2]
+            reconstruct(read), extend(read, 3)
+            assert calls == [2]
+            assert read == unread
+            assert (hash(read), repr(read)) == before == (hash(unread), repr(unread))
+            assert "RationalPoly" not in repr(read)
 
     @given(verdict_windows("consistent"))
     @example(([F(0)] * 7, ("degenerate", 0, True)))

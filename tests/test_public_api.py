@@ -195,3 +195,86 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
     for text, comment in zip(printed, comments):
         # A comment may go on after the value, as in "x^2 - 4, whose roots are the atoms".
         assert comment == text or comment.startswith(text + ", ")
+
+
+def _integer_parameter_calls():
+    """Each public integer parameter, as (function, parameter, call, expectations).
+
+    ``call(value)`` passes value to that parameter and valid arguments to the
+    rest.  Each expectation maps one of True, 2.5 and -1 to the error and the
+    message that it raises: a bool is not an integer anywhere in the package.
+    """
+    from fractions import Fraction
+
+    from hankelmp import (
+        DiscreteMeasure,
+        IsolatingInterval,
+        OutOfWindow,
+        RationalPoly,
+        extend,
+        hankel_matrix,
+        measure_moments,
+        reconstruct,
+        refine_root,
+        verify_det1,
+        verify_det2,
+        verify_psd_theorem,
+        verify_roundtrip,
+    )
+
+    def every(error, message):
+        return {value: (error, message) for value in (True, 2.5, -1)}
+
+    root = IsolatingInterval(Fraction(1), Fraction(2), RationalPoly([-2, 0, 1]))
+    point = DiscreteMeasure((Fraction(1),), (Fraction(1),))
+    digits = every(ValueError, r"^digits must be an integer in 1\.\.4300$")
+    rows = [
+        (refine_root, "digits", lambda v: refine_root(root, v),
+         every(ValueError, "^digits must be a positive integer$")),
+        (hankel_matrix, "n", lambda v: hankel_matrix([1, 0, 1], v),
+         {True: (ValueError, "^n must be an integer$"), 2.5: (ValueError, "^n must be an integer$"),
+          -1: (OutOfWindow, r"^H_-1 needs s_0\.\.s_-2 but the window ends at s_2$")}),
+        (reconstruct, "digits", lambda v: reconstruct([1, 1, 1], v), digits),
+        (extend, "count", lambda v: extend([1, 1, 1], v),
+         every(ValueError, "^count must be a nonnegative integer$")),
+        (measure_moments, "count", lambda v: measure_moments(point, v),
+         every(ValueError, "^count must be an integer of at least 1$")),
+        (measure_moments, "digits", lambda v: measure_moments(point, 3, v), digits),
+    ]
+    for campaign in (verify_det1, verify_det2, verify_roundtrip, verify_psd_theorem):
+        for name in inspect.signature(campaign).parameters:
+            check = (every(ValueError, r"^seed must be an integer in 0\.\.2\^64 - 1$") if name == "seed"
+                     else every(ValueError, f"^{name} must be an integer of at least 1$"))
+            rows.append((campaign, name, functools.partial(lambda f, n, v: f(**{n: v}), campaign, name),
+                         check))
+    return rows
+
+
+INTEGER_PARAMETERS = _integer_parameter_calls()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [(call, expected) for _, _, call, expected in INTEGER_PARAMETERS],
+    ids=[f"{function.__name__}-{name}" for function, name, _, _ in INTEGER_PARAMETERS],
+)
+def test_integer_parameters_refuse_bools_fractions_and_negatives(call, expected):
+    for value, (error, message) in expected.items():
+        with pytest.raises(error, match=message):
+            call(value)
+
+
+def test_the_integer_parameter_table_covers_every_public_function():
+    # The functions that hankelmp imports from its submodules' __all__; the
+    # exported classes are records, errors or the campaigns' generator.
+    tree = ast.parse(Path(hankelmp.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    integer = {
+        (name, parameter)
+        for name in names
+        if inspect.isfunction(function := getattr(hankelmp, name))
+        for parameter, spec in inspect.signature(function).parameters.items()
+        if re.search(r"\bint\b", str(spec.annotation))
+    }
+    assert len(integer) >= 19
+    assert integer == {(function.__name__, name) for function, name, _, _ in INTEGER_PARAMETERS}

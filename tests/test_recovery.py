@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import re
@@ -422,6 +423,25 @@ class TestReconstruct:
         assert len(rec) == n0 and not rec.is_exact
         assert len(taken) <= rounds
 
+    @given(st.integers(2, 4), rationals(-9, 9, 9), st.integers(-300, 300), st.integers(50, 1000))
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    def test_mapped_gauss_legendre_windows_certify(self, n0, c, j, digits):
+        # x -> c + 10**j x maps the Gauss-Legendre atoms on [0, 1] to huge or
+        # close irrational atoms; the refinement rounds must reach them.
+        s, scale = hilbert_window(n0), F(10) ** j
+        window = [
+            sum(math.comb(k, i) * c ** (k - i) * scale**i * s[i] for i in range(k + 1))
+            for k in range(2 * n0 + 1)
+        ]
+        rec = reconstruct(window, digits=digits)
+        assert len(rec) == n0 and not rec.is_exact
+        tol = F(1, 10**digits)
+        atoms = [as_interval(a) for a in rec.atoms]
+        weights = [as_interval(w) for w in rec.weights]
+        for k, moment in enumerate(window[: 2 * n0]):
+            enclosure = interval_power_sum(atoms, weights, k)
+            assert moment - tol <= enclosure.lo <= moment <= enclosure.hi <= moment + tol, k
+
     def test_zero_measure(self):
         rec = reconstruct([0, 0, 0])
         assert rec.atoms == () and rec.weights == ()
@@ -589,14 +609,31 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def count_eigenvalues(monkeypatch) -> list[float]:
+    """Record each eigenvalue that the hints take from ``hankel._jacobi_eigenvalues``."""
+    import hankelmp.hankel as hankel
+
+    real, taken = hankel._jacobi_eigenvalues, []
+
+    def counted(diag, off):
+        for x in real(diag, off):
+            taken.append(x)
+            yield x
+
+    monkeypatch.setattr(hankel, "_jacobi_eigenvalues", counted)
+    return taken
+
+
 # Windows whose eigenvalue hints cannot give every atom, and the windows of
-# n0 = 0 and 1, each with the exact evaluations that its hints take.
+# n0 = 0 and 1, each with the eigenvalues that its hints take.
 FALLBACK_WINDOWS = {
-    # The primitive leading coefficient is 1009 * 100003 * 10000019 > 2**48.
-    "lead-past-2**48": (power_sums([F(1, 1009), F(2, 100003), F(5, 10000019)], [1, 2, 3], 7), 0),
+    # The first eigenvalue, 5/10000019, has no convergent with a denominator below 2**16.
+    "denominator-past-2**16": (
+        power_sums([F(1, 1009), F(2, 100003), F(5, 10000019)], [1, 2, 3], 7), 1
+    ),
     # alpha_0 = (10**400 + 2) / 2 overflows a float.
     "atom-near-1e400": (power_sums([F(1), F(10**400 + 1)], [1, 1], 5), 0),
-    # Both eigenvalues round to 10**6, so the hints collide.
+    # Both eigenvalues propose 10**6, so the candidates collide.
     "colliding-hints": (power_sums([F(10**6), 10**6 + F(1, 2**40)], [1, 1], 5), 2),
     # The kernel x * (x**2 - 2): the first hint to deflate is irrational.
     "mixed-kernel": ([3, 0, 4, 0, 8, 0, 16], 1),
@@ -606,8 +643,9 @@ FALLBACK_WINDOWS = {
 
 
 class TestEigenvalueHints:
-    """``reconstruct`` takes rational atoms from float Jacobi eigenvalues, each
-    confirmed exactly, and runs Sturm isolation only when a hint fails."""
+    """A window whose atoms are all rational with small denominators gets them,
+    and its kernel, from float Jacobi eigenvalues checked exactly by
+    orthogonality; Sturm isolation runs only when the hints fail."""
 
     @given(
         st.lists(small_rationals, min_size=1, max_size=6, unique=True).flatmap(
@@ -619,30 +657,45 @@ class TestEigenvalueHints:
     )
     @settings(derandomize=True, max_examples=100, deadline=None)
     def test_rational_measures_match_the_fraction_reference(self, measure, extra):
+        from hankelmp.hankel import _monic_from_recurrence
+
         atoms, weights = measure
         n = len(atoms)
         window = power_sums(atoms, weights, 2 * n + extra)
-        rec = reconstruct(window)
-        reference = fraction_sturm_isolate(RationalPoly(orthogonal_poly(window, n)))
+        analysis = analyze(window)
+        rec = reconstruct(analysis)
+        determinantal = orthogonal_poly(window, n)
+        reference = fraction_sturm_isolate(RationalPoly(determinantal))
         assert all(iv.is_exact for iv in reference)
         assert rec.atoms == tuple(iv.lo for iv in reference) == tuple(atoms)
         assert rec.weights == tuple(weights)
+        # The kernel is the product of the hinted atoms' linear factors: the
+        # same reduced record as the builder's last row, and the monic
+        # determinantal p_n.
+        assert analysis._hint[0] == tuple(atoms)
+        product = analysis.kernel
+        row = RationalPoly._from_row(*_monic_from_recurrence(*analysis._recurrence)[-1])
+        fields = ("numerators", "denominator", "primitive")
+        assert [getattr(product, f) for f in fields] == [getattr(row, f) for f in fields]
+        assert product.coeffs == tuple(c / determinantal[-1] for c in determinantal)
 
     @pytest.mark.parametrize("name", sorted(FALLBACK_WINDOWS))
     def test_fallback_windows_give_the_sturm_result(self, monkeypatch, name):
+        import hankelmp.hankel as hankel
         import hankelmp.recovery as recovery
 
-        window, evaluations = FALLBACK_WINDOWS[name]
+        window, eigenvalues = FALLBACK_WINDOWS[name]
         analysis = analyze(window)
-        values = count_calls(monkeypatch, recovery, "_value_at")
-        recovery._rational_atoms(analysis._recurrence, analysis.kernel)
-        assert len(values) == evaluations
+        taken = count_eigenvalues(monkeypatch)
+        hinted = analysis._hint
+        assert len(taken) == eigenvalues
+        # n0 = 0 and n0 = 1 are found from the hints; the others fall back once.
+        assert (hinted is not None) == (name in ("n0=0", "n0=1"))
         sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
         rec = reconstruct(window, digits=20)
-        # n0 = 0 and n0 = 1 need no isolation; the others fall back once.
-        assert len(sturm) == (0 if name in ("n0=0", "n0=1") else 1)
+        assert len(sturm) == (0 if hinted is not None else 1)
         assert reconstruct(analysis, digits=20) == rec
-        monkeypatch.setattr(recovery, "_rational_atoms", lambda recurrence, kernel: None)
+        monkeypatch.setattr(hankel, "_hinted_atoms", lambda recurrence, moments: None)
         assert reconstruct(window, digits=20) == rec
         if name == "mixed-kernel":
             assert rec.atoms[1] == 0 and not rec.is_exact
@@ -652,52 +705,99 @@ class TestEigenvalueHints:
     @pytest.mark.parametrize(
         "mutation",
         [
-            "off-by-1/L",  # every hint moves one grid step r/L
-            "first-repeated",  # the first hint, n0 times
+            "off-by-one-convergent",  # the last hint proposes r + 1 over its q
+            "off-by-1/L",  # every hint moves one grid step 1/L, L = 6, to another small rational
+            "first-repeated",  # the first hint, n0 times, so the candidates collide
             "one-short",  # the last eigenvalue is never yielded
         ],
     )
     def test_wrong_hints_fall_back_to_the_right_measure(self, monkeypatch, mutation):
+        import hankelmp.hankel as hankel
         import hankelmp.recovery as recovery
 
         atoms, weights = (F(-1, 2), F(1, 3), F(2)), (F(1), F(2), F(3))
         window = power_sums(atoms, weights, 9)
         lead = analyze(window).kernel.primitive[-1]
         assert lead == 6
-        real = recovery._jacobi_eigenvalues
+        real_eigenvalues, real_convergent = hankel._jacobi_eigenvalues, hankel._convergent
 
-        def mutated(diag, off):
-            values = list(real(diag, off))
+        def eigenvalues(diag, off):
+            values = list(real_eigenvalues(diag, off))
             if mutation == "off-by-1/L":
                 return [x + 1 / lead for x in values]
             if mutation == "first-repeated":
                 return values[:1] * len(values)
-            return values[:-1]
+            if mutation == "one-short":
+                return values[:-1]
+            return values
 
-        monkeypatch.setattr(recovery, "_jacobi_eigenvalues", mutated)
+        proposed = []
+
+        def convergent(x, tol):
+            r, q = real_convergent(x, tol)
+            proposed.append((r, q))
+            return (r + 1, q) if mutation == "off-by-one-convergent" and len(proposed) == 3 else (r, q)
+
+        monkeypatch.setattr(hankel, "_jacobi_eigenvalues", eigenvalues)
+        monkeypatch.setattr(hankel, "_convergent", convergent)
         sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
         rec = reconstruct(window)
         assert len(sturm) == 1
         assert rec.atoms == atoms and rec.weights == weights
 
+    @pytest.mark.parametrize("den, hinted", [(2**16 - 1, True), (2**16, False), (2**16 + 1, False)])
+    def test_denominators_from_2_to_the_16_fall_back(self, monkeypatch, den, hinted):
+        import hankelmp.recovery as recovery
+
+        atoms, weights = (F(-1, 2), F(1, den), F(2)), (F(1), F(2), F(3))
+        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
+        analysis = analyze(power_sums(atoms, weights, 9))
+        assert (analysis._hint[0] == atoms) if hinted else analysis._hint is None
+        rec = reconstruct(analysis)
+        assert len(sturm) == (0 if hinted else 1)
+        assert rec.atoms == atoms and rec.weights == weights
+
     def test_bench_shaped_rational_windows_need_no_sturm_isolation(self, monkeypatch):
         # Standing rule: rational atoms with denominators up to 12, at n0 from
-        # 4 to 16, are found from the hints, each at one exact evaluation.
+        # 4 to 16, are found from the hints, one eigenvalue each.
         import hankelmp.recovery as recovery
 
         sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
-        values = count_calls(monkeypatch, recovery, "_value_at")
+        taken = count_eigenvalues(monkeypatch)
         rng = random.Random(27)
         for n0 in (4, 8, 12, 16):
             for _ in range(3):
                 mu = bench_shaped_measure(rng, n0)
                 analysis = analyze(measure_moments(mu, 2 * n0 + 3))
-                values.clear()
-                hinted = recovery._rational_atoms(analysis._recurrence, analysis.kernel)
-                assert hinted == list(mu.atoms) and len(values) <= n0
+                taken.clear()
+                assert analysis._hint[0] == mu.atoms and len(taken) == n0
                 rec = reconstruct(analysis)
                 assert rec.atoms == mu.atoms and rec.weights == mu.weights
         assert sturm == []
+
+    def test_cli_reconstruct_and_extend_build_no_polynomial(self, monkeypatch, tmp_path, capsys):
+        # Standing rule: on bench-shaped windows, CLI reconstruct and extend
+        # take the kernel from the hinted atoms, so no row of p_0..p_n0 is
+        # built and no Sturm isolation runs.
+        import hankelmp.hankel as hankel
+        import hankelmp.recovery as recovery
+        from hankelmp.cli import run
+
+        builds = count_calls(monkeypatch, hankel, "_monic_from_recurrence")
+        sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
+        rng = random.Random(31)
+        path = tmp_path / "window.json"
+        for n0 in (4, 8, 12, 16):
+            mu = bench_shaped_measure(rng, n0)
+            window = measure_moments(mu, 2 * n0 + 3)
+            path.write_text(json.dumps([str(s) for s in window]), encoding="utf-8")
+            assert run(["reconstruct", str(path)]) == 0
+            atoms = json.loads(capsys.readouterr().out)["atoms"]
+            assert atoms == [{"exact": str(a)} for a in mu.atoms]
+            assert run(["extend", str(path), "--count", "4"]) == 0
+            extension = json.loads(capsys.readouterr().out)
+            assert extension == {"extension": [str(s) for s in extend(window, 4)]}
+        assert builds == [] and sturm == []
 
     def test_roundtrip_trials_need_no_sturm_isolation(self, monkeypatch):
         import hankelmp.recovery as recovery
@@ -709,14 +809,14 @@ class TestEigenvalueHints:
 
     @pytest.mark.parametrize("n0", [2, 4, 6, 8, 20])
     def test_gauss_legendre_windows_isolate_once(self, monkeypatch, n0):
-        # An irrational kernel gives up at its first eigenvalue: one exact
-        # evaluation, then one Sturm isolation per reconstruct.
+        # An irrational kernel gives up at its first eigenvalue, then runs
+        # one Sturm isolation per reconstruct.
         import hankelmp.recovery as recovery
 
         analysis = analyze(hilbert_window(n0))
-        values = count_calls(monkeypatch, recovery, "_value_at")
-        assert recovery._rational_atoms(analysis._recurrence, analysis.kernel) is None
-        assert len(values) == 1
+        taken = count_eigenvalues(monkeypatch)
+        assert analysis._hint is None
+        assert len(taken) == 1
         sturm = count_calls(monkeypatch, recovery, "sturm_isolate")
         reconstruct(hilbert_window(n0), digits=20)
         reconstruct(analysis, digits=20)
