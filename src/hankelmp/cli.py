@@ -381,7 +381,7 @@ MAX_VERIFY_N = 32
 MAX_VERIFY_P = 16
 
 
-def _int_in(low: int, high: int | None = None):
+def _int_in(low: int, high: int):
     """argparse type for an integer flag in [low, high]; argparse names the flag on error."""
 
     def parse(text: str) -> int:
@@ -391,7 +391,7 @@ def _int_in(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text[:40]!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
+        if value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 

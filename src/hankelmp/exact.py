@@ -93,6 +93,17 @@ def _rational(value) -> Fraction:
         raise ValueError(f"not a finite rational: {value!r}") from exc
 
 
+def _not_text(values, name: str):
+    """``values``, or ``ValueError`` naming ``name`` for a str, bytes or bytearray.
+
+    Those iterate one character or byte at a time, so "11" would be read as
+    the values 1, 1 and b"12" as 49, 50.
+    """
+    if isinstance(values, (str, bytes, bytearray)):
+        raise ValueError(f"{name} must be an iterable of rationals, not {type(values).__name__}")
+    return values
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: reduced ``p/q``, or a bare integer when q = 1.
 
@@ -122,7 +133,7 @@ class RationalPoly:
     __slots__ = ("numerators", "denominator", "primitive")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str] = ()):
-        self._set(*_common_denominator(map(_rational, coeffs)))
+        self._set(*_common_denominator(map(_rational, _not_text(coeffs, "coeffs"))))
 
     @classmethod
     def _from_row(cls, nums: Sequence[int], den: int = 1) -> "RationalPoly":

@@ -30,9 +30,10 @@ p_{n0}, ..., p_0 is a Sturm sequence for the kernel.  Rows and polynomials are
 integer numerators over one positive denominator, the form of
 ``_common_denominator`` and of ``RationalPoly``, reduced once per row by a
 single gcd.  One integer three-term step, ``_three_term``, forms both from
-the two rows before with three integer multipliers, and the builder reads
-the pass's alpha_k and beta_k as integer pairs, so no ``Fraction`` is made
-but the determinants.
+the two rows before with three integer multipliers, the look-ahead step
+``_block_step`` crosses a zero run by gcd-reduced two-term integer
+eliminations, and the builder reads the pass's alpha_k and beta_k as integer
+pairs, so no ``Fraction`` is made but the determinants.
 
 Matrices are plain rows.  ``hankel_matrix`` gives H_n as a tuple of row
 tuples, each a slice of the window's moments, and ``is_psd`` and
@@ -59,7 +60,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, OutOfWindow, PreconditionViolated
-from .exact import RationalPoly, _common_denominator, _is_int, _rational
+from .exact import RationalPoly, _common_denominator, _is_int, _not_text, _rational
 
 __all__ = [
     "Classification",
@@ -84,7 +85,9 @@ class MomentWindow:
     __slots__ = ("moments",)
 
     def __init__(self, moments: Iterable[Fraction | int | str]):
-        vals = tuple(s if isinstance(s, Fraction) else _rational(s) for s in moments)
+        vals = tuple(
+            s if isinstance(s, Fraction) else _rational(s) for s in _not_text(moments, "moments")
+        )
         if not vals:
             raise ValueError("a moment window needs at least s_0")
         self.moments: tuple[Fraction, ...] = vals
@@ -293,7 +296,8 @@ class _Step(NamedTuple):
     ``alpha`` and ``beta`` are (numerator, denominator) integer pairs, not
     reduced, with a positive denominator: p_k = (x - alpha) p_{k-1} - beta
     p_{k-2} after a three-term step; None at k = 0 and after a block step.
-    ``_monic_from_recurrence`` reads the pairs as integers.
+    ``_monic_from_recurrence`` reads the pairs as integers.  Both steps form
+    ``row`` in integers.
     """
 
     dets: list[Fraction]  # D_k..D_{k+d}: d zeros, then D_{k+d} != 0; or D_k..D_N, all 0
@@ -319,32 +323,32 @@ def _three_term(
     return nums, den
 
 
-def _block_step(r: Sequence[int], rden: int, q: Sequence[int], qden: int, k: int, d: int) -> _Row:
+def _block_step(r: Sequence[int], rden: int, q: Sequence[int], k: int, d: int) -> _Row:
     """sigma_{k+d+1}(l) for l = k+d+1..m-k-d-1 across the zero run sigma_k(k..k+d-1).
 
-    The row is sum_i u_i sigma_k(l+i) - gamma sigma_prev(l) for the monic
-    u of degree d+1 and gamma = c / sigma_prev(k-1), c = sigma_k(k+d).  Its
-    entries l < k-1 vanish for every u, l = k-1 fixes gamma, and l = k..k+d
-    give u_d, .., u_0 in turn, each by one division by c.  The terms are put
-    over one denominator and reduced once, as in ``_three_term``.
+    Fraction-free integer eliminations (Bareiss, *Math. Comp.* 22, 1968) on
+    the row r of p_k and the row q of the previous regular index, with c =
+    r[k+d] and c' = q[k-1] (``c_prev``).  R(l) = (c'/g) r[l+d+1] - (c/g) q[l], with g =
+    gcd(c, c') signed like c', vanishes at l = k-1.  For t = 0..d, the row
+    of x^(d-t) p_k, zero below l = k+t and c there, clears entry k+t: R <-
+    (c/h) R - (R(k+t)/h) r[l+d-t], with h = gcd(c, R(k+t)) signed like c.
+    Then R over (c'/g) rden prod_t (c/h), a positive denominator in which
+    q's own denominator cancels, is the row of the monic p_{k+d+1}, and it
+    is reduced once, as in ``_three_term``.  From l = k+t+1 on, the row of
+    x^(d-t) p_k is r[k+d+1:] for every t, so each elimination drops the
+    entry it clears.  Every slice starts at l = k: at k = 0, q[k-1] is the
+    sentinel 1 of p_{-1}, and q[k-1:] would wrap.
     """
-    m = len(r) - 1 + k
-    c = r[k + d]
-    u = [Fraction(0)] * (d + 1) + [Fraction(1)]
-    for t in range(d + 1):
-        # gamma * sigma_prev(k+t) / c, where the denominators cancel.
-        known = Fraction(q[k + t], q[k - 1])
-        u[d - t] = known - sum(u[i] * r[k + t + i] for i in range(d - t + 1, d + 2)) / c
-    gamma = Fraction(c * qden, rden * q[k - 1])
-    lcm = math.lcm(rden * math.lcm(*(v.denominator for v in u)), gamma.denominator * qden)
-    fs = [v.numerator * (lcm // (v.denominator * rden)) for v in u]
-    fg = gamma.numerator * (lcm // (gamma.denominator * qden))
-    nums = [
-        sum(f * x for f, x in zip(fs, r[l : l + d + 2])) - fg * q[l]
-        for l in range(k + d + 1, m - k - d)
-    ]
-    g = math.gcd(lcm, *nums)
-    return [v // g for v in nums], lcm // g
+    c, c_prev, tail = r[k + d], q[k - 1], r[k + d + 1 :]
+    g = math.gcd(c, c_prev) if c_prev > 0 else -math.gcd(c, c_prev)
+    lead, cg = c_prev // g, c // g
+    row, den = [lead * x - cg * y for x, y in zip(tail, q[k:])], lead * rden
+    for _ in range(d + 1):
+        h = math.gcd(c, row[0]) if c > 0 else -math.gcd(c, row[0])
+        f, e = c // h, row[0] // h
+        row, den = [f * x - e * y for x, y in zip(row[1:], tail)], den * f
+    g = math.gcd(den, *row)
+    return [v // g for v in row], den // g
 
 
 def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
@@ -376,16 +380,17 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
     For d >= 1 the zero run is a defective block of the subresultant
     structure theorem (Basu, Pollack & Roy, *Algorithms in Real Algebraic
     Geometry*, Ch. 8), and ``_block_step`` steps over it, as look-ahead
-    Lanczos does (Gutknecht, SIAM J. Matrix Anal. Appl. 13, 1992).  The
+    Lanczos does (Gutknecht, SIAM J. Matrix Anal. Appl. 13, 1992), by d + 2
+    fraction-free integer eliminations in which qden cancels too.  The
     pass ends after D_N, or at a row that is zero from sigma_k(k) to
     sigma_k(N), which leaves D_k..D_N zero.  Each step is yielded before the
     next row is formed, so a reader that stops at a step pays for no later
     row.  Every row is integer numerators over one positive denominator,
     reduced once by a single gcd; a reduced row is unique, and its
     denominator is the lcm of its entries' reduced denominators, so the
-    entries stay the size of the determinants.  Only the O(N) determinants
-    are ``Fraction`` values; alpha_k and beta_k are integer pairs.  O(N^2)
-    operations in all.
+    entries stay the size of the determinants.  Both steps run in integers:
+    only the O(N) determinants are ``Fraction`` values, and alpha_k and
+    beta_k are integer pairs.  O(N^2) operations in all.
     """
     m = len(s) - 1
     horizon = m // 2
@@ -406,7 +411,7 @@ def _pass(s: Sequence[Fraction]) -> Iterator[_Step]:
         if k + d == horizon:
             return
         if d:
-            nums, den = _block_step(r, rden, q, qden, k, d)
+            nums, den = _block_step(r, rden, q, k, d)
             alpha = beta = None
         else:
             b, a, e = r[k] * q[k - 1], r[k + 1] * q[k - 1] - q[k] * r[k], r[k] * r[k]

@@ -55,6 +55,7 @@ from .exact import (
     _at_denominator,
     _common_denominator,
     _is_int,
+    _not_text,
     _root_bound_exponent,
     _value_at,
     refine_root,
@@ -90,7 +91,9 @@ class DiscreteMeasure:
 
     Atoms are exact rationals or isolating intervals for algebraic points;
     weights are exact rationals, or rational enclosures whenever any atom is
-    algebraic.  The empty measure (no atoms) is the zero measure.
+    algebraic.  The empty measure (no atoms) is the zero measure.  An int
+    is stored as a ``Fraction``; any other atom or weight, and atoms or
+    weights given as one str or bytes, raise ``ValueError``.
     """
 
     atoms: tuple[AtomValue, ...]
@@ -99,9 +102,19 @@ class DiscreteMeasure:
     def __post_init__(self):
         # An int is an exact value, and so is an atom interval collapsed to a
         # point; as Fractions they keep the measure exact.
-        atoms = (a.lo if isinstance(a, IsolatingInterval) and a.is_exact else a for a in self.atoms)
-        for name, values in (("atoms", atoms), ("weights", self.weights)):
+        atoms = (
+            a.lo if isinstance(a, IsolatingInterval) and a.is_exact else a
+            for a in _not_text(self.atoms, "atoms")
+        )
+        weights = _not_text(self.weights, "weights")
+        for name, values, interval in (
+            ("atoms", atoms, IsolatingInterval), ("weights", weights, RationalInterval)
+        ):
             values = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
+            for v in values:
+                if not isinstance(v, (Fraction, interval)):
+                    kinds = f"ints, Fractions or {interval.__name__}s"
+                    raise ValueError(f"{name} must be {kinds}, not {type(v).__name__}")
             object.__setattr__(self, name, values)
         if len(self.atoms) != len(self.weights):
             raise ValueError("atom and weight counts differ")
@@ -187,7 +200,7 @@ def _moment_sums(
         powers = [(lo >> bits, -(-hi >> bits)) for lo, hi in powers]
 
 
-def _refinements(atoms: Sequence[AtomValue], digits: int, reach: int = 0):
+def _refinements(atoms: Sequence[AtomValue], digits: int, reach: int):
     """Each round's atoms, refined to width 10**-(digits + pad), and its grid bits.
 
     The pads are 10, 20, 40, 80 and 160, and they go on doubling while the

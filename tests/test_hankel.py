@@ -48,6 +48,7 @@ from oracles import (
     orthogonal_poly,
     principal_minor_sums,
     psd_all_principal_minors,
+    solve_exact,
 )
 from strategies import rationals
 
@@ -864,6 +865,58 @@ class TestRecurrencePass:
         monkeypatch.setattr(hankel, "Fraction", counted)
         polys = _monic_from_recurrence(alphas, betas)
         assert made == [] and len(polys) == 21
+
+    def test_block_step_makes_no_fraction(self, monkeypatch):
+        import hankelmp.hankel as hankel
+
+        windows = []
+        for d in range(1, 8):
+            # The first nonzero entry c past the run is negative for d = 2, 3, 6
+            # and 7: an odd and an even count of eliminations by c.
+            sign = (-1) ** (d // 2)
+            # s_0 = 0: a zero run of length d from k = 0.
+            windows.append([F(0)] * d + [F(sign)] + [F(j, 3) for j in range(2, d + 4)])
+            # Two and three atoms, with one negative weight in the second
+            # case, moved at s_{2n+d}: a run of length d from k = n, with a
+            # negative pivot ahead of it in the signed case.
+            for atoms, weights in (((-1, F(1, 2)), (1, 2)), ((-2, 0, F(3, 2)), (1, -3, 3))):
+                n = len(atoms)
+                window = moments_of((atoms, weights), 2 * n + 2 * d + 3)
+                window[2 * n + d] += sign
+                windows.append(window)
+        assert det_sequence(windows[2])[2] < 0
+        real, calls = hankel._block_step, []
+
+        def captured(*args):
+            calls.append((window, args))
+            return real(*args)
+
+        monkeypatch.setattr(hankel, "_block_step", captured)
+        for window in windows:
+            list(_pass(MomentWindow(window).moments))
+        runs = {(args[-2], args[-1]) for _, args in calls}
+        assert {d for _, d in runs} == set(range(1, 8)) and {k for k, _ in runs} == {0, 2, 3}
+        assert {args[0][args[-2] + args[-1]] > 0 for _, args in calls} == {True, False}
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(hankel, "Fraction", counted)
+        rows = [real(*args) for _, args in calls]
+        assert made == []
+        monkeypatch.undo()
+        for (window, args), (nums, den) in zip(calls, rows):
+            assert den > 0 and math.gcd(den, *nums) == 1
+            # The row is <p_n, x^l> for the monic p_n, n = k+d+1, and l = n..m-n.
+            n, m = args[-2] + args[-1] + 1, len(window) - 1
+            p = solve_exact(
+                [window[l : l + n] for l in range(n)], [-window[l + n] for l in range(n)]
+            ) + [1]
+            assert [F(v, den) for v in nums] == [
+                sum(map(mul, p, window[l : l + n + 1])) for l in range(n, m - n + 1)
+            ]
 
 
 def count_pass_steps(monkeypatch) -> list[int]:

@@ -278,3 +278,66 @@ def test_the_integer_parameter_table_covers_every_public_function():
     }
     assert len(integer) >= 19
     assert integer == {(function.__name__, name) for function, name, _, _ in INTEGER_PARAMETERS}
+
+
+def _text_argument_calls():
+    """(label, call, message) for every entry that reads a window, polynomial or measure."""
+    from fractions import Fraction
+
+    from hankelmp import (
+        DiscreteMeasure,
+        MomentWindow,
+        RationalInterval,
+        RationalPoly,
+        analyze,
+        classify,
+        det_sequence,
+        extend,
+        hankel_matrix,
+        reconstruct,
+    )
+
+    def window(kind):
+        return f"^moments must be an iterable of rationals, not {kind}$"
+
+    return [
+        ("classify", lambda: classify("11"), window("str")),
+        ("analyze", lambda: analyze("11"), window("str")),
+        ("det_sequence", lambda: det_sequence("121"), window("str")),
+        ("hankel_matrix", lambda: hankel_matrix("121", 1), window("str")),
+        ("reconstruct", lambda: reconstruct("111"), window("str")),
+        ("extend", lambda: extend("111", 2), window("str")),
+        ("MomentWindow-bytes", lambda: MomentWindow(b"12"), window("bytes")),
+        ("MomentWindow-bytearray", lambda: MomentWindow(bytearray(b"12")), window("bytearray")),
+        ("RationalPoly", lambda: RationalPoly("123"),
+         "^coeffs must be an iterable of rationals, not str$"),
+        ("RationalPoly-bytes", lambda: RationalPoly(b"1"),
+         "^coeffs must be an iterable of rationals, not bytes$"),
+        ("DiscreteMeasure-atom", lambda: DiscreteMeasure(("1",), ("2",)),
+         "^atoms must be ints, Fractions or IsolatingIntervals, not str$"),
+        ("DiscreteMeasure-weight", lambda: DiscreteMeasure((1,), ("2",)),
+         "^weights must be ints, Fractions or RationalIntervals, not str$"),
+        ("DiscreteMeasure-text", lambda: DiscreteMeasure("12", "34"),
+         "^atoms must be an iterable of rationals, not str$"),
+        ("DiscreteMeasure-float", lambda: DiscreteMeasure((1,), (0.5,)),
+         "^weights must be ints, Fractions or RationalIntervals, not float$"),
+        ("DiscreteMeasure-bytes", lambda: DiscreteMeasure(b"1", b"2"),
+         "^atoms must be an iterable of rationals, not bytes$"),
+        # An atom interval must isolate a root of a polynomial that refinement reads.
+        ("DiscreteMeasure-interval-atom",
+         lambda: DiscreteMeasure((RationalInterval(Fraction(0), Fraction(1)),), (1,)),
+         "^atoms must be ints, Fractions or IsolatingIntervals, not RationalInterval$"),
+    ]
+
+
+TEXT_ARGUMENTS = _text_argument_calls()
+
+
+@pytest.mark.parametrize(
+    "call, message", [(call, message) for _, call, message in TEXT_ARGUMENTS],
+    ids=[label for label, _, _ in TEXT_ARGUMENTS],
+)
+def test_a_string_is_not_read_as_a_window_polynomial_or_measure(call, message):
+    # Iterated one character at a time, "11" would be the window [1, 1].
+    with pytest.raises(ValueError, match=message):
+        call()
